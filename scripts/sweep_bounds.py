@@ -3,62 +3,48 @@
 
 Reproduces the k ln k - k ln ln k scaling table: with rho^2 = gamma ln k and
 delta_k = 1/k, both bounds stay within a constant-per-mode band of the
-asymptote. Writes a CSV via the bosonid CLI and prints the per-mode gaps.
+asymptote.  Next to the per-mode gaps it prints the exact log first-kind
+error, ln P(S_k > k(N + delta)), against its bound -k Lambda.
 
 Usage:
-    python3 scripts/sweep_bounds.py [--out sweep.csv] [--energy 4] [--noise 1]
+    python3 scripts/sweep_bounds.py [--energy 4] [--noise 1] [--kmax 4096]
 """
 
 import argparse
 import math
 import sys
-from pathlib import Path
 
-from bosonid import cli
 from bosonid import photonstats as ps
+from bosonid import scheme
 from bosonid.photonstats import ChannelModel
+
+DELTA = 1.0
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="sweep.csv")
     parser.add_argument("--energy", type=float, default=4.0)
     parser.add_argument("--noise", type=float, default=1.0)
     parser.add_argument("--kmax", type=int, default=4096)
     args = parser.parse_args()
 
-    theta = ps.theta_exponent(1.0, ChannelModel(args.noise))
+    channel = ChannelModel(args.noise)
+    theta = ps.theta_exponent(DELTA, channel)
     gamma = 1 / (4 * theta)  # makes the second-kind bound <= 1/k
-    ks = []
+    lam = ps.lambda_exponent(DELTA, channel)
+
+    print(f"gamma = {gamma:.6f} (theta = {theta:.6f}), delta = {DELTA}")
+    print(f"{'k':>6} {'lower_gap/k':>12} {'upper_gap/k':>12} "
+          f"{'ln lambda1':>14} {'-k Lambda':>14}")
     k = 8
     while k <= args.kmax:
-        ks.append(k)
-        k *= 2
-
-    rc = cli.main([
-        "bounds", "--k", ",".join(map(str, ks)),
-        "--gamma", repr(gamma),
-        "--energy", str(args.energy), "--noise", str(args.noise),
-        "--out", args.out,
-    ])
-    if rc != 0:
-        return rc
-
-    print(f"gamma = {gamma:.6f} (theta = {theta:.6f})")
-    print(f"{'k':>6} {'lower_gap/k':>12} {'upper_gap/k':>12}")
-    header = None
-    for line in Path(args.out).read_text().splitlines():
-        if line.startswith("#"):
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        row = dict(zip(header, line.split(",")))
-        k = int(row["k"])
+        rho = math.sqrt(gamma * math.log(k))
         center = k * math.log(k) - k * math.log(math.log(k))
-        low = (float(row["logM_lower"]) - center) / k
-        high = (float(row["logM_upper"]) - center) / k
-        print(f"{k:>6} {low:>12.4f} {high:>12.4f}")
+        low = (scheme.achievable_users_log(k, args.energy, rho) - center) / k
+        high = (scheme.converse_users_log(k, args.energy, 1 / k, channel) - center) / k
+        log_l1 = ps.log_tail_probability(k, 0.0, channel, k * (args.noise + DELTA), upper=True)
+        print(f"{k:>6} {low:>12.4f} {high:>12.4f} {log_l1:>14.6f} {-k * lam:>14.6f}")
+        k *= 2
     return 0
 
 

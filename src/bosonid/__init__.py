@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .photonstats import (
     ChannelModel,
     DetectorSpec,
-    ExponentPair,
     lambda_exponent,
     theta_exponent,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "__version__",
     "ChannelModel",
     "DetectorSpec",
-    "ExponentPair",
     "SignatureSet",
     "lambda_exponent",
     "theta_exponent",

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
-from scipy.stats import poisson
+from scipy.special import eval_genlaguerre, gammaln, pdtrc
 
 from .photonstats import ChannelModel
 
@@ -84,21 +83,20 @@ def displacement_matrix(amplitude: complex, cutoff: int) -> FockMatrix:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     alpha = complex(amplitude)
     n2 = abs(alpha) ** 2
-    deficit = float(poisson.sf(cutoff - 1, n2))
+    deficit = float(pdtrc(cutoff - 1, n2))
     if deficit > _DISPLACEMENT_DEFICIT_LIMIT:
         raise ValueError(
             f"|alpha|^2 = {n2:g} too large for cutoff {cutoff}: deficit {deficit:.3g}"
         )
-    out = np.zeros((cutoff, cutoff), dtype=complex)
+    # <m|D(alpha)|n> = sqrt(n!/m!) e^{-|alpha|^2/2} alpha^{m-n} L_n^{(m-n)}(|alpha|^2)
+    # for m >= n; above the diagonal alpha is replaced by -conj(alpha).
+    row, col = np.indices((cutoff, cutoff))
+    low, high = np.minimum(row, col), np.maximum(row, col)
+    gap = high - low
     lg = gammaln(np.arange(cutoff) + 1)
-    for n in range(cutoff):
-        for m in range(n, cutoff):
-            scale = math.exp(0.5 * (lg[n] - lg[m]) - n2 / 2)
-            lag = eval_genlaguerre(n, m - n, n2)
-            out[m, n] = scale * alpha ** (m - n) * lag
-            if m != n:
-                # <n|D(alpha)|m> = conj(<m|D(-alpha)|n>)
-                out[n, m] = np.conj(scale * (-alpha) ** (m - n) * lag)
+    scale = np.exp(0.5 * (lg[low] - lg[high]) - n2 / 2)
+    phase = np.where(row >= col, alpha, -alpha.conjugate()) ** gap
+    out = scale * phase * eval_genlaguerre(low, gap, n2)
     return FockMatrix(cutoff, out, deficit)
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "sample_uniform_ball",
     "greedy_packing",
     "grid_packing",
+    "closest_pair",
     "min_pairwise_distance",
     "save_pointset",
     "load_pointset",
@@ -136,17 +137,27 @@ def grid_packing(spec: PackingSpec) -> PointSet:
     return PointSet(points=arr, achieved_min_distance=min_pairwise_distance(arr))
 
 
+def closest_pair(points) -> tuple[float, int, int]:
+    """(squared distance, i, j), i < j, of the closest pair of rows of a real
+    or complex array; among equal distances the lowest indices win."""
+    arr = np.asarray(points)
+    if arr.shape[0] < 2:
+        raise ValueError("need at least 2 points")
+    best = (math.inf, 0, 1)
+    for i in range(arr.shape[0] - 1):
+        d2 = np.sum(np.abs(arr[i + 1 :] - arr[i]) ** 2, axis=1)
+        j = int(np.argmin(d2))
+        if d2[j] < best[0]:
+            best = (float(d2[j]), i, i + 1 + j)
+    return best
+
+
 def min_pairwise_distance(points) -> float:
     """Exact minimum pairwise Euclidean distance; +inf for fewer than 2 points."""
     arr = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
-    m = arr.shape[0]
-    if m < 2:
+    if arr.shape[0] < 2:
         return math.inf
-    best = math.inf
-    for i in range(m - 1):
-        d2 = np.sum((arr[i + 1 :] - arr[i]) ** 2, axis=1)
-        best = min(best, float(d2.min()))
-    return math.sqrt(best)
+    return math.sqrt(closest_pair(arr)[0])
 
 
 def save_pointset(path, pointset: PointSet, spec: PackingSpec) -> None:

@@ -5,9 +5,10 @@ error events reduce to classical total-photon-count thresholds: a first-kind
 error is "k thermal modes exceed k(N+delta)", and a second-kind error for the
 pair (m, m') is "k displaced thermal modes with amplitudes Delta = alpha_m' -
 alpha_m stay at or below k(N+delta)".  The simulators realize exactly those
-events; exact tail masses from `photonstats.exact_total_pmf` are the ground
-truth.  A heterodyne baseline (ball test on the induced Gaussian channel) is
-included with its closed-form chi-square error probabilities.
+events; exact tail masses, summed in log domain over the closed-form Laguerre
+law (`photonstats.log_tail_probability`), are the ground truth.  A heterodyne
+baseline (ball test on the induced Gaussian channel) is included with its
+closed-form chi-square error probabilities.
 
 Trials are split into chunks with independently seeded streams derived from
 (master seed, chunk index); results merge by summation and are bit-identical
@@ -20,10 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
-from scipy.stats import norm
+from scipy.special import chndtr, gammaincc, ndtri
 
-from .photonstats import ChannelModel, DetectorSpec, exact_total_pmf
+from .photonstats import ChannelModel, DetectorSpec, log_tail_probability
 from .scheme import SignatureSet
 
 __all__ = [
@@ -84,7 +84,7 @@ def _make_estimate(successes: int, trials: int, seed: int) -> McEstimate:
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.997):
     """Wilson score interval; well behaved in small-probability regimes."""
-    z = norm.ppf(1 - (1 - confidence) / 2)
+    z = ndtri(1 - (1 - confidence) / 2)
     p = successes / trials
     denom = 1 + z**2 / trials
     center = (p + z**2 / (2 * trials)) / denom
@@ -142,16 +142,8 @@ def estimate_lambda1(
 
 def worst_pair_delta(code: SignatureSet) -> np.ndarray:
     """Difference vector of the minimum-distance pair (lowest-index tie-break)."""
-    if len(code) < 2:
-        raise ValueError("need at least 2 signatures")
-    sigs = code.signatures
-    best = (math.inf, 0, 1)
-    for i in range(len(code) - 1):
-        d2 = np.sum(np.abs(sigs[i + 1 :] - sigs[i]) ** 2, axis=1)
-        j = int(np.argmin(d2))
-        if d2[j] < best[0]:
-            best = (float(d2[j]), i, i + 1 + j)
-    return sigs[best[2]] - sigs[best[1]]
+    _, i, j = code.closest_pair
+    return code.signatures[j] - code.signatures[i]
 
 
 def estimate_lambda2(
@@ -201,18 +193,19 @@ def estimate_lambda2(
 
 
 def exact_lambda1(channel: ChannelModel, detector: DetectorSpec) -> float:
-    """Exact P(S_k > k(N+delta)) at zero signal energy."""
-    pmf = exact_total_pmf(detector.k, 0.0, channel)
-    n_keep = int(math.floor(detector.threshold))
-    return float(max(0.0, 1.0 - pmf[: n_keep + 1].sum()))
+    """Exact P(S_k > k(N+delta)) at zero signal energy: the negative binomial
+    upper tail, summed from the first count above the threshold."""
+    return math.exp(
+        log_tail_probability(detector.k, 0.0, channel, detector.threshold, upper=True)
+    )
 
 
 def exact_lambda2(delta_vec, channel: ChannelModel, detector: DetectorSpec) -> float:
-    """Exact P(S_k <= k(N+delta)) at per-mode energies |Delta_t|^2."""
-    energies = np.abs(np.asarray(delta_vec, dtype=complex)) ** 2
-    pmf = exact_total_pmf(detector.k, float(energies.sum()), channel, energies=energies)
-    n_keep = int(math.floor(detector.threshold))
-    return float(min(1.0, pmf[: n_keep + 1].sum()))
+    """Exact P(S_k <= k(N+delta)) at per-mode energies |Delta_t|^2; the law
+    depends on them only through their sum."""
+    energy = float(np.sum(np.abs(np.asarray(delta_vec, dtype=complex)) ** 2))
+    log_p = log_tail_probability(detector.k, energy, channel, detector.threshold, upper=False)
+    return min(1.0, math.exp(log_p))
 
 
 def heterodyne_simulate(
@@ -253,28 +246,6 @@ def heterodyne_simulate(
     }
 
 
-def _noncentral_chi2_cdf(
-    x: float, dof: int, noncentrality: float, tol: float = 1e-10, max_terms: int = 100_000
-) -> float:
-    """Noncentral chi-square CDF by the Poisson mixture of regularized
-    incomplete gammas, truncated once the remaining Poisson weight is < tol."""
-    if x <= 0:
-        return 0.0
-    half = noncentrality / 2
-    total = 0.0
-    weight_sum = 0.0
-    for j in range(max_terms):
-        logw = -half + j * math.log(half) - gammaln(j + 1) if half > 0 else (0.0 if j == 0 else -math.inf)
-        w = math.exp(logw)
-        total += w * gammainc(dof / 2 + j, x / 2)
-        weight_sum += w
-        if weight_sum >= 1 - tol:
-            return min(1.0, total)
-    raise RuntimeError(
-        f"noncentral chi-square series did not converge (noncentrality={noncentrality})"
-    )
-
-
 def heterodyne_analytic(k: int, spec: HeterodyneSpec, distance: float) -> dict:
     """Exact ball-test error probabilities from chi-square laws.
 
@@ -287,7 +258,5 @@ def heterodyne_analytic(k: int, spec: HeterodyneSpec, distance: float) -> dict:
     if distance < 0:
         raise ValueError("distance must be >= 0")
     x = 2 * spec.threshold / spec.noise_variance
-    lambda1 = 1.0 - float(gammainc(k, x / 2))
     nc = 2 * distance**2 / spec.noise_variance
-    lambda2 = _noncentral_chi2_cdf(x, 2 * k, nc)
-    return {"lambda1": lambda1, "lambda2": lambda2}
+    return {"lambda1": float(gammaincc(k, x / 2)), "lambda2": float(chndtr(x, 2 * k, nc))}

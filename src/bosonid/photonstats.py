@@ -10,28 +10,31 @@ with the Laguerre-form pmf
 modes depends on the per-mode energies only through their sum, which is
 explicit in the moment generating function
 
-    G_k(z) = exp(-E (1-z)/(N+1-Nz)) / (N+1-Nz)^k.
+    G_k(z) = exp(-E (1-z)/(N+1-Nz)) / (N+1-Nz)^k,
+
+and its coefficients are the closed-form Laguerre law (the noncentral
+negative binomial; Helstrom, Quantum Detection and Estimation Theory, ch. 5)
+
+    p_k(n) = (N+1)^{-k} exp(-E/(N+1)) c^n L_n^{(k-1)}(-E/(N(N+1))),  c = N/(N+1).
 
 This module provides the pmf, the MGF, an exact sampler (Gaussian mixture of
-Poissons), exact total-count distributions by convolution, and the two tail
-exponents that drive the identification error bounds, each paired with an
-independent numerically optimized Chernoff bound.
+Poissons), the exact total-count law and its tails in log domain, and the two
+tail exponents that drive the identification error bounds, each paired with
+an independent numerically optimized Chernoff bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.stats import poisson
+from scipy.special import logsumexp
 
 __all__ = [
     "ChannelModel",
     "DetectorSpec",
-    "ExponentPair",
-    "TailResult",
     "laguerre",
     "photon_pmf",
     "photon_pmf_array",
@@ -39,6 +42,7 @@ __all__ = [
     "sample_photon_count",
     "sample_photon_counts",
     "exact_total_pmf",
+    "log_tail_probability",
     "lambda_exponent",
     "theta_exponent",
     "chernoff_upper_exponent",
@@ -47,6 +51,11 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-12
+_LOG_TAIL_TOL = math.log(1e-17)
+_LN2 = math.log(2)
+_HUGE = 2.0**500
+_TINY = 2.0**-500
+_MAX_COUNT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -80,28 +89,6 @@ class DetectorSpec:
         return cls(delta=delta, k=k, threshold=k * (channel.n_thermal + delta))
 
 
-@dataclass(frozen=True)
-class ExponentPair:
-    """Upper/lower tail exponents for the threshold detector (nats)."""
-
-    lambda_exp: float
-    theta_exp: float
-
-
-@dataclass(frozen=True)
-class TailResult:
-    """Natural-log tail probability (or log upper bound) with its provenance."""
-
-    log_probability: float
-    kind: str  # one of: exact, chernoff, paper_formula
-
-    def __post_init__(self):
-        if self.log_probability > 0:
-            raise ValueError("log_probability must be <= 0")
-        if self.kind not in ("exact", "chernoff", "paper_formula"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-
-
 def laguerre(n: int, x: float) -> float:
     """Laguerre polynomial L_n(x) by the three-term recurrence.
 
@@ -117,31 +104,93 @@ def laguerre(n: int, x: float) -> float:
     return cur
 
 
-def photon_pmf_array(nmax: int, energy: float, channel: ChannelModel) -> np.ndarray:
-    """pmf p(n | energy, N) for n = 0..nmax, as a float array.
+def _check_law(k: int, total_energy: float) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not 0 <= total_energy < math.inf:
+        raise ValueError(f"energy must be finite and >= 0, got {total_energy}")
 
-    For N > 0 the geometric factor is folded into the Laguerre recurrence
-    (carried at extended precision) so nothing overflows; for N = 0 this is
-    the Poisson law.
+
+def _log_pmf_terms(k: int, total_energy: float, channel: ChannelModel):
+    """log p_k(n) for n = 0, 1, ..., _MAX_COUNT - 1: the closed-form Laguerre law.
+
+    For N > 0, q_n = c^n L_n^{(k-1)}(x) with c = N/(N+1) and x = -E/(N(N+1))
+    follows (n+1) q_{n+1} = c (2n+k-x) q_n - c^2 (n+k-1) q_{n-1}.  With x <= 0
+    the subtracted term is less than half the first, so nothing cancels
+    (DLMF 18.9).  q is rescaled by exact powers of two, so neither q nor the
+    prefactor (N+1)^{-k} e^{-E/(N+1)} over- or underflows at any k.  For N = 0
+    the law is Poisson(E).  Asking for more terms raises ValueError.
     """
-    if energy < 0:
-        raise ValueError(f"energy must be >= 0, got {energy}")
+    N, E = channel.n_thermal, total_energy
+    if N == 0:
+        log_e = math.log(E) if E > 0 else -math.inf
+        yield -E
+        for n in range(1, _MAX_COUNT):
+            yield -E + n * log_e - math.lgamma(n + 1)
+    else:
+        c = N / (N + 1)
+        x = -E / (N * (N + 1))
+        log_amp = -k * math.log1p(N) - E / (N + 1)
+        prev, cur, scale = 0.0, 1.0, 0
+        for n in range(_MAX_COUNT):
+            yield log_amp + scale * _LN2 + math.log(cur)
+            prev, cur = cur, (c * (2 * n + k - x) * cur - c * c * (n + k - 1) * prev) / (n + 1)
+            if not _TINY < cur < _HUGE:
+                e = math.frexp(cur)[1]
+                prev, cur, scale = math.ldexp(prev, -e), math.ldexp(cur, -e), scale + e
+    raise ValueError(f"photon counts beyond {_MAX_COUNT} are out of range")
+
+
+def _log_pmf(k: int, total_energy: float, channel: ChannelModel, nmax: int) -> np.ndarray:
+    """log p_k(n) for n = 0..nmax."""
+    terms = _log_pmf_terms(k, total_energy, channel)
+    return np.fromiter(itertools.islice(terms, nmax + 1), float)
+
+
+def _log_pmf_tail(k: int, total_energy: float, channel: ChannelModel, first: int) -> np.ndarray:
+    """log p_k(n) for n = first..last, where the mass beyond ``last`` is below
+    1e-17 of the largest of these terms.
+
+    The law is log-concave, so once the terms fall with ratio r the rest of
+    the tail after a term p is at most p r / (1 - r).
+    """
+    out, prev, top = [], -math.inf, -math.inf
+    for n, lp in enumerate(_log_pmf_terms(k, total_energy, channel)):
+        if n >= first:
+            out.append(lp)
+            top = max(top, lp)
+            d = lp - prev  # log r
+            rest = lp + d - math.log(-math.expm1(d)) if d < 0 else math.inf
+            if lp == -math.inf or rest < top + _LOG_TAIL_TOL:
+                return np.array(out)
+        prev = lp
+
+
+def log_tail_probability(
+    k: int, total_energy: float, channel: ChannelModel, threshold: float, upper: bool
+) -> float:
+    """Natural log of P(S_k > threshold) if ``upper``, else of P(S_k <= threshold).
+
+    Both tails are summed term by term by logsumexp over log p_k(n): the
+    lower one over n <= threshold, the upper one from the first count above
+    it until the rest is negligible.  Neither is taken as 1 minus a sum, so
+    tails far below float range keep their full relative accuracy.
+    """
+    _check_law(k, total_energy)
+    t = max(math.floor(threshold), -1)
+    if upper:
+        log_p = _log_pmf_tail(k, total_energy, channel, t + 1)
+    else:
+        log_p = _log_pmf(k, total_energy, channel, t)
+    return float(logsumexp(log_p))
+
+
+def photon_pmf_array(nmax: int, energy: float, channel: ChannelModel) -> np.ndarray:
+    """pmf p(n | energy, N) for n = 0..nmax: the k = 1 count law."""
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
-    N = channel.n_thermal
-    ns = np.arange(nmax + 1)
-    if N == 0:
-        return poisson.pmf(ns, energy)
-    c = N / (N + 1)
-    x = -energy / (N * (N + 1))
-    q = np.empty(nmax + 1, dtype=np.longdouble)
-    q[0] = 1.0
-    if nmax >= 1:
-        q[1] = c * (1.0 - x)
-    for m in range(1, nmax):
-        q[m + 1] = (c * (2 * m + 1 - x) * q[m] - c * c * m * q[m - 1]) / (m + 1)
-    amp = math.exp(-energy / (N + 1)) / (N + 1)
-    return np.asarray(amp * q, dtype=float)
+    _check_law(1, energy)
+    return np.exp(_log_pmf(1, energy, channel, nmax))
 
 
 def photon_pmf(n: int, energy: float, channel: ChannelModel) -> float:
@@ -193,66 +242,29 @@ def sample_photon_count(
     return int(sample_photon_counts(complex(amplitude), channel, rng, 1)[0])
 
 
-def _support_guess(k: int, total_energy: float, channel: ChannelModel) -> int:
-    N = channel.n_thermal
-    mean = k * N + total_energy
-    var = k * N * (N + 1) + (2 * N + 1) * total_energy
-    return int(mean + 14 * math.sqrt(var + 1)) + 64
-
-
 def exact_total_pmf(
     k: int,
     total_energy: float,
     channel: ChannelModel,
     cutoff: int | None = None,
-    energies=None,
 ) -> np.ndarray:
     """Exact distribution of the total count S_k on {0, ..., cutoff}.
 
-    Built by (k-1)-fold convolution of single-mode pmfs.  By default the
-    energy is split equally across modes (the result is split-invariant);
-    pass ``energies`` to use an explicit split.  With ``cutoff=None`` the
-    support grows adaptively until the captured mass is >= 1 - 1e-12; an
-    explicit cutoff that cannot capture that mass is rejected.
+    The closed-form Laguerre law, which depends on the per-mode energies only
+    through their sum.  With ``cutoff=None`` the support runs until the
+    remaining tail is negligible; an explicit cutoff that captures less than
+    1 - 1e-12 of the mass is rejected.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if total_energy < 0:
-        raise ValueError(f"total_energy must be >= 0, got {total_energy}")
-    if energies is None:
-        energies = [total_energy / k] * k
+    _check_law(k, total_energy)
+    if cutoff is None:
+        pmf = np.exp(_log_pmf_tail(k, total_energy, channel, 0))
+    elif cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     else:
-        energies = [float(e) for e in energies]
-        if len(energies) != k:
-            raise ValueError(f"need {k} per-mode energies, got {len(energies)}")
-        if any(e < 0 for e in energies):
-            raise ValueError("per-mode energies must be >= 0")
-        total_energy = sum(energies)
-
-    def _build(n_top: int) -> np.ndarray:
-        total = photon_pmf_array(n_top, energies[0], channel)
-        for e in energies[1:]:
-            total = np.convolve(total, photon_pmf_array(n_top, e, channel))[: n_top + 1]
-        return total
-
-    if cutoff is not None:
-        if cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-        out = _build(cutoff)
-        if out.sum() < 1 - _MASS_TOL:
-            raise ValueError(
-                f"cutoff={cutoff} captures mass {out.sum():.17g} < 1 - 1e-12"
-            )
-        return out
-
-    n_top = _support_guess(k, total_energy, channel)
-    while True:
-        out = _build(n_top)
-        if out.sum() >= 1 - _MASS_TOL:
-            return out
-        if n_top > 1 << 22:
-            raise RuntimeError("adaptive cutoff exceeded hard limit")
-        n_top *= 2
+        pmf = np.exp(_log_pmf(k, total_energy, channel, cutoff))
+    if pmf.sum() < 1 - _MASS_TOL:
+        raise ValueError(f"cutoff={cutoff} captures mass {pmf.sum():.17g} < 1 - 1e-12")
+    return pmf
 
 
 def lambda_exponent(delta: float, channel: ChannelModel) -> float:
@@ -276,13 +288,6 @@ def theta_exponent(delta: float, channel: ChannelModel) -> float:
     return (1 - r) / (N + 1 - N * r)
 
 
-def exponent_pair(delta: float, channel: ChannelModel) -> ExponentPair:
-    return ExponentPair(
-        lambda_exp=lambda_exponent(delta, channel),
-        theta_exp=theta_exponent(delta, channel),
-    )
-
-
 def chernoff_upper_exponent(delta: float, channel: ChannelModel) -> float:
     """Numerically optimized Chernoff exponent for the zero-energy upper tail.
 
@@ -294,6 +299,8 @@ def chernoff_upper_exponent(delta: float, channel: ChannelModel) -> float:
         raise ValueError(f"delta must be > 0, got {delta}")
     if N == 0:
         raise ValueError("requires n_thermal > 0")
+    from scipy.optimize import minimize_scalar
+
     s_max = math.log((N + 1) / N)
 
     def neg(s: float) -> float:
@@ -326,6 +333,7 @@ def chernoff_lower_logbound(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     t = k * (N + delta)
+    from scipy.optimize import minimize_scalar
 
     def obj(s: float) -> float:
         w = math.exp(-s)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,17 +37,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SignatureSet:
-    """Codebook of complex amplitude vectors plus its construction parameters."""
+    """Codebook of complex amplitude vectors plus its construction parameters.
+
+    ``min_distance`` left as None is taken from :attr:`closest_pair`.
+    """
 
     k: int
     energy_budget: float  # E; per-signature energy is bounded by k * E
     rho: float
     signatures: np.ndarray  # complex, shape (M, k)
-    min_distance: float
+    min_distance: float | None = None
 
     def __post_init__(self):
         if self.signatures.ndim != 2 or self.signatures.shape[1] != self.k:
             raise ValueError("signatures must have shape (M, k)")
+        if self.min_distance is None:
+            d = math.sqrt(self.closest_pair[0]) if len(self) >= 2 else math.inf
+            object.__setattr__(self, "min_distance", d)
+
+    @cached_property
+    def closest_pair(self) -> tuple[float, int, int]:
+        """(squared distance, i, j) of the closest pair, found once per code."""
+        return geometry.closest_pair(self.signatures)
 
     def __len__(self) -> int:
         return self.signatures.shape[0]
@@ -249,5 +261,4 @@ def load_signature_set(path) -> SignatureSet:
         energy_budget=float(fields["energy_budget"]),
         rho=float(fields["rho"]),
         signatures=sigs,
-        min_distance=geometry.min_pairwise_distance(arr),
     )

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from bosonid import cli, scheme
+from bosonid import cli, geometry, scheme
 
 
 def run(argv):
@@ -125,6 +125,27 @@ class TestSimulate:
             "simulate", "--code", str(code_path), "--noise", "1",
             "--trials", "2000", "--seed", "1", "--out", str(out),
         ]) == 0
+
+
+class TestClosestPairScans:
+    @pytest.mark.parametrize("command", ["simulate", "heterodyne"])
+    def test_one_scan_per_code_command(self, tmp_path, monkeypatch, command):
+        code_path = tmp_path / "code.txt"
+        run(["pack", "--k", "2", "--energy", "4", "--rho", "1", "--seed", "3",
+             "--out", str(code_path)])
+        calls = []
+        scan = geometry.closest_pair
+
+        def counted(points):
+            calls.append(len(points))
+            return scan(points)
+
+        monkeypatch.setattr(geometry, "closest_pair", counted)
+        assert run([
+            command, "--code", str(code_path), "--trials", "2000", "--seed", "1",
+            "--out", str(tmp_path / "out.csv"),
+        ]) == 0
+        assert len(calls) == 1
 
 
 class TestHeterodyne:

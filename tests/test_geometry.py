@@ -106,6 +106,15 @@ class TestMinPairwiseDistance:
         )
         assert geo.min_pairwise_distance(arr) == pytest.approx(expected, rel=1e-12)
 
+    def test_closest_pair_lowest_index_tie_break(self):
+        # (0,1), (1,2) and (2,3) are all at distance 1
+        pts = np.array([[0.0], [1.0], [2.0], [3.0], [5.0]])
+        assert geo.closest_pair(pts) == (1.0, 0, 1)
+
+    def test_closest_pair_complex_rows(self):
+        pts = np.array([[0.0, 0.0], [3.0j, 1.0], [1.0 + 1.0j, 0.0]])
+        assert geo.closest_pair(pts) == (pytest.approx(2.0), 0, 2)
+
 
 class TestUniformBallSampler:
     def test_mean_radius(self):

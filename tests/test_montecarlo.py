@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.stats import binom, chi2, ncx2
@@ -22,6 +23,36 @@ def two_point_code(k, per_mode_amp):
         signatures=sigs,
         min_distance=d,
     )
+
+
+def mp_lambda1(k, noise, delta):
+    """P(S > t) of the negative binomial zero-energy count, summed term by term
+    in mpmath from t + 1 with binomial coefficients."""
+    t = math.floor(k * (noise + delta))
+    with mp.workdps(40):
+        q = mp.mpf(noise) / (noise + 1)
+        n = t + 1
+        term = mp.binomial(n + k - 1, n) * (1 - q) ** k * q**n
+        total = mp.mpf(0)
+        while term > total * mp.mpf(10) ** -30:
+            total += term
+            term *= q * (n + k) / (n + 1)
+            n += 1
+        return total
+
+
+def mp_lambda2(k, noise, delta, energy):
+    """P(S <= t) of the noncentral negative binomial count, from mpmath's own
+    generalized Laguerre polynomials."""
+    t = math.floor(k * (noise + delta))
+    with mp.workdps(40):
+        n_th, e = mp.mpf(noise), mp.mpf(energy)
+        c, x = n_th / (n_th + 1), -e / (n_th * (n_th + 1))
+        total = mp.fsum(c**n * mp.laguerre(n, k - 1, x) for n in range(t + 1))
+        return total * (n_th + 1) ** (-k) * mp.exp(-e / (n_th + 1))
+
+
+MP_KS = (128, 256, 1024, 4096)
 
 
 def exact_binomial_ok(successes, trials, p, confidence=0.997):
@@ -62,6 +93,38 @@ class TestEstimateLambda1:
         a = mc.estimate_lambda1(code, ch, det, 20_000, 99)
         b = mc.estimate_lambda1(code, ch, det, 20_000, 99)
         assert a == b
+
+
+class TestExactTails:
+    @pytest.mark.parametrize("k", MP_KS)
+    def test_lambda1_matches_mpmath(self, k):
+        ch = ChannelModel(1.0)
+        got = mc.exact_lambda1(ch, DetectorSpec.make(1.0, k, ch))
+        assert got == pytest.approx(float(mp_lambda1(k, 1.0, 1.0)), rel=1e-10, abs=0)
+
+    def test_lambda1_nonzero_near_float_floor(self):
+        ch = ChannelModel(1.0)
+        got = mc.exact_lambda1(ch, DetectorSpec.make(1.0, 4096, ch))
+        assert got == pytest.approx(4.508e-305, rel=1e-3, abs=0)
+
+    def test_lambda1_log_below_float_range(self):
+        # e^-2789 at k = 16384: only its log is representable
+        k, ch = 16384, ChannelModel(1.0)
+        got = ps.log_tail_probability(k, 0.0, ch, 2.0 * k, upper=True)
+        assert got == pytest.approx(float(mp.log(mp_lambda1(k, 1.0, 1.0))), rel=1e-12)
+
+    @pytest.mark.parametrize("k", MP_KS)
+    def test_lambda2_matches_mpmath(self, k):
+        # quiet channel: total energy 0.3 k puts the threshold deep in the lower tail
+        ch = ChannelModel(0.1)
+        delta_vec = np.full(k, math.sqrt(0.3)) * np.exp(1j * np.arange(k))
+        got = mc.exact_lambda2(delta_vec, ch, DetectorSpec.make(0.1, k, ch))
+        want = float(mp_lambda2(k, 0.1, 0.1, 0.3 * k))
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+    def test_vacuum_channel_lambda1_is_zero(self):
+        ch = ChannelModel(0.0)
+        assert mc.exact_lambda1(ch, DetectorSpec.make(1.0, 4, ch)) == 0.0
 
 
 class TestEstimateLambda2:
@@ -144,6 +207,24 @@ class TestHeterodyne:
         assert out["lambda2"] == pytest.approx(
             ncx2.cdf(x, 2 * k, 2 * dist**2 / sigma2), abs=1e-9
         )
+
+    def test_analytic_lambda1_far_tail(self):
+        # tau = k sigma^2 (1 + delta), the CLI default, at k = 256
+        k, sigma2 = 256, 2.0
+        spec = mc.HeterodyneSpec(noise_variance=sigma2, threshold=k * sigma2 * 2)
+        want = float(mp.gammainc(k, spec.threshold / sigma2, mp.inf, regularized=True))
+        got = mc.heterodyne_analytic(k, spec, 1.0)["lambda1"]
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
+        assert got == pytest.approx(1.895e-36, rel=1e-3, abs=0)
+
+    def test_analytic_lambda2_huge_noncentrality(self):
+        # noncentrality 2 d^2 / sigma^2 = 1e6
+        k, sigma2 = 4, 2.0
+        spec = mc.HeterodyneSpec(noise_variance=sigma2, threshold=1e6)
+        out = mc.heterodyne_analytic(k, spec, 1e3)
+        x = 2 * spec.threshold / sigma2
+        assert out["lambda2"] == pytest.approx(ncx2.cdf(x, 2 * k, 1e6), rel=1e-10)
+        assert 0.4 < out["lambda2"] < 0.6
 
     def test_shot_noise_floor_enforced(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,10 +11,21 @@ from bosonid import photonstats as ps
 from bosonid.photonstats import ChannelModel
 
 
+def convolution_pmf(energies, channel, nmax):
+    """Independent oracle: the total count of modes carrying ``energies``, by
+    convolving the single-mode pmfs on {0, ..., nmax}."""
+    total = ps.photon_pmf_array(nmax, energies[0], channel)
+    for e in energies[1:]:
+        total = np.convolve(total, ps.photon_pmf_array(nmax, e, channel))[: nmax + 1]
+    return total
+
+
 def laguerre_series(n, x):
-    """Independent oracle: term-by-term series of L_n(x)."""
-    return sum(
-        (-1) ** j * math.comb(n, j) * x**j / math.factorial(j) for j in range(n + 1)
+    """Independent oracle: term-by-term series of L_n(x), summed exactly in
+    rationals (in floats its terms, up to ~1e6 at n = 25, cancel)."""
+    x = Fraction(x)
+    return float(
+        sum((-1) ** j * math.comb(n, j) * x**j / math.factorial(j) for j in range(n + 1))
     )
 
 
@@ -141,10 +153,10 @@ class TestExactTotalPmf:
 
     def test_split_invariance(self):
         ch = ChannelModel(0.7)
-        a = ps.exact_total_pmf(3, 5.0, ch, energies=[5, 0, 0])
-        b = ps.exact_total_pmf(3, 5.0, ch, energies=[2, 2, 1])
-        n = min(a.size, b.size)
-        assert np.max(np.abs(a[:n] - b[:n])) < 1e-12
+        closed = ps.exact_total_pmf(3, 5.0, ch)
+        for split in ([5, 0, 0], [2, 2, 1]):
+            conv = convolution_pmf(split, ch, closed.size - 1)
+            assert np.max(np.abs(closed - conv)) < 1e-12
 
     @given(
         st.lists(st.floats(0, 4), min_size=2, max_size=4),
@@ -155,10 +167,17 @@ class TestExactTotalPmf:
         ch = ChannelModel(n_thermal)
         k = len(energies)
         total = sum(energies)
-        a = ps.exact_total_pmf(k, total, ch)
-        b = ps.exact_total_pmf(k, total, ch, energies=energies)
-        n = min(a.size, b.size)
-        assert np.max(np.abs(a[:n] - b[:n])) < 1e-11
+        closed = ps.exact_total_pmf(k, total, ch)
+        conv = convolution_pmf(energies, ch, closed.size - 1)
+        assert np.max(np.abs(closed - conv)) < 1e-11
+
+    @pytest.mark.parametrize("k,energy,n_thermal", [(1, 0.0, 1.0), (8, 6.0, 0.5), (64, 20.0, 2.0)])
+    def test_tails_are_complementary(self, k, energy, n_thermal):
+        ch = ChannelModel(n_thermal)
+        thr = k * (n_thermal + 0.5)
+        upper = ps.log_tail_probability(k, energy, ch, thr, upper=True)
+        lower = ps.log_tail_probability(k, energy, ch, thr, upper=False)
+        assert math.exp(upper) + math.exp(lower) == pytest.approx(1.0, abs=1e-13)
 
     def test_insufficient_cutoff_rejected(self):
         with pytest.raises(ValueError):
