@@ -10,9 +10,13 @@ law (`photonstats.log_tail_probability`), are the ground truth.  A heterodyne
 baseline (ball test on the induced Gaussian channel) is included with its
 closed-form chi-square error probabilities.
 
-Trials are split into chunks with independently seeded streams derived from
-(master seed, chunk index); results merge by summation and are bit-identical
-for a fixed (seed, chunk count).
+The photon counts come from one sampler, `photonstats.sample_photon_counts`:
+per trial it draws the k modes' Gaussian P-function displacements, then one
+Poisson count of their summed intensity.  Trials are split into chunks with
+independently seeded streams derived from (master seed, chunk index); each
+chunk draws in blocks of at most `_BLOCK` trials, so memory stays bounded by
+_BLOCK x k x 2 doubles whatever the trial count.  Results merge by summation
+and are bit-identical for a fixed (seed, chunk count).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chndtr, gammaincc, ndtri
 
-from .photonstats import ChannelModel, DetectorSpec, log_tail_probability
+from .photonstats import ChannelModel, DetectorSpec, log_tail_probability, sample_photon_counts
 from .scheme import SignatureSet
 
 __all__ = [
@@ -40,6 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_CHUNKS = 8
+_BLOCK = 1 << 16  # trials drawn at once within a chunk
 
 
 @dataclass(frozen=True)
@@ -63,12 +68,12 @@ class HeterodyneSpec:
     threshold: float
 
     def __post_init__(self):
-        if self.noise_variance < 1:
+        if not 1 <= self.noise_variance < math.inf:
             raise ValueError(
-                f"noise_variance must be >= 1 (shot noise), got {self.noise_variance}"
+                f"noise_variance must be finite and >= 1 (shot noise), got {self.noise_variance}"
             )
-        if self.threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
+        if not 0 <= self.threshold < math.inf:
+            raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
 
 
 def _make_estimate(successes: int, trials: int, seed: int) -> McEstimate:
@@ -92,27 +97,15 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.997):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _chunk_sizes(trials: int, chunks: int) -> list[int]:
+def _blocks(trials: int, seed: int, chunks: int):
+    """(rng, n) for every block: chunk i draws from its own stream, seeded by
+    (seed, i), in consecutive blocks of at most _BLOCK trials."""
     base, extra = divmod(trials, chunks)
-    return [base + (1 if i < extra else 0) for i in range(chunks)]
-
-
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-
-
-def _count_total(
-    deltas: np.ndarray, channel: ChannelModel, rng: np.random.Generator, n: int
-) -> np.ndarray:
-    """Total photon counts of k modes displaced by ``deltas`` (length-k complex)."""
-    k = deltas.size
-    N = channel.n_thermal
-    if N == 0:
-        intensity = np.broadcast_to(np.abs(deltas) ** 2, (n, k))
-        return rng.poisson(intensity).sum(axis=1)
-    noise = rng.normal(scale=math.sqrt(N / 2), size=(n, k, 2))
-    intensity = (deltas.real + noise[:, :, 0]) ** 2 + (deltas.imag + noise[:, :, 1]) ** 2
-    return rng.poisson(intensity).sum(axis=1)
+    for i in range(chunks):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        size = base + (1 if i < extra else 0)
+        for start in range(0, size, _BLOCK):
+            yield rng, min(_BLOCK, size - start)
 
 
 def estimate_lambda1(
@@ -132,10 +125,8 @@ def estimate_lambda1(
         raise ValueError("trials must be >= 1")
     zeros = np.zeros(code.k, dtype=complex)
     successes = 0
-    for i, n in enumerate(_chunk_sizes(trials, chunks)):
-        if n == 0:
-            continue
-        counts = _count_total(zeros, channel, _chunk_rng(seed, i), n)
+    for rng, n in _blocks(trials, seed, chunks):
+        counts = sample_photon_counts(zeros, channel, rng, n)
         successes += int(np.count_nonzero(counts > detector.threshold))
     return _make_estimate(successes, trials, seed)
 
@@ -166,29 +157,22 @@ def estimate_lambda2(
         raise ValueError("trials must be >= 1")
     if pair_strategy not in ("worst_pair", "all_pairs_sampled"):
         raise ValueError(f"unknown pair_strategy {pair_strategy!r}")
+    m = len(code)
+    if m < 2:
+        raise ValueError("need at least 2 signatures")
+    sigs = code.signatures
+    worst = worst_pair_delta(code) if pair_strategy == "worst_pair" else None
     successes = 0
-    if pair_strategy == "worst_pair":
-        delta_vec = worst_pair_delta(code)
-        for i, n in enumerate(_chunk_sizes(trials, chunks)):
-            if n == 0:
-                continue
-            counts = _count_total(delta_vec, channel, _chunk_rng(seed, i), n)
-            successes += int(np.count_nonzero(counts <= detector.threshold))
-    else:
-        m = len(code)
-        if m < 2:
-            raise ValueError("need at least 2 signatures")
-        for i, n in enumerate(_chunk_sizes(trials, chunks)):
-            if n == 0:
-                continue
-            rng = _chunk_rng(seed, i)
+    for rng, n in _blocks(trials, seed, chunks):
+        if worst is None:
             send = rng.integers(0, m, size=n)
             recv = rng.integers(0, m - 1, size=n)
             recv += recv >= send  # uniform over ordered pairs with recv != send
-            for t in range(n):
-                delta_vec = code.signatures[send[t]] - code.signatures[recv[t]]
-                count = _count_total(delta_vec, channel, rng, 1)[0]
-                successes += int(count <= detector.threshold)
+            deltas = sigs[send] - sigs[recv]
+        else:
+            deltas = worst
+        counts = sample_photon_counts(deltas, channel, rng, n)
+        successes += int(np.count_nonzero(counts <= detector.threshold))
     return _make_estimate(successes, trials, seed)
 
 
@@ -228,10 +212,7 @@ def heterodyne_simulate(
     delta_vec = worst_pair_delta(code)
     succ1 = 0
     succ2 = 0
-    for i, n in enumerate(_chunk_sizes(trials, chunks)):
-        if n == 0:
-            continue
-        rng = _chunk_rng(seed, i)
+    for rng, n in _blocks(trials, seed, chunks):
         w = rng.normal(scale=sigma, size=(n, k, 2))
         norm1 = (w**2).sum(axis=(1, 2))
         succ1 += int(np.count_nonzero(norm1 > spec.threshold))

@@ -65,8 +65,13 @@ class ChannelModel:
     n_thermal: float
 
     def __post_init__(self):
-        if not (self.n_thermal >= 0):
-            raise ValueError(f"n_thermal must be >= 0, got {self.n_thermal}")
+        if not 0 <= self.n_thermal < math.inf:
+            raise ValueError(f"n_thermal must be finite and >= 0, got {self.n_thermal}")
+
+
+def _check_delta(delta: float) -> None:
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
 
 
 @dataclass(frozen=True)
@@ -82,8 +87,7 @@ class DetectorSpec:
 
     @classmethod
     def make(cls, delta: float, k: int, channel: ChannelModel) -> "DetectorSpec":
-        if delta <= 0:
-            raise ValueError(f"delta must be > 0, got {delta}")
+        _check_delta(delta)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         return cls(delta=delta, k=k, threshold=k * (channel.n_thermal + delta))
@@ -147,21 +151,55 @@ def _log_pmf(k: int, total_energy: float, channel: ChannelModel, nmax: int) -> n
     return np.fromiter(itertools.islice(terms, nmax + 1), float)
 
 
-def _log_pmf_tail(k: int, total_energy: float, channel: ChannelModel, first: int) -> np.ndarray:
-    """log p_k(n) for n = first..last, where the mass beyond ``last`` is below
-    1e-17 of the largest of these terms.
+def _log_nb_terms(k: int, n_thermal: float, first: int):
+    """log p_k(n) for n = first, first + 1, ... at zero energy.
+
+    The law is then negative binomial, p_k(n) = C(n+k-1, n) (N+1)^{-k} c^n.
+    The first term is evaluated directly, its binomial coefficient as the
+    sum of ln(1 + b/i) for i up to the smaller of n and k-1.  Its pieces are
+    logs of size up to n + k that cancel to ln p, so they are summed in
+    long double where the platform has it.  The rest follow by the term ratio
+    c (n+k)/(n+1), rescaled by exact powers of two as in _log_pmf_terms.  So
+    nothing walks up from zero, and the count has no limit.
+    """
+    ld = np.longdouble
+    small, big = sorted((first, k - 1))
+    log_binom = np.log1p(ld(big) / np.arange(1, small + 1, dtype=ld)).sum()
+    log_amp = float(log_binom - k * np.log1p(ld(n_thermal)) - first * np.log1p(1 / ld(n_thermal)))
+    c = n_thermal / (n_thermal + 1)
+    cur, scale = 1.0, 0
+    for n in itertools.count(first):
+        yield log_amp + scale * _LN2 + math.log(cur)
+        cur *= c * (n + k) / (n + 1)
+        if not _TINY < cur < _HUGE:
+            e = math.frexp(cur)[1]
+            cur, scale = math.ldexp(cur, -e), scale + e
+
+
+def _log_pmf_tail(
+    k: int, total_energy: float, channel: ChannelModel, first: int, last: float = math.inf
+) -> np.ndarray:
+    """log p_k(n) for n = first..min(last, stop), where the mass beyond
+    ``stop`` is below 1e-17 of the largest of these terms.
 
     The law is log-concave, so once the terms fall with ratio r the rest of
-    the tail after a term p is at most p r / (1 - r).
+    the tail after a term p is at most p r / (1 - r).  At zero energy the
+    terms start at ``first`` (`_log_nb_terms`); otherwise the recurrence
+    runs up from n = 0.
     """
+    N = channel.n_thermal
+    if total_energy == 0 and N > 0 and first > 0:
+        terms = enumerate(_log_nb_terms(k, N, first), first)
+    else:
+        terms = enumerate(_log_pmf_terms(k, total_energy, channel))
     out, prev, top = [], -math.inf, -math.inf
-    for n, lp in enumerate(_log_pmf_terms(k, total_energy, channel)):
+    for n, lp in terms:
         if n >= first:
             out.append(lp)
             top = max(top, lp)
             d = lp - prev  # log r
             rest = lp + d - math.log(-math.expm1(d)) if d < 0 else math.inf
-            if lp == -math.inf or rest < top + _LOG_TAIL_TOL:
+            if n >= last or lp == -math.inf or rest < top + _LOG_TAIL_TOL:
                 return np.array(out)
         prev = lp
 
@@ -173,15 +211,17 @@ def log_tail_probability(
 
     Both tails are summed term by term by logsumexp over log p_k(n): the
     lower one over n <= threshold, the upper one from the first count above
-    it until the rest is negligible.  Neither is taken as 1 minus a sum, so
-    tails far below float range keep their full relative accuracy.
+    it, each until the rest is negligible.  Neither is taken as 1 minus a
+    sum, so tails far below float range keep their full relative accuracy.
     """
     _check_law(k, total_energy)
     t = max(math.floor(threshold), -1)
     if upper:
         log_p = _log_pmf_tail(k, total_energy, channel, t + 1)
+    elif t < 0:
+        return -math.inf
     else:
-        log_p = _log_pmf(k, total_energy, channel, t)
+        log_p = _log_pmf_tail(k, total_energy, channel, 0, last=t)
     return float(logsumexp(log_p))
 
 
@@ -217,22 +257,34 @@ def mgf(z: float, total_energy: float, channel: ChannelModel, k: int) -> float:
 
 
 def sample_photon_counts(
-    amplitude: complex,
+    amplitudes,
     channel: ChannelModel,
     rng: np.random.Generator,
-    size: int,
+    size: int | None = None,
 ) -> np.ndarray:
-    """Vectorized draws from p(. | |amplitude|^2, N).
+    """Total photon counts of k displaced thermal modes, one per trial.
 
-    Draws gamma ~ CN(amplitude, N) (real/imag parts of variance N/2 each),
-    then n ~ Poisson(|gamma|^2); at N = 0 directly Poisson(|amplitude|^2).
+    ``amplitudes`` is a complex scalar (k = 1) or a length-k vector, shared by
+    ``size`` trials, or an (n, k) array with one row per trial.  Each mode
+    draws gamma_t ~ CN(alpha_t, N) (real/imag parts of variance N/2 each), the
+    Gaussian P-function of the displaced thermal state; photodetection then
+    draws one n ~ Poisson(sum_t |gamma_t|^2) per trial, since independent
+    Poisson counts sum to a Poisson count of the summed intensity.  At N = 0
+    the count is directly Poisson(sum_t |alpha_t|^2).
     """
+    amp = np.asarray(amplitudes, dtype=complex)
+    if amp.ndim < 2:
+        amp, n = amp.reshape(1, -1), size
+    elif size in (None, amp.shape[0]):
+        n = amp.shape[0]
+    else:
+        raise ValueError(f"size={size} does not match {amp.shape[0]} amplitude rows")
     N = channel.n_thermal
     if N == 0:
-        return rng.poisson(abs(amplitude) ** 2, size=size)
-    noise = rng.normal(scale=math.sqrt(N / 2), size=(size, 2))
-    intensity = (amplitude.real + noise[:, 0]) ** 2 + (amplitude.imag + noise[:, 1]) ** 2
-    return rng.poisson(intensity)
+        return rng.poisson(np.broadcast_to(np.sum(np.abs(amp) ** 2, axis=1), n))
+    gamma = rng.normal(scale=math.sqrt(N / 2), size=(n, amp.shape[1], 2))
+    gamma += np.stack([amp.real, amp.imag], axis=-1)
+    return rng.poisson(np.einsum("ijk,ijk->i", gamma, gamma))
 
 
 def sample_photon_count(
@@ -270,8 +322,7 @@ def exact_total_pmf(
 def lambda_exponent(delta: float, channel: ChannelModel) -> float:
     """Upper-tail exponent: P(S_k >= k(N+delta)) <= exp(-k * Lambda)."""
     N = channel.n_thermal
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    _check_delta(delta)
     if N == 0:
         raise ValueError("lambda_exponent is undefined at n_thermal = 0")
     return (N + delta) * math.log((N + delta) / N) - (N + delta + 1) * math.log(
@@ -282,8 +333,7 @@ def lambda_exponent(delta: float, channel: ChannelModel) -> float:
 def theta_exponent(delta: float, channel: ChannelModel) -> float:
     """Lower-tail exponent: false accepts decay as exp(-||Delta||^2 * Theta)."""
     N = channel.n_thermal
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    _check_delta(delta)
     r = (N + 1) ** (-1.0 / (N + delta))
     return (1 - r) / (N + 1 - N * r)
 
@@ -295,8 +345,7 @@ def chernoff_upper_exponent(delta: float, channel: ChannelModel) -> float:
     with :func:`lambda_exponent` analytically and serves as its oracle.
     """
     N = channel.n_thermal
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    _check_delta(delta)
     if N == 0:
         raise ValueError("requires n_thermal > 0")
     from scipy.optimize import minimize_scalar
@@ -326,8 +375,7 @@ def chernoff_lower_logbound(
     over s > 0 and clamps at 0 (the bound never exceeds probability one).
     """
     N = channel.n_thermal
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    _check_delta(delta)
     if signal_energy < 0:
         raise ValueError(f"signal_energy must be >= 0, got {signal_energy}")
     if k < 1:

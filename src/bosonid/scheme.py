@@ -113,15 +113,9 @@ def build_code(
         separation=2 * rho,
         rejection_budget=rejection_budget,
     )
-    ps = geometry.greedy_packing(spec, rng)
-    sigs = ps.points[:, 0::2] + 1j * ps.points[:, 1::2]
-    return SignatureSet(
-        k=k,
-        energy_budget=energy,
-        rho=rho,
-        signatures=sigs,
-        min_distance=ps.achieved_min_distance,
-    )
+    points = geometry.greedy_packing(spec, rng).points
+    sigs = points[:, 0::2] + 1j * points[:, 1::2]
+    return SignatureSet(k=k, energy_budget=energy, rho=rho, signatures=sigs)
 
 
 def achievable_users_log(k: int, energy: float, rho: float) -> float:

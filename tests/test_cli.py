@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bosonid import cli, geometry, scheme
@@ -128,11 +129,8 @@ class TestSimulate:
 
 
 class TestClosestPairScans:
-    @pytest.mark.parametrize("command", ["simulate", "heterodyne"])
-    def test_one_scan_per_code_command(self, tmp_path, monkeypatch, command):
-        code_path = tmp_path / "code.txt"
-        run(["pack", "--k", "2", "--energy", "4", "--rho", "1", "--seed", "3",
-             "--out", str(code_path)])
+    @staticmethod
+    def count_scans(monkeypatch, argv):
         calls = []
         scan = geometry.closest_pair
 
@@ -141,11 +139,57 @@ class TestClosestPairScans:
             return scan(points)
 
         monkeypatch.setattr(geometry, "closest_pair", counted)
-        assert run([
+        assert run(argv) == 0
+        return len(calls)
+
+    @pytest.mark.parametrize("command", ["simulate", "heterodyne"])
+    def test_one_scan_per_code_command(self, tmp_path, monkeypatch, command):
+        code_path = tmp_path / "code.txt"
+        run(["pack", "--k", "2", "--energy", "4", "--rho", "1", "--seed", "3",
+             "--out", str(code_path)])
+        assert self.count_scans(monkeypatch, [
             command, "--code", str(code_path), "--trials", "2000", "--seed", "1",
             "--out", str(tmp_path / "out.csv"),
+        ]) == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "heterodyne"])
+    def test_one_scan_per_built_code(self, tmp_path, monkeypatch, command):
+        assert self.count_scans(monkeypatch, [
+            command, "--k", "2", "--energy", "4", "--rho", "1", "--trials", "2000",
+            "--seed", "1", "--out", str(tmp_path / "out.csv"),
+        ]) == 1
+
+
+class TestFiniteInputs:
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--k", "8", "--rho", "1", "--noise", "inf"],
+        ["bounds", "--k", "8", "--rho", "1", "--delta", "nan"],
+        ["simulate", "--code", "CODE", "--trials", "100", "--delta", "nan"],
+        ["heterodyne", "--code", "CODE", "--trials", "100", "--noise", "inf"],
+    ])
+    def test_rejected_with_error_line(self, tmp_path, capsys, argv):
+        code = scheme.SignatureSet(k=2, energy_budget=4.0, rho=1.0,
+                                   signatures=np.array([[0, 0], [2, 1j]], dtype=complex))
+        scheme.save_signature_set(tmp_path / "code.txt", code)
+        argv = [str(tmp_path / "code.txt") if a == "CODE" else a for a in argv]
+        out = tmp_path / "out.csv"
+        assert run([*argv, "--out", str(out)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_threshold_beyond_count_range(self, tmp_path):
+        # k = 3, delta = 2e6: the detector threshold is above 2^22 counts
+        code = scheme.SignatureSet(k=3, energy_budget=4.0, rho=1.0,
+                                   signatures=np.array([[0, 0, 0], [2, 1j, 0]], dtype=complex))
+        scheme.save_signature_set(tmp_path / "code.txt", code)
+        out = tmp_path / "sim.csv"
+        assert run([
+            "simulate", "--code", str(tmp_path / "code.txt"), "--delta", "2e6",
+            "--trials", "1000", "--out", str(out),
         ]) == 0
-        assert len(calls) == 1
+        _, rows = read_csv(out)
+        assert [float(r["exact"]) for r in rows] == [0.0, 1.0]
 
 
 class TestHeterodyne:

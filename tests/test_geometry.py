@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonid import geometry as geo
+
+
+def brute_closest_pair(arr):
+    """Double loop over i < j with a strict improvement rule: the lowest
+    indices win among equal squared distances."""
+    best = (math.inf, 0, 1)
+    for i in range(len(arr)):
+        for j in range(i + 1, len(arr)):
+            d2 = float(np.sum(np.abs(arr[j] - arr[i]) ** 2))
+            if d2 < best[0]:
+                best = (d2, i, j)
+    return best
+
+
+@st.composite
+def point_sets(draw):
+    """Real or complex rows: lattice points (ties and duplicates) or floats,
+    at a common offset, with the last row possibly a copy of another."""
+    m, width = draw(st.integers(2, 30)), draw(st.integers(1, 4))
+    elems = draw(st.sampled_from([st.integers(-2, 2), st.floats(-5, 5)]))
+    flat = draw(st.lists(elems, min_size=2 * m * width, max_size=2 * m * width))
+    pts = np.array(flat, dtype=float).reshape(m, 2, width) * draw(st.sampled_from([0.1, 1.7]))
+    pts += draw(st.sampled_from([0.0, -3.0e3, 1.0e6]))
+    if draw(st.booleans()):
+        pts[-1] = pts[draw(st.integers(0, m - 2))]
+    if draw(st.booleans()):
+        return pts[:, 0] + 1j * pts[:, 1]
+    return pts.reshape(m, 2 * width)
 
 
 class TestBoundCalculators:
@@ -114,6 +143,31 @@ class TestMinPairwiseDistance:
     def test_closest_pair_complex_rows(self):
         pts = np.array([[0.0, 0.0], [3.0j, 1.0], [1.0 + 1.0j, 0.0]])
         assert geo.closest_pair(pts) == (pytest.approx(2.0), 0, 2)
+
+
+class TestClosestPairScreen:
+    @given(point_sets(), st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, pts, block):
+        # small blocks put the pairs of one point set across many blocks
+        with mock.patch.object(geo, "_PAIR_BLOCK", block):
+            assert geo.closest_pair(pts) == brute_closest_pair(pts)
+
+    def test_two_points(self):
+        pts = np.array([[1.0 + 2.0j, -0.5j], [0.25, 3.0]])
+        assert geo.closest_pair(pts) == brute_closest_pair(pts)
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0e6])
+    def test_lattice_ties_across_blocks(self, offset):
+        # 600 lattice points, 3 blocks, hundreds of pairs tied at the spacing
+        z = np.random.default_rng(1).integers(-3, 4, size=(2000, 6))
+        pts = np.unique(z, axis=0)[:600] * 1.7 + offset
+        rows = []  # the closest partner of each row, lowest index first
+        for i in range(len(pts) - 1):
+            d2 = np.sum(np.abs(pts[i + 1 :] - pts[i]) ** 2, axis=1)
+            j = int(np.argmin(d2))
+            rows.append((float(d2[j]), i, i + 1 + j))
+        assert geo.closest_pair(pts) == min(rows)
 
 
 class TestUniformBallSampler:

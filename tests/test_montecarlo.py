@@ -126,6 +126,12 @@ class TestExactTails:
         ch = ChannelModel(0.0)
         assert mc.exact_lambda1(ch, DetectorSpec.make(1.0, 4, ch)) == 0.0
 
+    def test_lambda1_log_beyond_count_range(self):
+        # threshold 6e6 + 3 > 2^22: the tail starts there, with no walk from zero
+        ch = ChannelModel(1.0)
+        got = ps.log_tail_probability(3, 0.0, ch, 3 * (1.0 + 2e6), upper=True)
+        assert got == pytest.approx(float(mp.log(mp_lambda1(3, 1.0, 2e6))), rel=1e-12)
+
 
 class TestEstimateLambda2:
     def test_matches_exact_oracle(self):
@@ -144,6 +150,21 @@ class TestEstimateLambda2:
         # with only one pair this must agree with the worst-pair target
         exact = mc.exact_lambda2(mc.worst_pair_delta(code), ch, det)
         assert exact_binomial_ok(est.successes, est.trials, exact)
+
+    def test_all_pairs_sampled_unequal_distances(self):
+        # squared distances 1, 2.25, 4, 4.25, 4.25 and 5: the pair average is
+        # far from the worst pair's, so only the sampled average passes
+        sigs = np.array([[0, 0], [1, 0], [0, 2j], [1.5, 1 + 1j]], dtype=complex)
+        code = SignatureSet(k=2, energy_budget=4.0, rho=0.5, signatures=sigs)
+        ch = ChannelModel(1.0)
+        det = DetectorSpec.make(1.0, 2, ch)
+        pairs = [(s, r) for s in range(4) for r in range(4) if s != r]
+        mean = sum(mc.exact_lambda2(sigs[s] - sigs[r], ch, det) for s, r in pairs) / len(pairs)
+        worst = mc.exact_lambda2(mc.worst_pair_delta(code), ch, det)
+        trials = 40_000
+        assert worst - mean > 10 * math.sqrt(mean * (1 - mean) / trials)
+        est = mc.estimate_lambda2(code, ch, det, trials, 6, pair_strategy="all_pairs_sampled")
+        assert exact_binomial_ok(est.successes, est.trials, mean)
 
     def test_unknown_strategy_rejected(self):
         code = two_point_code(2, 1.0)
@@ -241,3 +262,41 @@ class TestWilsonInterval:
         assert lo == 0.0 and hi > 0
         lo, hi = mc.wilson_interval(100, 100)
         assert hi == 1.0 and lo < 1
+
+
+class TestBlocks:
+    """Each chunk draws in blocks of at most mc._BLOCK trials."""
+
+    TRIALS, BLOCK = 20_000, 700  # chunks of 2500 trials, 4 blocks each
+
+    def runs(self):
+        ch = ChannelModel(1.0)
+        code = two_point_code(2, 1.5)
+        det = DetectorSpec.make(1.0, 2, ch)
+        spec = mc.HeterodyneSpec(noise_variance=2.0, threshold=6.0)
+        het = mc.heterodyne_simulate(code, spec, self.TRIALS, 3)
+        return {
+            "lambda1": (mc.estimate_lambda1(code, ch, det, self.TRIALS, 1),
+                        mc.exact_lambda1(ch, det)),
+            "worst_pair": (mc.estimate_lambda2(code, ch, det, self.TRIALS, 2),
+                           mc.exact_lambda2(mc.worst_pair_delta(code), ch, det)),
+            "all_pairs": (mc.estimate_lambda2(code, ch, det, self.TRIALS, 2,
+                                              pair_strategy="all_pairs_sampled"),
+                          mc.exact_lambda2(mc.worst_pair_delta(code), ch, det)),
+            # 2 ||.||^2 / noise_variance: chi-square with 4 degrees of freedom,
+            # noncentral by 2 ||Delta||^2 / noise_variance = 4.5 for lambda2
+            "heterodyne1": (het["lambda1"], chi2.sf(6.0, 4)),
+            "heterodyne2": (het["lambda2_worst"], ncx2.cdf(6.0, 4, 4.5)),
+        }
+
+    def test_blocked_runs_reproducible_and_correct(self, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK", self.BLOCK)
+        first, again = self.runs(), self.runs()
+        assert first == again
+        for est, exact in first.values():
+            assert abs(est.point - exact) <= 6 * math.sqrt(exact * (1 - exact) / est.trials)
+
+    def test_chunk_in_one_block_draws_as_unblocked(self, monkeypatch):
+        default = self.runs()
+        monkeypatch.setattr(mc, "_BLOCK", self.TRIALS // mc.DEFAULT_CHUNKS)
+        assert self.runs() == default

@@ -138,6 +138,32 @@ class TestSampler:
         sigma = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - expected) < 3 * sigma
 
+    AMPS = np.array([1.0, 0.5j, -0.3 + 0.2j])  # k = 3, total energy 1.38
+
+    @pytest.mark.parametrize("n_thermal", [0.0, 0.5])
+    def test_k_mode_mean_and_variance(self, n_thermal):
+        # mean kN + E and variance kN(N+1) + E(2N+1), from the MGF at z = 1
+        ch, k, energy = ChannelModel(n_thermal), self.AMPS.size, 1.38
+        draws = ps.sample_photon_counts(self.AMPS, ch, np.random.default_rng(3), 200_000)
+        mean = k * n_thermal + energy
+        var = k * n_thermal * (n_thermal + 1) + energy * (2 * n_thermal + 1)
+        assert abs(draws.mean() - mean) < 5 * math.sqrt(var / draws.size)
+        assert draws.var() == pytest.approx(var, rel=0.03)
+
+    def test_k_mode_total_variation_against_law(self):
+        ch = ChannelModel(1.0)
+        draws = ps.sample_photon_counts(self.AMPS, ch, np.random.default_rng(8), 200_000)
+        pmf = ps.exact_total_pmf(3, 1.38, ch)
+        counts = np.bincount(draws, minlength=pmf.size)[: pmf.size]
+        assert 0.5 * np.abs(counts / draws.size - pmf).sum() < 0.01
+
+    def test_rows_match_shared_vector(self):
+        # an (n, k) array of equal rows draws exactly what the shared vector draws
+        ch = ChannelModel(0.7)
+        shared = ps.sample_photon_counts(self.AMPS, ch, np.random.default_rng(4), 1000)
+        rows = ps.sample_photon_counts(np.tile(self.AMPS, (1000, 1)), ch, np.random.default_rng(4))
+        assert np.array_equal(shared, rows)
+
 
 class TestExactTotalPmf:
     def test_single_mode_geometric(self):
@@ -182,6 +208,23 @@ class TestExactTotalPmf:
     def test_insufficient_cutoff_rejected(self):
         with pytest.raises(ValueError):
             ps.exact_total_pmf(4, 30.0, ChannelModel(1.0), cutoff=8)
+
+    def test_lower_tail_beyond_count_range(self):
+        # the threshold is past 2^22 counts, the bulk of the law is not
+        ch = ChannelModel(1.0)
+        assert ps.log_tail_probability(3, 5.0, ch, 6e6, upper=False) == pytest.approx(0, abs=1e-15)
+
+
+class TestFiniteInputs:
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_channel_rejects(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelModel(value)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0])
+    def test_detector_rejects_delta(self, delta):
+        with pytest.raises(ValueError, match="finite"):
+            ps.DetectorSpec.make(delta, 4, ChannelModel(1.0))
 
 
 class TestExponents:
