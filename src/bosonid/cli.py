@@ -2,8 +2,9 @@
 and the oracle verification suite.
 
 Subcommands: bounds | pack | simulate | verify | heterodyne.  Every output
-table carries the artifact version, a hash of the effective configuration,
-and the seed, so reruns with identical arguments are byte-identical.
+table carries the artifact version and a hash of the effective configuration,
+and the random commands also their seed, so reruns with identical arguments
+are byte-identical.
 Exit codes: 0 success, 1 validation error, 2 oracle/acceptance failure.
 """
 
@@ -27,7 +28,7 @@ EXIT_ORACLE = 2
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return f"{value:.12g}"
+        return f"{value + 0.0:.12g}"  # + 0.0 turns -0.0 into 0.0
     return str(value)
 
 
@@ -36,7 +37,9 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _write_table(rows, fieldnames, meta, out, fmt):
+def _write_table(rows, meta, out, fmt):
+    """Write rows, dicts with the same keys in column order, as CSV or JSON."""
+    fieldnames = list(rows[0])
     if fmt == "json":
         doc = {
             "meta": meta,
@@ -65,7 +68,7 @@ def _write_table(rows, fieldnames, meta, out, fmt):
 
 def _meta(args, config: dict) -> dict:
     meta = {"version": __version__, "config_hash": _config_hash(config)}
-    if getattr(args, "seed", None) is not None:
+    if hasattr(args, "seed"):
         meta["seed"] = args.seed
     return meta
 
@@ -82,6 +85,8 @@ def cmd_bounds(args) -> int:
     channel = ChannelModel(args.noise)
     if (args.rho is None) == (args.gamma is None):
         raise ValueError("exactly one of --rho / --gamma is required")
+    if args.gamma is not None and not 0 < args.gamma < math.inf:
+        raise ValueError(f"gamma must be finite and > 0, got {args.gamma}")
     rows = []
     for k in ks:
         delta_k = args.delta_k if args.delta_k is not None else 1.0 / k
@@ -109,17 +114,14 @@ def cmd_bounds(args) -> int:
                 "lambda2_log": l2,
             }
         )
-    fields = ["k", "E", "N", "delta", "delta_k", "rho", "logM_lower", "logM_upper",
-              "lambda1_log", "lambda2_log"]
     config = {key: getattr(args, key) for key in
               ("k", "energy", "noise", "delta", "delta_k", "rho", "gamma", "format")}
-    _write_table(rows, fields, _meta(args, config), args.out, args.format)
+    _write_table(rows, _meta(args, config), args.out, args.format)
     return EXIT_OK
 
 
 def cmd_pack(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    code = scheme.build_code(args.k, args.energy, args.rho, rng)
+    code = _load_or_build_code(args)
     if args.out:
         scheme.save_signature_set(args.out, code)
     print(f"M={len(code)}")
@@ -129,12 +131,21 @@ def cmd_pack(args) -> int:
 
 
 def _load_or_build_code(args) -> scheme.SignatureSet:
-    if args.code:
+    """The --code file if one is given, else a code packed at --rho from --seed."""
+    if getattr(args, "code", None):
         return scheme.load_signature_set(args.code)
     if args.rho is None:
-        raise ValueError("--rho is required when no --code file is given")
+        raise ValueError("--rho is required to build a code")
     rng = np.random.default_rng(args.seed)
     return scheme.build_code(args.k, args.energy, args.rho, rng)
+
+
+def _mc_row(name, est, **exact) -> dict:
+    """A Monte Carlo table row: the estimate, its Wilson interval, the exact
+    columns, the trial count."""
+    low, high = montecarlo.wilson_interval(est.successes, est.trials)
+    return {"quantity": name, "point": est.point, "stderr": est.stderr,
+            "wilson_low": low, "wilson_high": high, **exact, "trials": est.trials}
 
 
 def cmd_simulate(args) -> int:
@@ -154,66 +165,28 @@ def cmd_simulate(args) -> int:
         bound1_log = -code.k * photonstats.lambda_exponent(args.delta, channel)
     else:
         bound1_log = math.nan
-    rows = []
-    for name, est, exact, bound_log in (
-        ("lambda1", est1, exact1, bound1_log),
-        ("lambda2", est2, exact2, bound2_log),
-    ):
-        low, high = montecarlo.wilson_interval(est.successes, est.trials)
-        rows.append(
-            {
-                "quantity": name,
-                "point": est.point,
-                "stderr": est.stderr,
-                "wilson_low": low,
-                "wilson_high": high,
-                "exact": exact,
-                "bound_log": bound_log,
-                "trials": est.trials,
-            }
-        )
-    fields = ["quantity", "point", "stderr", "wilson_low", "wilson_high",
-              "exact", "bound_log", "trials"]
+    rows = [_mc_row("lambda1", est1, exact=exact1, bound_log=bound1_log),
+            _mc_row("lambda2", est2, exact=exact2, bound_log=bound2_log)]
     config = {key: getattr(args, key) for key in
               ("k", "energy", "noise", "delta", "rho", "trials", "pair_strategy",
                "code", "format")}
-    _write_table(rows, fields, _meta(args, config), args.out, args.format)
+    _write_table(rows, _meta(args, config), args.out, args.format)
     return EXIT_OK
 
 
 def cmd_heterodyne(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    if args.code:
-        code = scheme.load_signature_set(args.code)
-    else:
-        code = scheme.build_code(args.k, args.energy, args.rho, rng)
-    sigma2 = args.noise + 1  # shot noise plus thermal extension
+    channel = ChannelModel(args.noise)
+    code = _load_or_build_code(args)
+    sigma2 = channel.n_thermal + 1  # shot noise plus thermal extension
     tau = args.tau if args.tau is not None else code.k * sigma2 * (1 + args.delta)
     spec = montecarlo.HeterodyneSpec(noise_variance=sigma2, threshold=tau)
     sim = montecarlo.heterodyne_simulate(code, spec, args.trials, args.seed)
     ana = montecarlo.heterodyne_analytic(code.k, spec, code.min_distance)
-    rows = []
-    for name, est, exact in (
-        ("lambda1", sim["lambda1"], ana["lambda1"]),
-        ("lambda2", sim["lambda2_worst"], ana["lambda2"]),
-    ):
-        low, high = montecarlo.wilson_interval(est.successes, est.trials)
-        rows.append(
-            {
-                "quantity": name,
-                "point": est.point,
-                "stderr": est.stderr,
-                "wilson_low": low,
-                "wilson_high": high,
-                "analytic": exact,
-                "trials": est.trials,
-            }
-        )
-    fields = ["quantity", "point", "stderr", "wilson_low", "wilson_high",
-              "analytic", "trials"]
+    rows = [_mc_row("lambda1", sim["lambda1"], analytic=ana["lambda1"]),
+            _mc_row("lambda2", sim["lambda2_worst"], analytic=ana["lambda2"])]
     config = {key: getattr(args, key) for key in
               ("k", "energy", "noise", "delta", "rho", "tau", "trials", "code", "format")}
-    _write_table(rows, fields, _meta(args, config), args.out, args.format)
+    _write_table(rows, _meta(args, config), args.out, args.format)
     return EXIT_OK
 
 
@@ -285,31 +258,30 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_ORACLE
 
 
-def _add_shared(parser, *, trials=False, rho_group=False, tau=False, code=False):
-    parser.add_argument("--k", type=str, default="4",
-                        help="block length, or comma-separated list for sweeps")
-    parser.add_argument("--energy", "-E", type=float, default=4.0,
-                        help="per-mode energy budget E")
-    parser.add_argument("--noise", "-N", type=float, default=1.0,
-                        help="mean thermal photon number N")
-    parser.add_argument("--delta", type=float, default=1.0,
-                        help="detector threshold slack")
-    parser.add_argument("--seed", type=int, default=1234)
-    parser.add_argument("--out", type=str, default=None, help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    if rho_group:
-        parser.add_argument("--rho", type=float, default=None, help="separation radius")
-        parser.add_argument("--gamma", type=float, default=None,
-                            help="use rho^2 = gamma ln k instead of --rho")
-    if trials:
-        parser.add_argument("--trials", type=int, default=100_000)
-    if tau:
-        parser.add_argument("--tau", type=float, default=None,
-                            help="heterodyne acceptance radius squared "
-                                 "(default k sigma^2 (1 + delta))")
-    if code:
-        parser.add_argument("--code", type=str, default=None,
-                            help="load a serialized signature set instead of building one")
+_FLAGS = {
+    "k": (("--k",), dict(type=str, default="4",
+                         help="block length, or comma-separated list for sweeps")),
+    "energy": (("--energy", "-E"), dict(type=float, default=4.0,
+                                        help="per-mode energy budget E")),
+    "noise": (("--noise", "-N"), dict(type=float, default=1.0,
+                                      help="mean thermal photon number N")),
+    "delta": (("--delta",), dict(type=float, default=1.0, help="detector threshold slack")),
+    "rho": (("--rho",), dict(type=float, default=None, help="separation radius")),
+    "gamma": (("--gamma",), dict(type=float, default=None,
+                                 help="use rho^2 = gamma ln k instead of --rho")),
+    "seed": (("--seed",), dict(type=int, default=1234)),
+    "trials": (("--trials",), dict(type=int, default=100_000)),
+    "code": (("--code",), dict(type=str, default=None,
+                               help="load a serialized signature set instead of building one")),
+    "out": (("--out",), dict(type=str, default=None, help="output file path")),
+    "format": (("--format",), dict(choices=("csv", "json"), default="csv")),
+}
+
+
+def _add_flags(parser, *names):
+    for name in names:
+        flags, kwargs = _FLAGS[name]
+        parser.add_argument(*flags, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,23 +294,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="tabulate achievability/converse bounds")
-    _add_shared(p, rho_group=True)
+    _add_flags(p, "k", "energy", "noise", "delta", "rho", "gamma", "out", "format")
     p.add_argument("--delta-k", type=float, default=None, dest="delta_k",
                    help="converse error level (default 1/k; must be < 1/4)")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("pack", help="build and serialize a signature set")
-    _add_shared(p, rho_group=True)
+    _add_flags(p, "k", "energy", "rho", "seed", "out")
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("simulate", help="Monte Carlo detector error estimates")
-    _add_shared(p, trials=True, rho_group=True, code=True)
+    _add_flags(p, "k", "energy", "noise", "delta", "rho", "seed", "trials", "code",
+               "out", "format")
     p.add_argument("--pair-strategy", choices=("worst_pair", "all_pairs_sampled"),
                    default="worst_pair", dest="pair_strategy")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("heterodyne", help="heterodyne ball-test baseline")
-    _add_shared(p, trials=True, rho_group=True, tau=True, code=True)
+    _add_flags(p, "k", "energy", "noise", "delta", "rho", "seed", "trials", "code",
+               "out", "format")
+    p.add_argument("--tau", type=float, default=None,
+                   help="heterodyne acceptance radius squared (default k sigma^2 (1 + delta))")
     p.set_defaults(func=cmd_heterodyne)
 
     p = sub.add_parser("verify", help="run the exact-oracle verification suite")
@@ -350,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "k") and args.func in (cmd_pack, cmd_simulate, cmd_heterodyne):
+    if args.func in (cmd_pack, cmd_simulate, cmd_heterodyne):
         try:
             ks = _parse_k_list(args.k)
         except ValueError as exc:

@@ -1,33 +1,27 @@
 """Packings of Euclidean balls in R^d and the metric-entropy bound calculators.
 
 Signatures live in the ball of radius sqrt(k E) in R^{2k} ~ C^k; a pairwise
-separation of 2 rho controls the false-accept exponent.  Maximality of a
-packing is approximated by a rejection-budget stopping rule; the volumetric
-cardinality bounds themselves are exact and computed in log domain.
+separation of 2 rho controls the false-accept exponent.  A packing is an
+(M, d) array of points.  Maximality of a packing is approximated by a
+rejection-budget stopping rule; the volumetric cardinality bounds themselves
+are exact and computed in log domain.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 __all__ = [
     "PackingSpec",
-    "PointSet",
     "packing_lower_bound_log",
     "covering_upper_bound_log",
     "sample_uniform_ball",
     "greedy_packing",
-    "grid_packing",
     "closest_pair",
-    "min_pairwise_distance",
-    "save_pointset",
-    "load_pointset",
 ]
 
 DEFAULT_REJECTION_BUDGET = 100_000
@@ -44,25 +38,12 @@ class PackingSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.radius <= 0:
-            raise ValueError(f"radius must be > 0, got {self.radius}")
-        if self.separation <= 0:
-            raise ValueError(f"separation must be > 0, got {self.separation}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and > 0, got {self.radius}")
+        if not 0 < self.separation < math.inf:
+            raise ValueError(f"separation must be finite and > 0, got {self.separation}")
         if self.rejection_budget < 1:
             raise ValueError("rejection_budget must be >= 1")
-
-
-@dataclass(frozen=True)
-class PointSet:
-    points: np.ndarray  # shape (M, dim)
-
-    @cached_property
-    def achieved_min_distance(self) -> float:
-        """Closest-pair distance, scanned on first use only."""
-        return min_pairwise_distance(self.points)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
 
 
 def packing_lower_bound_log(dim: int, radius: float, rho: float) -> float:
@@ -89,8 +70,9 @@ def sample_uniform_ball(
     return g * r[:, None]
 
 
-def greedy_packing(spec: PackingSpec, rng: np.random.Generator) -> PointSet:
-    """Sequential rejection sampling of a separated point set in the ball.
+def greedy_packing(spec: PackingSpec, rng: np.random.Generator) -> np.ndarray:
+    """Sequential rejection sampling of a separated point set in the ball:
+    the (M, dim) array of accepted points, in order of acceptance.
 
     Uniform candidates are accepted when at distance >= separation from every
     accepted point (exact comparison, no slack); stops after
@@ -123,24 +105,7 @@ def greedy_packing(spec: PackingSpec, rng: np.random.Generator) -> PointSet:
             if start < batch:
                 d_new = np.sqrt(((cands[start:] - new) ** 2).sum(axis=1))
                 mind[start:] = np.minimum(mind[start:], d_new)
-    pts = np.array(accepted) if accepted else np.zeros((0, spec.dim))
-    return PointSet(points=pts)
-
-
-def grid_packing(spec: PackingSpec) -> PointSet:
-    """Deterministic fallback: axis-aligned lattice of spacing ``separation``
-    intersected with the ball.  Cardinality is reported, not bound-asserted.
-    Intended for small dim only (lattice size grows as (2R/sep)^dim).
-    """
-    n_side = int(math.floor(spec.radius / spec.separation))
-    axis = spec.separation * np.arange(-n_side, n_side + 1)
-    pts = [
-        np.array(p)
-        for p in itertools.product(axis, repeat=spec.dim)
-        if np.linalg.norm(p) <= spec.radius
-    ]
-    arr = np.array(pts) if pts else np.zeros((1, spec.dim))
-    return PointSet(points=arr)
+    return np.array(accepted) if accepted else np.zeros((0, spec.dim))
 
 
 def closest_pair(points) -> tuple[float, int, int]:
@@ -187,40 +152,3 @@ def closest_pair(points) -> tuple[float, int, int]:
         best = min(best, (float(d2[first]), int(i[first]), int(j[first])))
     return best
 
-
-def min_pairwise_distance(points) -> float:
-    """Exact minimum pairwise Euclidean distance; +inf for fewer than 2 points."""
-    arr = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
-    if arr.shape[0] < 2:
-        return math.inf
-    return math.sqrt(closest_pair(arr)[0])
-
-
-def save_pointset(path, pointset: PointSet, spec: PackingSpec) -> None:
-    """Columnar text: comment header with dim/radius/separation, one point per row."""
-    with open(path, "w") as fh:
-        fh.write(
-            f"# dim={spec.dim} radius={spec.radius:.12g} separation={spec.separation:.12g}\n"
-        )
-        for row in pointset.points:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-
-
-def load_pointset(path) -> tuple[PointSet, PackingSpec]:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# dim="):
-            raise ValueError(f"{path}: missing point-set header")
-        fields = dict(tok.split("=") for tok in header[2:].split())
-        spec = PackingSpec(
-            dim=int(fields["dim"]),
-            radius=float(fields["radius"]),
-            separation=float(fields["separation"]),
-        )
-        rows = [
-            [float(x) for x in line.split()] for line in fh if line.strip()
-        ]
-    arr = np.array(rows) if rows else np.zeros((0, spec.dim))
-    if arr.size and arr.shape[1] != spec.dim:
-        raise ValueError(f"{path}: row width {arr.shape[1]} != dim {spec.dim}")
-    return PointSet(points=arr), spec

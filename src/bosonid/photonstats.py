@@ -35,11 +35,8 @@ from scipy.special import logsumexp
 __all__ = [
     "ChannelModel",
     "DetectorSpec",
-    "laguerre",
-    "photon_pmf",
     "photon_pmf_array",
     "mgf",
-    "sample_photon_count",
     "sample_photon_counts",
     "exact_total_pmf",
     "log_tail_probability",
@@ -56,6 +53,7 @@ _LN2 = math.log(2)
 _HUGE = 2.0**500
 _TINY = 2.0**-500
 _MAX_COUNT = 1 << 22
+_FLOAT_COUNTS = 2.0**53  # floats resolve single counts below this
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,8 @@ class ChannelModel:
 
 
 def _check_delta(delta: float) -> None:
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
+    if not 0 < delta < _FLOAT_COUNTS:
+        raise ValueError(f"delta must be finite, > 0 and below 2^53 counts, got {delta}")
 
 
 @dataclass(frozen=True)
@@ -91,21 +89,6 @@ class DetectorSpec:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         return cls(delta=delta, k=k, threshold=k * (channel.n_thermal + delta))
-
-
-def laguerre(n: int, x: float) -> float:
-    """Laguerre polynomial L_n(x) by the three-term recurrence.
-
-    (m+1) L_{m+1}(x) = (2m+1-x) L_m(x) - m L_{m-1}(x), L_0 = 1, L_1 = 1-x.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 - x
-    for m in range(1, n):
-        prev, cur = cur, ((2 * m + 1 - x) * cur - m * prev) / (m + 1)
-    return cur
 
 
 def _check_law(k: int, total_energy: float) -> None:
@@ -215,6 +198,9 @@ def log_tail_probability(
     sum, so tails far below float range keep their full relative accuracy.
     """
     _check_law(k, total_energy)
+    if not threshold < _FLOAT_COUNTS:
+        raise ValueError(f"threshold {threshold} is beyond 2^53 counts, where floats "
+                         "no longer resolve single counts")
     t = max(math.floor(threshold), -1)
     if upper:
         log_p = _log_pmf_tail(k, total_energy, channel, t + 1)
@@ -231,13 +217,6 @@ def photon_pmf_array(nmax: int, energy: float, channel: ChannelModel) -> np.ndar
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     _check_law(1, energy)
     return np.exp(_log_pmf(1, energy, channel, nmax))
-
-
-def photon_pmf(n: int, energy: float, channel: ChannelModel) -> float:
-    """Probability of counting exactly ``n`` photons."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return float(photon_pmf_array(n, energy, channel)[n])
 
 
 def mgf(z: float, total_energy: float, channel: ChannelModel, k: int) -> float:
@@ -287,13 +266,6 @@ def sample_photon_counts(
     return rng.poisson(np.einsum("ijk,ijk->i", gamma, gamma))
 
 
-def sample_photon_count(
-    amplitude: complex, channel: ChannelModel, rng: np.random.Generator
-) -> int:
-    """Single draw from the displaced thermal photon-count law."""
-    return int(sample_photon_counts(complex(amplitude), channel, rng, 1)[0])
-
-
 def exact_total_pmf(
     k: int,
     total_energy: float,
@@ -325,17 +297,19 @@ def lambda_exponent(delta: float, channel: ChannelModel) -> float:
     _check_delta(delta)
     if N == 0:
         raise ValueError("lambda_exponent is undefined at n_thermal = 0")
-    return (N + delta) * math.log((N + delta) / N) - (N + delta + 1) * math.log(
-        (N + delta + 1) / (N + 1)
-    )
+    ratio = (N + delta) / N  # overflows where N is subnormal
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(N + delta) - math.log(N)
+    return (N + delta) * log_ratio - (N + delta + 1) * math.log((N + delta + 1) / (N + 1))
 
 
 def theta_exponent(delta: float, channel: ChannelModel) -> float:
     """Lower-tail exponent: false accepts decay as exp(-||Delta||^2 * Theta)."""
     N = channel.n_thermal
     _check_delta(delta)
-    r = (N + 1) ** (-1.0 / (N + delta))
-    return (1 - r) / (N + 1 - N * r)
+    # (1 - r) / (N + 1 - N r) with r = (N+1)^{-1/(N+delta)} = e^u, in a form
+    # that keeps its precision where r rounds to 1 (large N)
+    em1 = math.expm1(-math.log1p(N) / (N + delta))
+    return -em1 / (1 - N * em1)
 
 
 def chernoff_upper_exponent(delta: float, channel: ChannelModel) -> float:

@@ -51,6 +51,8 @@ class SignatureSet:
     def __post_init__(self):
         if self.signatures.ndim != 2 or self.signatures.shape[1] != self.k:
             raise ValueError("signatures must have shape (M, k)")
+        if not np.isfinite(self.signatures).all():
+            raise ValueError("signatures must be finite")
         if self.min_distance is None:
             d = math.sqrt(self.closest_pair[0]) if len(self) >= 2 else math.inf
             object.__setattr__(self, "min_distance", d)
@@ -73,9 +75,6 @@ class ErrorBoundReport:
 
     lambda1_log: float  # log of the first-kind bound exp(-k Lambda)
     lambda2_log: float  # log of the second-kind bound exp(-4 rho^2 Theta)
-    lambda_exp: float
-    theta_exp: float
-    delta: float
 
 
 @dataclass(frozen=True)
@@ -91,10 +90,10 @@ class ScalingChoice:
 def _check_rho(k: int, energy: float, rho: float) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if energy <= 0:
-        raise ValueError(f"E must be > 0, got {energy}")
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
+    if not 0 < energy < math.inf:
+        raise ValueError(f"E must be finite and > 0, got {energy}")
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be finite and > 0, got {rho}")
     if 2 * rho > math.sqrt(k * energy):
         raise ValueError(
             f"need 2 rho <= sqrt(k E): 2*{rho} > sqrt({k}*{energy})"
@@ -113,7 +112,7 @@ def build_code(
         separation=2 * rho,
         rejection_budget=rejection_budget,
     )
-    points = geometry.greedy_packing(spec, rng).points
+    points = geometry.greedy_packing(spec, rng)
     sigs = points[:, 0::2] + 1j * points[:, 1::2]
     return SignatureSet(k=k, energy_budget=energy, rho=rho, signatures=sigs)
 
@@ -121,7 +120,7 @@ def build_code(
 def achievable_users_log(k: int, energy: float, rho: float) -> float:
     """log of the guaranteed code size (k E / (4 rho^2))^k."""
     _check_rho(k, energy, rho)
-    return k * math.log(k * energy / (4 * rho**2))
+    return k * (math.log(k * energy) - 2 * math.log(2 * rho))
 
 
 def analytic_error_bounds(
@@ -130,14 +129,9 @@ def analytic_error_bounds(
     """First/second-kind log bounds -k Lambda and -4 rho^2 Theta."""
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
-    lam = photonstats.lambda_exponent(delta, channel)
-    theta = photonstats.theta_exponent(delta, channel)
     return ErrorBoundReport(
-        lambda1_log=-k * lam,
-        lambda2_log=-4 * rho**2 * theta,
-        lambda_exp=lam,
-        theta_exp=theta,
-        delta=delta,
+        lambda1_log=-k * photonstats.lambda_exponent(delta, channel),
+        lambda2_log=-4 * rho**2 * photonstats.theta_exponent(delta, channel),
     )
 
 
@@ -149,8 +143,8 @@ def converse_users_log(
     The bound (1 + 4 sqrt(kE)/sqrt((2N+1) ln(1/(4 delta_k))))^{2k} is only
     meaningful for delta_k < 1/4, where the inner log is positive.
     """
-    if k < 1 or energy <= 0:
-        raise ValueError("k >= 1 and E > 0 required")
+    if k < 1 or not 0 < energy < math.inf:
+        raise ValueError(f"k >= 1 and finite E > 0 required, got k={k}, E={energy}")
     if not (0 < delta_k < 0.25):
         raise ValueError(
             f"delta_k={delta_k} outside (0, 1/4): the converse bound's inner "
@@ -216,35 +210,31 @@ def rho_for_lambda2(lambda2_target: float, delta: float, channel: ChannelModel) 
 
 
 def save_signature_set(path, code: SignatureSet) -> None:
-    """Point-set text format with a signature header (k, E, rho, M, min_distance)."""
+    """Text file: a ``# signature-set k=.. energy_budget=.. rho=.. M=..
+    min_distance=..`` header line, then one signature per row as interleaved
+    real and imaginary parts."""
     pts = np.empty((len(code), 2 * code.k))
     pts[:, 0::2] = code.signatures.real
     pts[:, 1::2] = code.signatures.imag
-    spec = geometry.PackingSpec(
-        dim=2 * code.k,
-        radius=math.sqrt(code.k * code.energy_budget),
-        separation=2 * code.rho,
-    )
     with open(path, "w") as fh:
         fh.write(
             f"# signature-set k={code.k} energy_budget={code.energy_budget:.12g} "
             f"rho={code.rho:.12g} M={len(code)} min_distance={code.min_distance:.12g}\n"
-        )
-        fh.write(
-            f"# dim={spec.dim} radius={spec.radius:.12g} separation={spec.separation:.12g}\n"
         )
         for row in pts:
             fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def load_signature_set(path) -> SignatureSet:
+    """Read a :func:`save_signature_set` file.  Comment lines after the
+    header are skipped, such as the ``# dim=..`` line older files carry."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("# signature-set "):
             raise ValueError(f"{path}: missing signature-set header")
         fields = dict(tok.split("=") for tok in header[len("# signature-set ") :].split())
-        fh.readline()  # point-set header, redundant with the signature header
-        rows = [[float(x) for x in line.split()] for line in fh if line.strip()]
+        rows = [[float(x) for x in line.split()] for line in fh
+                if line.strip() and not line.startswith("#")]
     k = int(fields["k"])
     arr = np.array(rows) if rows else np.zeros((0, 2 * k))
     if arr.size and arr.shape[1] != 2 * k:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bosonid import cli, geometry, scheme
 
@@ -73,6 +77,54 @@ class TestBounds:
         assert doc["meta"]["version"]
         assert doc["rows"][0]["k"] == 8
 
+    def test_no_seed_in_artifacts(self, tmp_path):
+        # bounds draws nothing at random, so it takes and prints no seed
+        csv, js = tmp_path / "b.csv", tmp_path / "b.json"
+        assert run(["bounds", "--k", "8", "--rho", "1", "--out", str(csv)]) == 0
+        assert run(["bounds", "--k", "8", "--rho", "1", "--format", "json",
+                    "--out", str(js)]) == 0
+        meta, _ = read_csv(csv)
+        assert set(meta) == {"config_hash"}
+        assert set(json.loads(js.read_text())["meta"]) == {"version", "config_hash"}
+        with pytest.raises(SystemExit):
+            run(["bounds", "--k", "8", "--rho", "1", "--seed", "3"])
+
+    def test_huge_noise_is_finite(self, tmp_path):
+        # N + 1 - N r rounds to 0 at N = 1e300 unless Theta is evaluated with expm1
+        out = tmp_path / "bounds.csv"
+        assert run(["bounds", "--k", "8", "--rho", "1", "--noise", "1e300",
+                    "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert all(math.isfinite(float(v)) for v in rows[0].values())
+        assert -4 * 1.0e-300 < float(rows[0]["lambda2_log"]) < 0
+
+
+class TestNegativeZero:
+    @pytest.mark.parametrize("argv,column", [
+        (["--noise", "0"], "lambda2_log"),
+        (["--delta", "1e-300"], "lambda1_log"),
+    ])
+    def test_bounds_csv(self, tmp_path, argv, column):
+        out = tmp_path / "bounds.csv"
+        assert run(["bounds", "--k", "8", "--rho", "1", *argv, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert rows[0][column] == "0"
+        assert "-0," not in out.read_text() and not out.read_text().endswith("-0\n")
+
+    def test_bounds_json(self, tmp_path):
+        out = tmp_path / "bounds.json"
+        assert run(["bounds", "--k", "8", "--rho", "1", "--noise", "0", "--format", "json",
+                    "--out", str(out)]) == 0
+        value = json.loads(out.read_text())["rows"][0]["lambda2_log"]
+        assert value == 0 and math.copysign(1, value) == 1
+
+    def test_simulate_bound_log(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--k", "2", "--energy", "4", "--rho", "1", "--noise", "0",
+                    "--trials", "100", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert rows[1]["bound_log"] == "0"
+
 
 class TestPack:
     def test_writes_loadable_code(self, tmp_path, capsys):
@@ -86,6 +138,7 @@ class TestPack:
         code = scheme.load_signature_set(out)
         assert code.k == 2
         assert code.min_distance >= 2.0
+        assert sum(line.startswith("#") for line in out.read_text().splitlines()) == 1
 
     def test_precondition_violation(self, tmp_path):
         assert run([
@@ -166,6 +219,18 @@ class TestFiniteInputs:
         ["bounds", "--k", "8", "--rho", "1", "--delta", "nan"],
         ["simulate", "--code", "CODE", "--trials", "100", "--delta", "nan"],
         ["heterodyne", "--code", "CODE", "--trials", "100", "--noise", "inf"],
+        ["bounds", "--k", "8", "--rho", "1", "--energy", "nan"],
+        ["bounds", "--k", "8", "--rho", "1", "--energy", "inf"],
+        ["bounds", "--k", "8", "--rho", "nan"],
+        ["bounds", "--k", "8", "--gamma", "nan"],
+        ["pack", "--k", "2", "--rho", "1", "--energy", "nan"],
+        ["pack", "--k", "2", "--rho", "1", "--energy", "inf"],
+        ["pack", "--k", "2", "--rho", "nan"],
+        ["pack", "--k", "2"],
+        ["heterodyne", "--trials", "10"],
+        ["heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--noise", "-0.5"],
+        ["simulate", "--code", "CODE", "--trials", "10", "--delta", "1e300"],
+        ["bounds", "--k", "8", "--rho", "1", "--delta", "1e306"],
     ])
     def test_rejected_with_error_line(self, tmp_path, capsys, argv):
         code = scheme.SignatureSet(k=2, energy_budget=4.0, rho=1.0,
@@ -174,8 +239,9 @@ class TestFiniteInputs:
         argv = [str(tmp_path / "code.txt") if a == "CODE" else a for a in argv]
         out = tmp_path / "out.csv"
         assert run([*argv, "--out", str(out)]) == cli.EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_threshold_beyond_count_range(self, tmp_path):
@@ -236,3 +302,95 @@ class TestReproducibility:
         run(args + ["--out", str(a)])
         run(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+
+SPECIAL = [0.0, -1.0, math.inf, -math.inf, math.nan, 1e300, -1e300]
+VALUES = st.one_of(st.floats(-10, 10), st.sampled_from(SPECIAL))
+
+
+def flag(name, value):
+    # --name=value, so argparse takes "-inf" and "-1e+300" as values, not options
+    return [f"--{name}={value!r}"]
+
+
+@st.composite
+def command_lines(draw):
+    """argv of one of the four computing commands with fuzzed numeric flags;
+    CODE stands for a two-point code file."""
+    command = draw(st.sampled_from(["bounds", "pack", "simulate", "heterodyne"]))
+    argv = [command]
+    if command == "bounds":
+        argv += ["--k", draw(st.sampled_from(["1", "3", "8", "8,64"]))]
+        for name in ("energy", "noise", "delta", "delta-k"):
+            if draw(st.booleans()):
+                argv += flag(name, draw(VALUES))
+        argv += flag(draw(st.sampled_from(["rho", "gamma"])), draw(VALUES))
+    elif command == "pack":
+        energy, rho = draw(VALUES), draw(VALUES)
+        # k = 1 and, for positive finite values, sqrt(E) <= 4 rho: the disc of
+        # radius sqrt(E) then holds at most ~25 points at separation 2 rho, so
+        # no dense packing runs
+        valid = 0 < energy < math.inf and 0 < rho < math.inf
+        assume(not valid or math.sqrt(energy) <= 4 * rho)
+        argv += ["--k", "1", *flag("energy", energy), *flag("rho", rho)]
+    else:
+        argv += ["--code", "CODE", "--seed", str(draw(st.integers(0, 9))),
+                 "--trials", str(draw(st.integers(1, 1000)))]
+        for name in ["noise", "delta"] + (["tau"] if command == "heterodyne" else []):
+            if draw(st.booleans()):
+                argv += flag(name, draw(VALUES))
+        if command == "simulate" and draw(st.booleans()):
+            argv += ["--pair-strategy", "all_pairs_sampled"]
+    return argv
+
+
+def numeric_cells(argv, stdout):
+    """(name, value) of every number a successful command printed, less the
+    documented NaN: the first-kind bound at N = 0, where Lambda diverges."""
+    if argv[0] == "pack":
+        printed = dict(line.split("=") for line in stdout.split())
+        if printed["M"] == "1":  # a one-point code has no closest pair
+            assert printed.pop("min_distance") == "inf"
+        return [(key, float(v)) for key, v in printed.items()]
+    noise = [float(a.split("=")[1]) for a in argv if a.startswith("--noise=")]
+    vacuum = (noise or [1.0])[-1] == 0
+    lines = [line for line in stdout.splitlines() if not line.startswith("#")]
+    header = lines[0].split(",")
+    cells = []
+    for row in (dict(zip(header, line.split(","))) for line in lines[1:]):
+        for key in header:
+            if key == "quantity":
+                continue
+            value = float(row[key])
+            lambda1_bound = key == "lambda1_log" or (
+                key == "bound_log" and row["quantity"] == "lambda1")
+            if not (vacuum and lambda1_bound and math.isnan(value)):
+                cells.append((key, value))
+    return cells
+
+
+@pytest.fixture(scope="module")
+def two_point_code(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "code.txt"
+    scheme.save_signature_set(path, scheme.SignatureSet(
+        k=2, energy_budget=4.0, rho=1.0, signatures=np.array([[0, 0], [2, 1j]], dtype=complex)))
+    return path
+
+
+class TestFuzz:
+    @given(argv=command_lines())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_codes_and_finite_output(self, two_point_code, argv):
+        argv = [str(two_point_code) if a == "CODE" else a for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                status = cli.main(argv)
+            except SystemExit as exc:  # argparse rejected the command line
+                status = exc.code
+        assert status in (0, 1, 2), argv
+        assert "Traceback" not in stderr.getvalue(), argv
+        if status == 0:
+            for name, value in numeric_cells(argv, stdout.getvalue()):
+                assert math.isfinite(value), (argv, name, value)

@@ -63,27 +63,32 @@ class TestBoundCalculators:
 class TestGreedyPacking:
     def test_tiny_ball_single_point(self):
         spec = geo.PackingSpec(dim=2, radius=0.4, separation=1.0, rejection_budget=2000)
-        ps = geo.greedy_packing(spec, np.random.default_rng(0))
-        assert len(ps) == 1
+        pts = geo.greedy_packing(spec, np.random.default_rng(0))
+        assert pts.shape == (1, 2)
 
     def test_volumetric_bound_small_dim(self):
         spec = geo.PackingSpec(dim=2, radius=2.0, separation=1.0, rejection_budget=100_000)
         for seed in range(10):
-            ps = geo.greedy_packing(spec, np.random.default_rng(seed))
-            assert len(ps) >= 4
+            pts = geo.greedy_packing(spec, np.random.default_rng(seed))
+            assert len(pts) >= 4
 
     def test_invariants(self):
         spec = geo.PackingSpec(dim=4, radius=1.0, separation=0.5, rejection_budget=100_000)
-        ps = geo.greedy_packing(spec, np.random.default_rng(3))
-        assert np.all(np.linalg.norm(ps.points, axis=1) <= 1.0)
-        assert ps.achieved_min_distance >= 0.5
-        assert ps.achieved_min_distance == geo.min_pairwise_distance(ps)
+        pts = geo.greedy_packing(spec, np.random.default_rng(3))
+        assert np.all(np.linalg.norm(pts, axis=1) <= 1.0)
+        assert geo.closest_pair(pts)[0] >= 0.5**2
+
+    @pytest.mark.parametrize("radius,separation", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, 0.0)])
+    def test_spec_rejects_non_finite(self, radius, separation):
+        with pytest.raises(ValueError):
+            geo.PackingSpec(dim=2, radius=radius, separation=separation)
 
     def test_determinism(self):
         spec = geo.PackingSpec(dim=3, radius=1.5, separation=0.7, rejection_budget=5000)
         a = geo.greedy_packing(spec, np.random.default_rng(11))
         b = geo.greedy_packing(spec, np.random.default_rng(11))
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a, b)
 
     def test_pack_cover_sandwich(self):
         # a maximal eps-packing is an eps-cover, so counts at separation
@@ -101,24 +106,18 @@ class TestGreedyPacking:
         assert len(wide) <= len(narrow)
 
 
-class TestGridPacking:
-    def test_counts_and_invariants(self):
-        spec = geo.PackingSpec(dim=2, radius=2.0, separation=1.0)
-        ps = geo.grid_packing(spec)
-        assert len(ps) >= 4
-        assert ps.achieved_min_distance >= 1.0
-        assert np.all(np.linalg.norm(ps.points, axis=1) <= 2.0)
-
-
 class TestMinPairwiseDistance:
+    """The minimum pairwise distance, as the squared length of `closest_pair`."""
+
     def test_identical_points(self):
-        assert geo.min_pairwise_distance(np.zeros((2, 3))) == 0.0
+        assert geo.closest_pair(np.zeros((2, 3))) == (0.0, 0, 1)
 
     def test_basis_pair(self):
-        assert geo.min_pairwise_distance(np.eye(2)) == pytest.approx(math.sqrt(2))
+        assert geo.closest_pair(np.eye(2)) == (2.0, 0, 1)
 
-    def test_single_point_sentinel(self):
-        assert geo.min_pairwise_distance(np.zeros((1, 2))) == math.inf
+    def test_fewer_than_two_points_rejected(self):
+        with pytest.raises(ValueError):
+            geo.closest_pair(np.zeros((1, 2)))
 
     @given(
         st.lists(
@@ -133,7 +132,7 @@ class TestMinPairwiseDistance:
             for i in range(len(arr))
             for j in range(i + 1, len(arr))
         )
-        assert geo.min_pairwise_distance(arr) == pytest.approx(expected, rel=1e-12)
+        assert math.sqrt(geo.closest_pair(arr)[0]) == pytest.approx(expected, rel=1e-12)
 
     def test_closest_pair_lowest_index_tie_break(self):
         # (0,1), (1,2) and (2,3) are all at distance 1
@@ -184,22 +183,3 @@ class TestUniformBallSampler:
         pts = geo.sample_uniform_ball(5, 1.3, np.random.default_rng(0), 1000)
         assert np.all(np.linalg.norm(pts, axis=1) <= 1.3)
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        spec = geo.PackingSpec(dim=3, radius=1.5, separation=0.7, rejection_budget=5000)
-        ps = geo.greedy_packing(spec, np.random.default_rng(2))
-        path = tmp_path / "points.txt"
-        geo.save_pointset(path, ps, spec)
-        loaded, loaded_spec = geo.load_pointset(path)
-        assert np.array_equal(loaded.points, ps.points)
-        assert loaded_spec.dim == 3
-        assert loaded_spec.radius == 1.5
-        assert loaded_spec.separation == 0.7
-        assert loaded.achieved_min_distance == ps.achieved_min_distance
-
-    def test_rejects_headerless_file(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("1 2 3\n")
-        with pytest.raises(ValueError):
-            geo.load_pointset(path)

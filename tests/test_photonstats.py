@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,47 +30,62 @@ def laguerre_series(n, x):
     )
 
 
+def single_mode_pmf(n, energy, n_thermal):
+    """The single-mode law of the module docstring with L_n from the exact
+    series: (N+1)^-1 c^n e^{-e/(N+1)} L_n(-e/(N(N+1))), c = N/(N+1)."""
+    N = n_thermal
+    x = -energy / (N * (N + 1))
+    return (N / (N + 1)) ** n * math.exp(-energy / (N + 1)) * laguerre_series(n, x) / (N + 1)
+
+
 class TestLaguerre:
+    """The Laguerre form of the single-mode law, through `photon_pmf_array`."""
+
     def test_degree_zero(self):
-        assert ps.laguerre(0, 3.7) == 1.0
+        # L_0 = 1
+        got = ps.photon_pmf_array(0, 3.7, ChannelModel(0.5))[0]
+        assert got == pytest.approx(math.exp(-3.7 / 1.5) / 1.5, rel=1e-12)
 
     def test_degree_one(self):
-        assert ps.laguerre(1, 2.0) == -1.0
+        # L_1(x) = 1 - x at x = -e/(N(N+1)) = -1
+        got = ps.photon_pmf_array(1, 2.0, ChannelModel(1.0))[1]
+        assert got == pytest.approx(0.25 * math.exp(-1.0) * 2.0, rel=1e-12)
 
     def test_degree_five_matches_series(self):
-        assert ps.laguerre(5, -0.8) == pytest.approx(laguerre_series(5, -0.8), abs=1e-12)
+        got = ps.photon_pmf_array(5, 0.8, ChannelModel(1.0))[5]
+        assert got == pytest.approx(single_mode_pmf(5, 0.8, 1.0), rel=1e-12)
 
-    @given(st.integers(0, 25), st.floats(-5, 5))
-    def test_matches_series(self, n, x):
-        expected = laguerre_series(n, x)
-        assert ps.laguerre(n, x) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+    @given(st.integers(0, 25), st.floats(0, 20), st.floats(0.05, 5))
+    def test_matches_series(self, n, energy, n_thermal):
+        got = ps.photon_pmf_array(n, energy, ChannelModel(n_thermal))[n]
+        assert got == pytest.approx(single_mode_pmf(n, energy, n_thermal), rel=1e-9, abs=1e-9)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
-            ps.laguerre(-1, 0.0)
+            ps.photon_pmf_array(-1, 0.0, ChannelModel(1.0))
 
 
 class TestPmf:
     def test_zero_energy_is_geometric(self):
         ch = ChannelModel(1.0)
-        assert ps.photon_pmf(0, 0, ch) == pytest.approx(0.5)
+        assert ps.photon_pmf_array(0, 0, ch)[0] == pytest.approx(0.5)
         for n in range(8):
-            assert ps.photon_pmf(n, 0, ch) == pytest.approx(0.5 * 0.5**n)
+            assert ps.photon_pmf_array(n, 0, ch)[n] == pytest.approx(0.5 * 0.5**n)
 
     def test_matches_fock_diagonal(self):
         ch = ChannelModel(0.5)
         rho = fockspace.displaced_thermal_density(math.sqrt(2.0), ch, 60)
-        assert ps.photon_pmf(3, 2.0, ch) == pytest.approx(
+        assert ps.photon_pmf_array(3, 2.0, ch)[3] == pytest.approx(
             rho.entries[3, 3].real, abs=1e-10
         )
 
     def test_vacuum_channel_is_poisson(self):
         ch = ChannelModel(0.0)
-        assert ps.photon_pmf(2, 3.0, ch) == pytest.approx(math.exp(-3) * 9 / 2)
+        assert ps.photon_pmf_array(2, 3.0, ch)[2] == pytest.approx(math.exp(-3) * 9 / 2)
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
-            ps.photon_pmf(0, -1.0, ChannelModel(1.0))
+            ps.photon_pmf_array(0, -1.0, ChannelModel(1.0))
 
     @pytest.mark.parametrize("energy", [0.0, 1.0, 10.0, 50.0])
     @pytest.mark.parametrize("n_thermal", [0.1, 1.0, 5.0])
@@ -118,7 +134,7 @@ class TestSampler:
     def test_vacuum_degenerate(self):
         rng = np.random.default_rng(0)
         ch = ChannelModel(0.0)
-        assert all(ps.sample_photon_count(0, ch, rng) == 0 for _ in range(100))
+        assert all(ps.sample_photon_counts(0, ch, rng, 1)[0] == 0 for _ in range(100))
 
     def test_total_variation_against_pmf(self):
         ch = ChannelModel(1.0)
@@ -221,10 +237,16 @@ class TestFiniteInputs:
         with pytest.raises(ValueError, match="finite"):
             ChannelModel(value)
 
-    @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, 1e300])
     def test_detector_rejects_delta(self, delta):
         with pytest.raises(ValueError, match="finite"):
             ps.DetectorSpec.make(delta, 4, ChannelModel(1.0))
+
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_tail_rejects_threshold_beyond_float_counts(self, upper):
+        # at 2e300 the logs of successive terms no longer differ in floats
+        with pytest.raises(ValueError, match="2\\^53"):
+            ps.log_tail_probability(2, 0.0, ChannelModel(1.0), 2e300, upper)
 
 
 class TestExponents:
@@ -236,6 +258,15 @@ class TestExponents:
     def test_lambda_vanishes_with_slack(self):
         assert ps.lambda_exponent(1e-9, ChannelModel(1.0)) < 1e-15
 
+    def test_lambda_subnormal_noise(self):
+        # (N + delta) / N overflows at N = 2.2e-311
+        n_thermal = 2.225073858507e-311
+        with mp.workdps(50):
+            N = mp.mpf(n_thermal)
+            expected = float((N + 1) * mp.log((N + 1) / N) - (N + 2) * mp.log((N + 2) / (N + 1)))
+        got = ps.lambda_exponent(1.0, ChannelModel(n_thermal))
+        assert got == pytest.approx(expected, rel=1e-13)
+
     def test_lambda_rejects_vacuum_channel(self):
         with pytest.raises(ValueError):
             ps.lambda_exponent(1.0, ChannelModel(0.0))
@@ -246,6 +277,18 @@ class TestExponents:
 
     def test_theta_vacuum_limit_is_zero(self):
         assert ps.theta_exponent(1.0, ChannelModel(0.0)) == 0.0
+
+    @pytest.mark.parametrize("n_thermal", [0.1, 1.0, 37.0, 1e6, 1e300])
+    @pytest.mark.parametrize("delta", [1e-3, 1.0, 10.0])
+    def test_theta_matches_mpmath(self, n_thermal, delta):
+        # at N = 1e300, r = (N+1)^{-1/(N+delta)} rounds to 1 in floats; 1 - r
+        # is about 1e-298, so the reference carries 350 digits
+        with mp.workdps(350):
+            N, d = mp.mpf(n_thermal), mp.mpf(delta)
+            r = (N + 1) ** (-1 / (N + d))
+            expected = float((1 - r) / (N + 1 - N * r))
+        assert ps.theta_exponent(delta, ChannelModel(n_thermal)) == pytest.approx(
+            expected, rel=1e-13)
 
     def test_theta_decreases_with_slack(self):
         # larger slack makes false accepts easier, so the exponent decays to 0

@@ -33,6 +33,19 @@ class TestBuildCode:
         assert pts.shape[1] == 6
 
 
+class TestSignatureSet:
+    def test_single_signature_min_distance_is_inf(self):
+        code = scheme.SignatureSet(k=2, energy_budget=4.0, rho=1.0,
+                                   signatures=np.zeros((1, 2), dtype=complex))
+        assert code.min_distance == math.inf
+
+    def test_min_distance_is_closest_pair_length(self):
+        code = scheme.SignatureSet(k=1, energy_budget=4.0, rho=0.5,
+                                   signatures=np.array([[0], [3j], [1 + 1j]]))
+        assert code.min_distance == pytest.approx(math.sqrt(2))
+        assert code.closest_pair[1:] == (0, 2)
+
+
 class TestAchievableUsersLog:
     def test_closed_form_value(self):
         assert scheme.achievable_users_log(4, 4.0, 1.0) == pytest.approx(4 * math.log(4))
@@ -48,6 +61,17 @@ class TestAchievableUsersLog:
     def test_precondition(self):
         with pytest.raises(ValueError):
             scheme.achievable_users_log(1, 1.0, 0.51)
+
+    @pytest.mark.parametrize("energy,rho", [
+        (math.nan, 1.0), (math.inf, 1.0), (4.0, math.nan), (4.0, math.inf), (4.0, 0.0)])
+    def test_rejects_non_finite(self, energy, rho):
+        with pytest.raises(ValueError):
+            scheme.achievable_users_log(8, energy, rho)
+
+    def test_tiny_rho_stays_finite(self):
+        # rho^2 underflows to 0 here; the log is still k ln(kE / (4 rho^2))
+        got = scheme.achievable_users_log(2, 4.0, 1e-200)
+        assert got == pytest.approx(2 * (math.log(8) - 2 * math.log(2e-200)), rel=1e-15)
 
 
 class TestAnalyticErrorBounds:
@@ -77,6 +101,11 @@ class TestConverseUsersLog:
         ch = ChannelModel(1.0)
         vals = [scheme.converse_users_log(4, 4.0, dk, ch) for dk in (0.2, 0.1, 0.01, 1e-4)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, 0.0])
+    def test_rejects_non_finite_energy(self, energy):
+        with pytest.raises(ValueError):
+            scheme.converse_users_log(4, energy, 0.1, ChannelModel(1.0))
 
     def test_rejects_out_of_range(self):
         ch = ChannelModel(1.0)
@@ -149,6 +178,36 @@ class TestSerialization:
         assert loaded.rho == code.rho
         assert np.allclose(loaded.signatures, code.signatures)
         assert loaded.min_distance == pytest.approx(code.min_distance, rel=1e-12)
+
+    def test_one_header_line(self, tmp_path):
+        code = scheme.build_code(2, 4.0, 1.0, np.random.default_rng(9), rejection_budget=10_000)
+        path = tmp_path / "code.txt"
+        scheme.save_signature_set(path, code)
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("# signature-set k=2 ")
+        assert sum(line.startswith("#") for line in lines) == 1
+        assert len(lines) == 1 + len(code)
+
+    def test_loads_file_with_point_set_header(self, tmp_path):
+        # files written before the signature file lost its second header
+        code = scheme.build_code(2, 4.0, 1.0, np.random.default_rng(9), rejection_budget=10_000)
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        scheme.save_signature_set(new, code)
+        header, *rows = new.read_text().splitlines(keepends=True)
+        old.write_text(header + "# dim=4 radius=2.82842712475 separation=2\n" + "".join(rows))
+        a, b = scheme.load_signature_set(new), scheme.load_signature_set(old)
+        assert (a.k, a.energy_budget, a.rho, a.min_distance) == (
+            b.k, b.energy_budget, b.rho, b.min_distance)
+        assert np.array_equal(a.signatures, b.signatures)
+        assert len(b) == len(code)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rejects_non_finite_signature(self, tmp_path, value):
+        path = tmp_path / "code.txt"
+        path.write_text("# signature-set k=1 energy_budget=4 rho=1 M=2 min_distance=2\n"
+                        f"0 0\n{value} 1\n")
+        with pytest.raises(ValueError, match="finite"):
+            scheme.load_signature_set(path)
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
