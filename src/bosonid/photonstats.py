@@ -54,6 +54,9 @@ _HUGE = 2.0**500
 _TINY = 2.0**-500
 _MAX_COUNT = 1 << 22
 _FLOAT_COUNTS = 2.0**53  # floats resolve single counts below this
+# (-1)^k / k for k = 18, ..., 2: x^2/2 - x^3/3 + ... to 17 terms; below
+# x = 0.1 the first term left out, x^19/19, is under 1e-18 of the first
+_PHI_SERIES = tuple((-1) ** k / k for k in range(18, 1, -1))
 
 
 @dataclass(frozen=True)
@@ -297,9 +300,27 @@ def lambda_exponent(delta: float, channel: ChannelModel) -> float:
     _check_delta(delta)
     if N == 0:
         raise ValueError("lambda_exponent is undefined at n_thermal = 0")
-    ratio = (N + delta) / N  # overflows where N is subnormal
-    log_ratio = math.log(ratio) if ratio < math.inf else math.log(N + delta) - math.log(N)
-    return (N + delta) * log_ratio - (N + delta + 1) * math.log((N + delta + 1) / (N + 1))
+    # Lambda is the KL divergence between geometric laws of means N + delta
+    # and N: a log1p(w) - log1p(v), both terms O(delta).  Where w < 1 their
+    # leading parts cancel in closed form, a w - v = delta^2 / (N (N+1)
+    # (N+delta+1)), and only the small remainders phi(w), phi(v) are summed.
+    a, v = N + delta, delta / (N + 1)
+    w = delta / N / (N + delta + 1)
+    if w < 1:
+        return delta / N * v / (N + delta + 1) - a * _phi(w) + _phi(v)
+    ratio = delta / N  # overflows where N is subnormal
+    log_ratio = math.log1p(ratio) if ratio < math.inf else math.log(a) - math.log(N)
+    return a * log_ratio - (a + 1) * math.log1p(v)
+
+
+def _phi(x: float) -> float:
+    """x - log1p(x) for x >= 0, by its alternating series below 0.1."""
+    if x >= 0.1:
+        return x - math.log1p(x)
+    total = 0.0
+    for c in _PHI_SERIES:
+        total = x * (c + total)
+    return x * total
 
 
 def theta_exponent(delta: float, channel: ChannelModel) -> float:

@@ -5,8 +5,42 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from bosonid import geometry as geo
+from bosonid import scheme
+
+
+def reference_greedy_packing(spec, rng):
+    """The packing without a witness screen: every candidate's minimum distance
+    to the accepted points by `cdist`, then the same sequential accept."""
+    accepted = []
+    consecutive = 0
+    batch = 4096
+    while consecutive < spec.rejection_budget:
+        cands = geo.sample_uniform_ball(spec.dim, spec.radius, rng, batch)
+        if accepted:
+            mind = cdist(cands, np.array(accepted)).min(axis=1)
+        else:
+            mind = np.full(batch, math.inf)
+        start = 0
+        while start < batch:
+            ok = np.nonzero(mind[start:] >= spec.separation)[0]
+            if ok.size == 0:
+                consecutive += batch - start
+                break
+            j = int(ok[0])
+            if consecutive + j >= spec.rejection_budget:
+                consecutive = spec.rejection_budget
+                break
+            new = cands[start + j]
+            accepted.append(new)
+            consecutive = 0
+            start += j + 1
+            if start < batch:
+                d_new = np.sqrt(((cands[start:] - new) ** 2).sum(axis=1))
+                mind[start:] = np.minimum(mind[start:], d_new)
+    return np.array(accepted) if accepted else np.zeros((0, spec.dim))
 
 
 def brute_closest_pair(arr):
@@ -28,7 +62,9 @@ def point_sets(draw):
     m, width = draw(st.integers(2, 30)), draw(st.integers(1, 4))
     elems = draw(st.sampled_from([st.integers(-2, 2), st.floats(-5, 5)]))
     flat = draw(st.lists(elems, min_size=2 * m * width, max_size=2 * m * width))
-    pts = np.array(flat, dtype=float).reshape(m, 2, width) * draw(st.sampled_from([0.1, 1.7]))
+    # at scale 1e-161 the squared distances are subnormal
+    pts = np.array(flat, dtype=float).reshape(m, 2, width) * draw(
+        st.sampled_from([0.1, 1.7, 1e-161]))
     pts += draw(st.sampled_from([0.0, -3.0e3, 1.0e6]))
     if draw(st.booleans()):
         pts[-1] = pts[draw(st.integers(0, m - 2))]
@@ -38,26 +74,9 @@ def point_sets(draw):
 
 
 class TestBoundCalculators:
-    def test_packing_lower_bound_value(self):
-        assert math.exp(geo.packing_lower_bound_log(2, 2.0, 0.5)) == pytest.approx(4.0)
-
-    def test_packing_lower_bound_boundary(self):
-        assert geo.packing_lower_bound_log(6, 1.0, 0.5) == pytest.approx(0.0)
-
     def test_packing_lower_bound_large_example(self):
         # dim = 2k with k = 4, E = 4: (sqrt(16)/2)^8 = 256
-        assert math.exp(geo.packing_lower_bound_log(8, 4.0, 1.0)) == pytest.approx(256.0)
-
-    def test_covering_upper_bound_values(self):
-        assert math.exp(geo.covering_upper_bound_log(1, 1.0, 2.0)) == pytest.approx(2.0)
-        assert math.exp(geo.covering_upper_bound_log(2, 1.0, 1.0)) == pytest.approx(9.0)
-
-    @given(st.integers(1, 12), st.floats(0.1, 10), st.floats(0.05, 2))
-    def test_covering_dominates_packing(self, dim, radius, rho):
-        # the covering estimate at eps = 2 rho dominates the packing guarantee
-        assert geo.covering_upper_bound_log(dim, radius, 2 * rho) >= (
-            geo.packing_lower_bound_log(dim, radius, rho) - 1e-12
-        )
+        assert scheme.achievable_users_log(4, 4.0, 1.0) == pytest.approx(math.log(256.0))
 
 
 class TestGreedyPacking:
@@ -104,6 +123,89 @@ class TestGreedyPacking:
             rng,
         )
         assert len(wide) <= len(narrow)
+
+
+def pack_from(batches, separation, pack=geo.greedy_packing):
+    """Pack hand-made candidates: each batch is padded to a full draw by copies
+    of the very first candidate, which also fill every later draw; the first
+    candidate is accepted, so every copy of it is rejected."""
+    first = batches[0][:1]
+    draws = iter(batches)
+
+    def sampler(dim, radius, rng, size):
+        rows = next(draws, first)
+        return np.vstack([rows, np.repeat(first, size - len(rows), axis=0)])
+
+    spec = geo.PackingSpec(dim=first.shape[1], radius=1.0, separation=separation,
+                           rejection_budget=10_000)
+    with mock.patch.object(geo, "sample_uniform_ball", sampler):
+        return pack(spec, np.random.default_rng(0))
+
+
+class TestWitnessScreen:
+    """The screened packing accepts exactly the points of the cdist packing."""
+
+    # M = 10-13 (no cells), 276-329, 145-178 and 137-225 points
+    @pytest.mark.parametrize("dim,radius,separation,budget", [
+        (2, 2.0, 1.0, 20_000),
+        (6, math.sqrt(6.0), 1.2, 60),
+        (8, 4.0, 3.0, 1000),
+        (16, math.sqrt(32.0), 5.2, 50),
+    ])
+    def test_matches_reference(self, dim, radius, separation, budget):
+        spec = geo.PackingSpec(dim, radius, separation, budget)
+        for seed in range(1, 11):
+            got = geo.greedy_packing(spec, np.random.default_rng(seed))
+            want = reference_greedy_packing(spec, np.random.default_rng(seed))
+            assert np.array_equal(got, want), (dim, seed)
+
+    @staticmethod
+    def axis_candidates(sep):
+        """200 far-apart points with one coordinate 0 each, and candidates
+        that differ from one of them in that coordinate alone, by one ulp less
+        than the separation (inside) or by exactly the separation (outside)."""
+        rng = np.random.default_rng(7)
+        z = rng.integers(-3, 4, size=(200, 8))
+        axis = np.arange(200) % 8
+        z[np.arange(200), axis] = 0
+        accepted = 10 * sep * z + rng.random(z.shape)
+        accepted[np.arange(200), axis] = 0.0
+        assert geo.closest_pair(accepted)[0] > (4 * sep) ** 2
+        inside, outside = accepted.copy(), accepted.copy()
+        sign = np.where(np.arange(200) % 2, 1.0, -1.0)
+        inside[np.arange(200), axis] = sign * np.nextafter(sep, 0)
+        outside[np.arange(200), axis] = sign * sep
+        return accepted, inside, outside
+
+    def test_exact_separation_is_accepted(self):
+        # the screen's rounding, about eps |a|^2, is far above the ulp of sep^2
+        sep = 2.6
+        accepted, inside, outside = self.axis_candidates(sep)
+        batches = [accepted, np.vstack([inside, outside])]
+        got = pack_from(batches, sep)
+        assert np.array_equal(got, np.vstack([accepted, outside]))
+        assert np.array_equal(got, pack_from(batches, sep, reference_greedy_packing))
+
+    def test_subnormal_squares(self):
+        # scaled by 2^-526 the squared distances are subnormal, where rounding
+        # is absolute, not relative
+        sep, scale = 2.6, 2.0**-526
+        accepted, inside, outside = self.axis_candidates(sep)
+        batches = [accepted * scale, np.vstack([inside, outside]) * scale]
+        assert np.array_equal(pack_from(batches, sep * scale),
+                              pack_from(batches, sep * scale, reference_greedy_packing))
+
+    def test_integer_lattice(self):
+        # {0, 1, 2}^4 at separation 1, then the layer x0 = -1 just inside
+        # (rejected) and exactly at (accepted) the separation
+        lattice = np.stack(np.meshgrid(*[np.arange(3.0)] * 4, indexing="ij"), -1).reshape(-1, 4)
+        layer = lattice[lattice[:, 0] == 0]
+        inside, outside = layer.copy(), layer.copy()
+        inside[:, 0], outside[:, 0] = -np.nextafter(1.0, 0), -1.0
+        batches = [lattice, np.vstack([inside, outside])]
+        got = pack_from(batches, 1.0)
+        assert np.array_equal(got, np.vstack([lattice, outside]))
+        assert np.array_equal(got, pack_from(batches, 1.0, reference_greedy_packing))
 
 
 class TestMinPairwiseDistance:

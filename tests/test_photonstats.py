@@ -267,6 +267,24 @@ class TestExponents:
         got = ps.lambda_exponent(1.0, ChannelModel(n_thermal))
         assert got == pytest.approx(expected, rel=1e-13)
 
+    def test_lambda_matches_mpmath_grid(self):
+        # 37 x 31 log grid; where delta << N the two terms of Lambda agree to
+        # ~35 digits, so the reference carries 110
+        worst = 0.0
+        for n_thermal in np.logspace(-6, 12, 37):
+            for delta in np.logspace(-9, 6, 31):
+                with mp.workdps(110):
+                    N, d = mp.mpf(float(n_thermal)), mp.mpf(float(delta))
+                    expected = float((N + d) * mp.log((N + d) / N)
+                                     - (N + d + 1) * mp.log((N + d + 1) / (N + 1)))
+                got = ps.lambda_exponent(float(delta), ChannelModel(float(n_thermal)))
+                worst = max(worst, abs(got - expected) / expected)
+        assert worst < 1e-13
+
+    def test_lambda_positive_where_slack_is_tiny(self):
+        # the two O(delta) terms used to cancel to -2.2e-16 here
+        assert ps.lambda_exponent(1e-9, ChannelModel(1e7)) > 0
+
     def test_lambda_rejects_vacuum_channel(self):
         with pytest.raises(ValueError):
             ps.lambda_exponent(1.0, ChannelModel(0.0))
