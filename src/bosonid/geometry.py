@@ -42,6 +42,11 @@ _BATCH = 4096  # candidates per draw of the packing
 _MAX_PIVOTS = 32  # pivots of the packing's witness screen, at most
 _PIVOT_SEED = 20260  # the pivots' own stream
 _CELL_MIN = 64  # accepted points below which one product against all is cheaper
+# The screens' partial sums of |a|^2 + |b|^2 - 2 a.b are at most (|a| + |b|)^2,
+# and closest_pair centers its points, which can double their norms.  For
+# points of norm at most MAX_NORM both stay below (4 MAX_NORM)^2, a quarter of
+# the largest float: a margin for rounding.
+MAX_NORM = math.sqrt(np.finfo(float).max) / 8
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,9 @@ class PackingSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not 0 < self.radius < math.inf:
-            raise ValueError(f"radius must be finite and > 0, got {self.radius}")
+        if not 0 < self.radius <= MAX_NORM:
+            raise ValueError(f"radius must be > 0 and at most {MAX_NORM:.6g}, "
+                             f"got {self.radius}")
         if not 0 < self.separation < math.inf:
             raise ValueError(f"separation must be finite and > 0, got {self.separation}")
         if self.rejection_budget < 1:

@@ -10,13 +10,18 @@ law (`photonstats.log_tail_probability`), are the ground truth.  A heterodyne
 baseline (ball test on the induced Gaussian channel) is included with its
 closed-form chi-square error probabilities.
 
-The photon counts come from one sampler, `photonstats.sample_photon_counts`:
-per trial it draws the k modes' Gaussian P-function displacements, then one
-Poisson count of their summed intensity.  Trials are split into chunks with
+Every event depends on a trial only through a sum of squared Gaussians: the
+summed P-function intensity of the k modes, or the heterodyne norm
+||Delta + w||^2.  Both are drawn in law by `photonstats.sample_intensity`, a
+scaled noncentral chi-square taken as one normal and one chi-square per
+trial, and the photon counts by `photonstats.sample_photon_counts` as one
+Poisson count of that intensity.  Trials are split into chunks with
 independently seeded streams derived from (master seed, chunk index); each
 chunk draws in blocks of at most `_BLOCK` trials, so memory stays bounded by
-_BLOCK x k x 2 doubles whatever the trial count.  Results merge by summation
-and are bit-identical for a fixed (seed, chunk count).
+a few arrays of _BLOCK doubles whatever k and the trial count
+(`all_pairs_sampled` gathers the sampled pairs' signature differences in
+slices of at most `_GATHER` entries).  Results merge by summation and are
+bit-identical for a fixed (seed, chunk count).
 """
 
 from __future__ import annotations
@@ -27,7 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chndtr, gammaincc, ndtri
 
-from .photonstats import ChannelModel, DetectorSpec, log_tail_probability, sample_photon_counts
+from .photonstats import (
+    ChannelModel,
+    DetectorSpec,
+    log_tail_probability,
+    sample_intensity,
+    sample_photon_counts,
+)
 from .scheme import SignatureSet
 
 __all__ = [
@@ -45,6 +56,7 @@ __all__ = [
 
 DEFAULT_CHUNKS = 8
 _BLOCK = 1 << 16  # trials drawn at once within a chunk
+_GATHER = 1 << 16  # signature entries gathered at once for per-trial pair energies
 
 
 @dataclass(frozen=True)
@@ -123,10 +135,9 @@ def estimate_lambda1(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    zeros = np.zeros(code.k, dtype=complex)
     successes = 0
     for rng, n in _blocks(trials, seed, chunks):
-        counts = sample_photon_counts(zeros, channel, rng, n)
+        counts = sample_photon_counts(code.k, 0.0, channel, rng, n)
         successes += int(np.count_nonzero(counts > detector.threshold))
     return _make_estimate(successes, trials, seed)
 
@@ -161,17 +172,20 @@ def estimate_lambda2(
     if m < 2:
         raise ValueError("need at least 2 signatures")
     sigs = code.signatures
-    worst = worst_pair_delta(code) if pair_strategy == "worst_pair" else None
+    # the count law depends on Delta only through ||Delta||^2
+    energy = code.closest_pair[0] if pair_strategy == "worst_pair" else None
     successes = 0
     for rng, n in _blocks(trials, seed, chunks):
-        if worst is None:
+        if pair_strategy == "all_pairs_sampled":
             send = rng.integers(0, m, size=n)
             recv = rng.integers(0, m - 1, size=n)
             recv += recv >= send  # uniform over ordered pairs with recv != send
-            deltas = sigs[send] - sigs[recv]
-        else:
-            deltas = worst
-        counts = sample_photon_counts(deltas, channel, rng, n)
+            step = max(1, _GATHER // code.k)  # rows per gather, so memory is O(_GATHER)
+            energy = np.concatenate([
+                np.sum(np.abs(sigs[send[i : i + step]] - sigs[recv[i : i + step]]) ** 2, axis=1)
+                for i in range(0, n, step)
+            ])
+        counts = sample_photon_counts(code.k, energy, channel, rng, n)
         successes += int(np.count_nonzero(counts <= detector.threshold))
     return _make_estimate(successes, trials, seed)
 
@@ -203,23 +217,21 @@ def heterodyne_simulate(
 
     Returns {"lambda1": ..., "lambda2_worst": ...} as McEstimates; lambda1 is
     the event ||w||^2 > threshold, lambda2 the worst-pair event
-    ||Delta + w||^2 <= threshold.
+    ||Delta + w||^2 <= threshold.  With w_t ~ CN(0, noise_variance), both
+    norms are drawn in law by `photonstats.sample_intensity`:
+    ||w||^2 = s chi^2(2k) and ||Delta + w||^2 = (sqrt(s) Z + ||Delta||)^2
+    + s chi^2(2k-1), with s = noise_variance / 2 per real quadrature.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    k = code.k
-    sigma = math.sqrt(spec.noise_variance / 2)  # per real quadrature
-    delta_vec = worst_pair_delta(code)
+    k, var = code.k, spec.noise_variance
+    energy = code.closest_pair[0]  # ||Delta||^2 of the worst pair
     succ1 = 0
     succ2 = 0
     for rng, n in _blocks(trials, seed, chunks):
-        w = rng.normal(scale=sigma, size=(n, k, 2))
-        norm1 = (w**2).sum(axis=(1, 2))
+        norm1 = sample_intensity(k, 0.0, var, rng, n)
         succ1 += int(np.count_nonzero(norm1 > spec.threshold))
-        w = rng.normal(scale=sigma, size=(n, k, 2))
-        norm2 = ((delta_vec.real + w[:, :, 0]) ** 2 + (delta_vec.imag + w[:, :, 1]) ** 2).sum(
-            axis=1
-        )
+        norm2 = sample_intensity(k, energy, var, rng, n)
         succ2 += int(np.count_nonzero(norm2 <= spec.threshold))
     return {
         "lambda1": _make_estimate(succ1, trials, seed),

@@ -17,10 +17,12 @@ negative binomial; Helstrom, Quantum Detection and Estimation Theory, ch. 5)
 
     p_k(n) = (N+1)^{-k} exp(-E/(N+1)) c^n L_n^{(k-1)}(-E/(N(N+1))),  c = N/(N+1).
 
-This module provides the pmf, the MGF, an exact sampler (Gaussian mixture of
-Poissons), the exact total-count law and its tails in log domain, and the two
-tail exponents that drive the identification error bounds, each paired with
-an independent numerically optimized Chernoff bound.
+This module provides the pmf, the MGF, an exact sampler (one Poisson count of
+the summed P-function intensity, which is drawn in law as a scaled noncentral
+chi-square after rotating alpha onto one quadrature), the exact total-count
+law and its tails in log domain, and the two tail exponents that drive the
+identification error bounds, each paired with an independent numerically
+optimized Chernoff bound.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "DetectorSpec",
     "photon_pmf_array",
     "mgf",
+    "sample_intensity",
     "sample_photon_counts",
     "exact_total_pmf",
     "log_tail_probability",
@@ -238,35 +241,48 @@ def mgf(z: float, total_energy: float, channel: ChannelModel, k: int) -> float:
     return math.exp(-total_energy * (1 - z) / denom) / denom**k
 
 
+def sample_intensity(
+    k: int, energy, variance: float, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """sum_t |gamma_t|^2 over k modes with gamma_t ~ CN(alpha_t, variance), one
+    value per trial, drawn in law from ``energy`` = ||alpha||^2.
+
+    ``energy`` is a scalar shared by ``size`` trials or one value per trial.
+    The 2k real quadratures are independent normals of variance v = variance/2
+    about the quadratures of alpha.  That law is invariant under rotations of
+    R^{2k}, and a rotation that takes alpha onto the first axis keeps the
+    norm, so the sum is exactly (sqrt(v) Z + ||alpha||)^2 + v chi^2(2k-1) in
+    law, and v chi^2(2k) at zero energy: O(1) draws per trial whatever k.
+    This is numpy's own noncentral chi-square construction, written in the
+    units of the sum; `rng.noncentral_chisquare` itself would need the
+    noncentrality ||alpha||^2 / v, which overflows where variance is subnormal.
+    """
+    half = variance / 2
+    if np.ndim(energy) == 0 and energy == 0:
+        return half * rng.chisquare(2 * k, size)
+    shifted = rng.normal(np.sqrt(energy), math.sqrt(half), size)
+    return shifted * shifted + half * rng.chisquare(2 * k - 1, size)
+
+
 def sample_photon_counts(
-    amplitudes,
-    channel: ChannelModel,
-    rng: np.random.Generator,
-    size: int | None = None,
+    k: int, energy, channel: ChannelModel, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """Total photon counts of k displaced thermal modes, one per trial.
 
-    ``amplitudes`` is a complex scalar (k = 1) or a length-k vector, shared by
-    ``size`` trials, or an (n, k) array with one row per trial.  Each mode
-    draws gamma_t ~ CN(alpha_t, N) (real/imag parts of variance N/2 each), the
-    Gaussian P-function of the displaced thermal state; photodetection then
-    draws one n ~ Poisson(sum_t |gamma_t|^2) per trial, since independent
-    Poisson counts sum to a Poisson count of the summed intensity.  At N = 0
-    the count is directly Poisson(sum_t |alpha_t|^2).
+    ``energy`` is the total signal energy ||alpha||^2, a scalar shared by
+    ``size`` trials or one value per trial; the count law depends on the
+    amplitudes only through it.  Each mode's Gaussian P-function draws
+    gamma_t ~ CN(alpha_t, N), and photodetection then draws one
+    n ~ Poisson(sum_t |gamma_t|^2) per trial, since independent Poisson counts
+    sum to a Poisson count of the summed intensity.  The summed intensity
+    itself is drawn exactly in law by `sample_intensity`, so this is still
+    the P-function-then-photodetection process, at O(1) draws per trial.
+    At N = 0 the count is directly Poisson(||alpha||^2).
     """
-    amp = np.asarray(amplitudes, dtype=complex)
-    if amp.ndim < 2:
-        amp, n = amp.reshape(1, -1), size
-    elif size in (None, amp.shape[0]):
-        n = amp.shape[0]
-    else:
-        raise ValueError(f"size={size} does not match {amp.shape[0]} amplitude rows")
     N = channel.n_thermal
     if N == 0:
-        return rng.poisson(np.broadcast_to(np.sum(np.abs(amp) ** 2, axis=1), n))
-    gamma = rng.normal(scale=math.sqrt(N / 2), size=(n, amp.shape[1], 2))
-    gamma += np.stack([amp.real, amp.imag], axis=-1)
-    return rng.poisson(np.einsum("ijk,ijk->i", gamma, gamma))
+        return rng.poisson(energy, size)
+    return rng.poisson(sample_intensity(k, energy, N, rng, size))
 
 
 def exact_total_pmf(

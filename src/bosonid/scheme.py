@@ -53,6 +53,9 @@ class SignatureSet:
             raise ValueError("signatures must have shape (M, k)")
         if not np.isfinite(self.signatures).all():
             raise ValueError("signatures must be finite")
+        norms = np.hypot.reduce(np.abs(self.signatures), axis=1)  # overflow-free
+        if len(self) and norms.max() > geometry.MAX_NORM:
+            raise ValueError(f"signature norms must be at most {geometry.MAX_NORM:.6g}")
         if self.min_distance is None:
             d = math.sqrt(self.closest_pair[0]) if len(self) >= 2 else math.inf
             object.__setattr__(self, "min_distance", d)

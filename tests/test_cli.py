@@ -231,6 +231,7 @@ class TestFiniteInputs:
         ["heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--noise", "-0.5"],
         ["simulate", "--code", "CODE", "--trials", "10", "--delta", "1e300"],
         ["bounds", "--k", "8", "--rho", "1", "--delta", "1e306"],
+        ["pack", "--k", "1", "--energy", "1e308", "--rho", "1"],
     ])
     def test_rejected_with_error_line(self, tmp_path, capsys, argv):
         code = scheme.SignatureSet(k=2, energy_budget=4.0, rho=1.0,
@@ -305,7 +306,7 @@ class TestReproducibility:
 
 
 
-SPECIAL = [0.0, -1.0, math.inf, -math.inf, math.nan, 1e300, -1e300]
+SPECIAL = [0.0, -1.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324]
 VALUES = st.one_of(st.floats(-10, 10), st.sampled_from(SPECIAL))
 
 

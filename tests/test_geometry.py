@@ -103,6 +103,13 @@ class TestGreedyPacking:
         with pytest.raises(ValueError):
             geo.PackingSpec(dim=2, radius=radius, separation=separation)
 
+    @pytest.mark.parametrize("radius", [1e154, 2 * geo.MAX_NORM])
+    def test_spec_rejects_overflowing_radius(self, radius):
+        # |c|^2 + |a|^2 - 2 c.a would overflow in the screen
+        with pytest.raises(ValueError, match="at most"):
+            geo.PackingSpec(dim=2, radius=radius, separation=1.0)
+        geo.PackingSpec(dim=2, radius=geo.MAX_NORM, separation=1.0)
+
     def test_determinism(self):
         spec = geo.PackingSpec(dim=3, radius=1.5, separation=0.7, rejection_budget=5000)
         a = geo.greedy_packing(spec, np.random.default_rng(11))
@@ -269,6 +276,31 @@ class TestClosestPairScreen:
             j = int(np.argmin(d2))
             rows.append((float(d2[j]), i, i + 1 + j))
         assert geo.closest_pair(pts) == min(rows)
+
+
+class TestClosestPairAtMaxNorm:
+    """Points of norm up to geo.MAX_NORM, where the centered screen's partial
+    sums come closest to overflow."""
+
+    def test_off_center_cluster(self):
+        # 27 points at -R e1 and 3 near +R e1: centering moves those 3 to
+        # about 2R, and 2 a.b of two of them to 8 R^2.  At R = 6e153, inside
+        # a bound on 4 R^2 alone, the screen overflowed and missed the pair.
+        r = geo.MAX_NORM
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            pts = rng.normal(scale=1e-3 * r, size=(30, 3))
+            pts[:27, 0] = -r
+            pts[27:, 0] = r * (1 - 1e-3 * rng.random(3))
+            pts *= r / np.linalg.norm(pts, axis=1).max()
+            assert geo.closest_pair(pts) == brute_closest_pair(pts)
+
+    def test_gaussian_points(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            pts = rng.normal(size=(30, 3))
+            pts *= geo.MAX_NORM / np.linalg.norm(pts, axis=1).max()
+            assert geo.closest_pair(pts) == brute_closest_pair(pts)
 
 
 class TestUniformBallSampler:

@@ -1,8 +1,11 @@
 import math
+import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import chndtr
 from scipy.stats import binom, chi2, ncx2
 
 from bosonid import montecarlo as mc
@@ -166,6 +169,19 @@ class TestEstimateLambda2:
         est = mc.estimate_lambda2(code, ch, det, trials, 6, pair_strategy="all_pairs_sampled")
         assert exact_binomial_ok(est.successes, est.trials, mean)
 
+    def test_paper_scale_block_length(self):
+        # k = 1024 at N = delta = 1 and ||Delta||^2 = k: the threshold 2k is
+        # the law's mean, so lambda2 is near 1/2
+        start = time.perf_counter()
+        ch = ChannelModel(1.0)
+        code = two_point_code(1024, 1.0)
+        det = DetectorSpec.make(1.0, 1024, ch)
+        est = mc.estimate_lambda2(code, ch, det, 100_000, 13)
+        exact = mc.exact_lambda2(mc.worst_pair_delta(code), ch, det)
+        assert 0.3 < exact < 0.7
+        assert exact_binomial_ok(est.successes, est.trials, exact)
+        assert time.perf_counter() - start < 1.0
+
     def test_unknown_strategy_rejected(self):
         code = two_point_code(2, 1.0)
         ch = ChannelModel(1.0)
@@ -300,3 +316,70 @@ class TestBlocks:
         default = self.runs()
         monkeypatch.setattr(mc, "_BLOCK", self.TRIALS // mc.DEFAULT_CHUNKS)
         assert self.runs() == default
+
+    def test_block_memory_does_not_grow_with_k(self):
+        # one full block at k = 64: 2^16 x 64 complex amplitudes would be 64 MB
+        k, trials = 64, mc._BLOCK
+        sigs = np.random.default_rng(0).normal(size=(20, k)) + 0j
+        code = SignatureSet(k=k, energy_budget=1.0, rho=0.1, signatures=sigs)
+        ch = ChannelModel(1.0)
+        det = DetectorSpec.make(1.0, k, ch)
+        spec = mc.HeterodyneSpec(noise_variance=2.0, threshold=4.0 * k)
+        for run in (
+            lambda: mc.estimate_lambda1(code, ch, det, trials, 1, chunks=1),
+            lambda: mc.estimate_lambda2(code, ch, det, trials, 1, chunks=1),
+            lambda: mc.estimate_lambda2(code, ch, det, trials, 1, "all_pairs_sampled", 1),
+            lambda: mc.heterodyne_simulate(code, spec, trials, 1, chunks=1),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
+
+    def test_pair_energies_gathered_in_slices(self, monkeypatch):
+        # 7 entries per gather is 3 pairs of a k = 2 code per slice: the same
+        # per-trial energies, so the same estimate
+        sigs = np.array([[0, 0], [1, 0], [0, 2j], [1.5, 1 + 1j]], dtype=complex)
+        code = SignatureSet(k=2, energy_budget=4.0, rho=0.5, signatures=sigs)
+        ch = ChannelModel(1.0)
+        det = DetectorSpec.make(1.0, 2, ch)
+
+        def run():
+            return mc.estimate_lambda2(code, ch, det, 5000, 4, pair_strategy="all_pairs_sampled")
+
+        default = run()
+        monkeypatch.setattr(mc, "_GATHER", 7)
+        assert run() == default
+
+
+class TestManySeeds:
+    """Mean z-score of 40 independent runs, each of 1e5 trials, against the
+    exact value: about N(0, 1/40) if unbiased, so +-0.5 is about 3 s.e.
+    A single fixed seed cannot show a bias of this size."""
+
+    SEEDS, TRIALS = range(40), 100_000
+
+    def mean_z(self, successes, p):
+        sd = math.sqrt(self.TRIALS * p * (1 - p))
+        return float(np.mean([(s - self.TRIALS * p) / sd for s in successes]))
+
+    def test_lambda2_unbiased(self):
+        # k = 4, N = delta = 1, ||Delta||^2 = 4
+        ch = ChannelModel(1.0)
+        code = two_point_code(4, 1.0)
+        det = DetectorSpec.make(1.0, 4, ch)
+        p = mc.exact_lambda2(mc.worst_pair_delta(code), ch, det)
+        runs = [mc.estimate_lambda2(code, ch, det, self.TRIALS, s) for s in self.SEEDS]
+        assert abs(self.mean_z([r.successes for r in runs], p)) < 0.5
+
+    def test_heterodyne_lambda2_unbiased(self):
+        # the same code at per-mode variance N + 1 = 2 and the CLI's default
+        # threshold k sigma^2 (1 + delta) = 16
+        code = two_point_code(4, 1.0)
+        spec = mc.HeterodyneSpec(noise_variance=2.0, threshold=16.0)
+        p = float(chndtr(2 * 16.0 / 2.0, 8, 2 * 4.0 / 2.0))
+        runs = [mc.heterodyne_simulate(code, spec, self.TRIALS, s) for s in self.SEEDS]
+        assert abs(self.mean_z([r["lambda2_worst"].successes for r in runs], p)) < 0.5

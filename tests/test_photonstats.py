@@ -134,51 +134,82 @@ class TestSampler:
     def test_vacuum_degenerate(self):
         rng = np.random.default_rng(0)
         ch = ChannelModel(0.0)
-        assert all(ps.sample_photon_counts(0, ch, rng, 1)[0] == 0 for _ in range(100))
+        assert all(ps.sample_photon_counts(1, 0.0, ch, rng, 1)[0] == 0 for _ in range(100))
 
     def test_total_variation_against_pmf(self):
         ch = ChannelModel(1.0)
         rng = np.random.default_rng(42)
-        draws = ps.sample_photon_counts(0, ch, rng, 1_000_000)
+        draws = ps.sample_photon_counts(1, 0.0, ch, rng, 1_000_000)
         pmf = ps.exact_total_pmf(1, 0.0, ch)
         counts = np.bincount(draws, minlength=pmf.size)[: pmf.size]
         tv = 0.5 * np.abs(counts / draws.size - pmf).sum()
         assert tv < 0.01
 
+    def test_single_mode_displaced_total_variation(self):
+        # k = 1 with energy: the chi-square of the rotated sum has 1 degree of freedom
+        ch = ChannelModel(1.0)
+        draws = ps.sample_photon_counts(1, 2.5, ch, np.random.default_rng(5), 200_000)
+        pmf = ps.exact_total_pmf(1, 2.5, ch)
+        counts = np.bincount(draws, minlength=pmf.size)[: pmf.size]
+        assert 0.5 * np.abs(counts / draws.size - pmf).sum() < 0.01
+
     def test_mean_of_displaced_draws(self):
         ch = ChannelModel(0.5)
         rng = np.random.default_rng(7)
-        draws = ps.sample_photon_counts(2.0, ch, rng, 1_000_000)
+        draws = ps.sample_photon_counts(1, 4.0, ch, rng, 1_000_000)
         # mean N + |alpha|^2, from the first derivative of the MGF at z = 1
         expected = 0.5 + 4.0
         sigma = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - expected) < 3 * sigma
 
-    AMPS = np.array([1.0, 0.5j, -0.3 + 0.2j])  # k = 3, total energy 1.38
+    K, ENERGY = 3, 1.38  # e.g. amplitudes (1, 0.5i, -0.3 + 0.2i)
 
     @pytest.mark.parametrize("n_thermal", [0.0, 0.5])
     def test_k_mode_mean_and_variance(self, n_thermal):
         # mean kN + E and variance kN(N+1) + E(2N+1), from the MGF at z = 1
-        ch, k, energy = ChannelModel(n_thermal), self.AMPS.size, 1.38
-        draws = ps.sample_photon_counts(self.AMPS, ch, np.random.default_rng(3), 200_000)
+        ch, k, energy = ChannelModel(n_thermal), self.K, self.ENERGY
+        draws = ps.sample_photon_counts(k, energy, ch, np.random.default_rng(3), 200_000)
         mean = k * n_thermal + energy
         var = k * n_thermal * (n_thermal + 1) + energy * (2 * n_thermal + 1)
         assert abs(draws.mean() - mean) < 5 * math.sqrt(var / draws.size)
         assert draws.var() == pytest.approx(var, rel=0.03)
 
+    def test_paper_scale_mean_and_variance(self):
+        # k = 1024, E = 0.3 k, N = 1: mean kN + E = 1331.2 and variance
+        # kN(N+1) + E(2N+1) = 2969.6, each within 5 standard errors; the sample
+        # variance's is sqrt((m4 - m2^2) / n)
+        k, energy, n_thermal = 1024, 307.2, 1.0
+        draws = ps.sample_photon_counts(k, energy, ChannelModel(n_thermal),
+                                        np.random.default_rng(9), 100_000)
+        mean = k * n_thermal + energy
+        var = k * n_thermal * (n_thermal + 1) + energy * (2 * n_thermal + 1)
+        centered = draws - draws.mean()
+        m2, m4 = np.mean(centered**2), np.mean(centered**4)
+        assert abs(draws.mean() - mean) < 5 * math.sqrt(var / draws.size)
+        assert abs(m2 - var) < 5 * math.sqrt((m4 - m2**2) / draws.size)
+
     def test_k_mode_total_variation_against_law(self):
         ch = ChannelModel(1.0)
-        draws = ps.sample_photon_counts(self.AMPS, ch, np.random.default_rng(8), 200_000)
-        pmf = ps.exact_total_pmf(3, 1.38, ch)
+        draws = ps.sample_photon_counts(self.K, self.ENERGY, ch, np.random.default_rng(8), 200_000)
+        pmf = ps.exact_total_pmf(self.K, self.ENERGY, ch)
         counts = np.bincount(draws, minlength=pmf.size)[: pmf.size]
         assert 0.5 * np.abs(counts / draws.size - pmf).sum() < 0.01
 
-    def test_rows_match_shared_vector(self):
-        # an (n, k) array of equal rows draws exactly what the shared vector draws
+    @pytest.mark.parametrize("n_thermal", [5e-324, 1e-300])
+    def test_subnormal_noise(self, n_thermal):
+        # the law is Poisson(10) to within N: mean and variance 10
+        draws = ps.sample_photon_counts(4, 10.0, ChannelModel(n_thermal),
+                                        np.random.default_rng(11), 100_000)
+        assert draws.min() >= 0
+        assert abs(draws.mean() - 10.0) < 5 * math.sqrt(10.0 / draws.size)
+
+    def test_scalar_and_per_trial_energy_identical(self):
+        # one energy per trial, all equal, draws exactly what the shared scalar draws
         ch = ChannelModel(0.7)
-        shared = ps.sample_photon_counts(self.AMPS, ch, np.random.default_rng(4), 1000)
-        rows = ps.sample_photon_counts(np.tile(self.AMPS, (1000, 1)), ch, np.random.default_rng(4))
-        assert np.array_equal(shared, rows)
+        shared = ps.sample_photon_counts(self.K, self.ENERGY, ch, np.random.default_rng(4), 1000)
+        per_trial = ps.sample_photon_counts(self.K, np.full(1000, self.ENERGY), ch,
+                                            np.random.default_rng(4), 1000)
+        assert np.array_equal(shared, per_trial)
 
 
 class TestExactTotalPmf:

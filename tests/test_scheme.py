@@ -39,6 +39,13 @@ class TestSignatureSet:
                                    signatures=np.zeros((1, 2), dtype=complex))
         assert code.min_distance == math.inf
 
+    def test_rejects_norms_beyond_screen_range(self):
+        # 30 Gaussian points of scale 1e154 in R^3: squared norms near 1e308,
+        # where the closest-pair screen overflows
+        pts = np.random.default_rng(0).normal(scale=1e154, size=(30, 3))
+        with pytest.raises(ValueError, match="at most"):
+            scheme.SignatureSet(k=3, energy_budget=1.0, rho=1.0, signatures=pts + 0j)
+
     def test_min_distance_is_closest_pair_length(self):
         code = scheme.SignatureSet(k=1, energy_budget=4.0, rho=0.5,
                                    signatures=np.array([[0], [3j], [1 + 1j]]))
