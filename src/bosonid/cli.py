@@ -93,13 +93,12 @@ def cmd_bounds(args) -> int:
         rho = args.rho if args.rho is not None else math.sqrt(args.gamma * math.log(k))
         log_lower = scheme.achievable_users_log(k, args.energy, rho)
         log_upper = scheme.converse_users_log(k, args.energy, delta_k, channel)
-        if channel.n_thermal > 0:
-            report = scheme.analytic_error_bounds(k, args.delta, rho, channel)
-            l1, l2 = report.lambda1_log, report.lambda2_log
-        else:
-            # Lambda diverges at N = 0; the second-kind exponent is still defined.
-            l1 = math.nan
-            l2 = -4 * rho**2 * photonstats.theta_exponent(args.delta, channel)
+        l1, l2 = scheme.analytic_error_bounds(k, args.delta, rho, channel)
+        try:  # -inf at N = 0, where the count is 0
+            l1_exact = photonstats.log_tail_probability(
+                k, 0.0, channel, k * (channel.n_thermal + args.delta), upper=True)
+        except ValueError:  # a threshold beyond 2^53 counts, which floats do not resolve
+            l1_exact = math.nan
         rows.append(
             {
                 "k": k,
@@ -111,6 +110,7 @@ def cmd_bounds(args) -> int:
                 "logM_lower": log_lower,
                 "logM_upper": log_upper,
                 "lambda1_log": l1,
+                "lambda1_exact_log": l1_exact,
                 "lambda2_log": l2,
             }
         )
@@ -159,12 +159,8 @@ def cmd_simulate(args) -> int:
     exact1 = montecarlo.exact_lambda1(channel, detector)
     delta_vec = montecarlo.worst_pair_delta(code)
     exact2 = montecarlo.exact_lambda2(delta_vec, channel, detector)
-    theta = photonstats.theta_exponent(args.delta, channel)
-    bound2_log = -code.min_distance**2 * theta
-    if channel.n_thermal > 0:
-        bound1_log = -code.k * photonstats.lambda_exponent(args.delta, channel)
-    else:
-        bound1_log = math.nan
+    bound1_log, bound2_log = scheme.analytic_error_bounds(
+        code.k, args.delta, code.min_distance / 2, channel)
     rows = [_mc_row("lambda1", est1, exact=exact1, bound_log=bound1_log),
             _mc_row("lambda2", est2, exact=exact2, bound_log=bound2_log)]
     config = {key: getattr(args, key) for key in
@@ -326,17 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func in (cmd_pack, cmd_simulate, cmd_heterodyne):
-        try:
-            ks = _parse_k_list(args.k)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        if len(ks) != 1:
-            print("error: this command takes a single --k value", file=sys.stderr)
-            return EXIT_VALIDATION
-        args.k = ks[0]
     try:
+        if args.func in (cmd_pack, cmd_simulate, cmd_heterodyne):
+            ks = _parse_k_list(args.k)
+            if len(ks) != 1:
+                raise ValueError("this command takes a single --k value")
+            args.k = ks[0]
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,10 +5,10 @@ error events reduce to classical total-photon-count thresholds: a first-kind
 error is "k thermal modes exceed k(N+delta)", and a second-kind error for the
 pair (m, m') is "k displaced thermal modes with amplitudes Delta = alpha_m' -
 alpha_m stay at or below k(N+delta)".  The simulators realize exactly those
-events; exact tail masses, summed in log domain over the closed-form Laguerre
-law (`photonstats.log_tail_probability`), are the ground truth.  A heterodyne
-baseline (ball test on the induced Gaussian channel) is included with its
-closed-form chi-square error probabilities.
+events; exact tail masses, Poisson mixtures of incomplete betas summed in log
+domain (`photonstats.log_tail_probability`), are the ground truth.  A
+heterodyne baseline (ball test on the induced Gaussian channel) is included
+with its closed-form chi-square error probabilities.
 
 Every event depends on a trial only through a sum of squared Gaussians: the
 summed P-function intensity of the k modes, or the heterodyne norm
@@ -112,6 +112,8 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.997):
 def _blocks(trials: int, seed: int, chunks: int):
     """(rng, n) for every block: chunk i draws from its own stream, seeded by
     (seed, i), in consecutive blocks of at most _BLOCK trials."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     base, extra = divmod(trials, chunks)
     for i in range(chunks):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
@@ -133,8 +135,6 @@ def estimate_lambda1(
     By unitary invariance the event is identical for every signature, so the
     code enters only through k.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     successes = 0
     for rng, n in _blocks(trials, seed, chunks):
         counts = sample_photon_counts(code.k, 0.0, channel, rng, n)
@@ -164,8 +164,6 @@ def estimate_lambda2(
     worst_pair uses the minimum-distance pair; all_pairs_sampled averages over
     uniformly sampled ordered pairs.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if pair_strategy not in ("worst_pair", "all_pairs_sampled"):
         raise ValueError(f"unknown pair_strategy {pair_strategy!r}")
     m = len(code)
@@ -192,7 +190,7 @@ def estimate_lambda2(
 
 def exact_lambda1(channel: ChannelModel, detector: DetectorSpec) -> float:
     """Exact P(S_k > k(N+delta)) at zero signal energy: the negative binomial
-    upper tail, summed from the first count above the threshold."""
+    upper tail, one incomplete beta."""
     return math.exp(
         log_tail_probability(detector.k, 0.0, channel, detector.threshold, upper=True)
     )
@@ -202,8 +200,8 @@ def exact_lambda2(delta_vec, channel: ChannelModel, detector: DetectorSpec) -> f
     """Exact P(S_k <= k(N+delta)) at per-mode energies |Delta_t|^2; the law
     depends on them only through their sum."""
     energy = float(np.sum(np.abs(np.asarray(delta_vec, dtype=complex)) ** 2))
-    log_p = log_tail_probability(detector.k, energy, channel, detector.threshold, upper=False)
-    return min(1.0, math.exp(log_p))
+    return math.exp(
+        log_tail_probability(detector.k, energy, channel, detector.threshold, upper=False))
 
 
 def heterodyne_simulate(
@@ -222,8 +220,6 @@ def heterodyne_simulate(
     ||w||^2 = s chi^2(2k) and ||Delta + w||^2 = (sqrt(s) Z + ||Delta||)^2
     + s chi^2(2k-1), with s = noise_variance / 2 per real quadrature.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     k, var = code.k, spec.noise_variance
     energy = code.closest_pair[0]  # ||Delta||^2 of the worst pair
     succ1 = 0

@@ -6,60 +6,60 @@ with the Laguerre-form pmf
 
     p(n | e, N) = (N+1)^{-1} (N/(N+1))^n exp(-e/(N+1)) L_n(-e/(N(N+1)))
 
-(for N > 0; the N = 0 limit is Poisson).  The total count over k independent
-modes depends on the per-mode energies only through their sum, which is
-explicit in the moment generating function
+(for N > 0; the N = 0 limit is Poisson).  The total count S_k over k
+independent modes depends on the per-mode energies only through their sum E,
+as the generating function shows:
 
-    G_k(z) = exp(-E (1-z)/(N+1-Nz)) / (N+1-Nz)^k,
+    G_k(z) = exp(-E (1-z)/(N+1-Nz)) / (N+1-Nz)^k = exp(-lam (1 - z u)) u^k,
 
-and its coefficients are the closed-form Laguerre law (the noncentral
-negative binomial; Helstrom, Quantum Detection and Estimation Theory, ch. 5)
+u = 1/(N+1-Nz), lam = E/(N+1).  So S_k = J + NB(k+J), J ~ Poisson(lam) and
+NB(r) the negative binomial count of failures before the r-th success at
+success probability 1/(N+1) (the noncentral negative binomial; Helstrom,
+Quantum Detection and Estimation Theory, ch. 5), and its tails are Poisson
+mixtures of regularized incomplete betas (DLMF 8.17).
 
-    p_k(n) = (N+1)^{-k} exp(-E/(N+1)) c^n L_n^{(k-1)}(-E/(N(N+1))),  c = N/(N+1).
-
-This module provides the pmf, the MGF, an exact sampler (one Poisson count of
-the summed P-function intensity, which is drawn in law as a scaled noncentral
-chi-square after rotating alpha onto one quadrature), the exact total-count
-law and its tails in log domain, and the two tail exponents that drive the
-identification error bounds, each paired with an independent numerically
-optimized Chernoff bound.
+This module provides the single-mode pmf, an exact sampler (one Poisson count
+of the summed P-function intensity, which is drawn in law as a scaled
+noncentral chi-square after rotating alpha onto one quadrature), the tails of
+S_k in log domain, and the two tail exponents that drive the identification
+error bounds, each paired with an independent numerically optimized Chernoff
+bound.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import betainc, betaincc, betaln, gammaln, logsumexp
 
 __all__ = [
     "ChannelModel",
     "DetectorSpec",
     "photon_pmf_array",
-    "mgf",
     "sample_intensity",
     "sample_photon_counts",
-    "exact_total_pmf",
     "log_tail_probability",
     "lambda_exponent",
     "theta_exponent",
     "chernoff_upper_exponent",
     "chernoff_lower_logbound",
-    "theta_lower_logbound",
 ]
 
-_MASS_TOL = 1e-12
 _LOG_TAIL_TOL = math.log(1e-17)
 _LN2 = math.log(2)
 _HUGE = 2.0**500
 _TINY = 2.0**-500
-_MAX_COUNT = 1 << 22
+_NORMAL_MIN = np.finfo(float).tiny  # smallest float at full precision
+_CF_TERMS = 1000
+_SMALL_PARAM = 40  # below this incomplete-beta parameter scipy sums a binomial series
 _FLOAT_COUNTS = 2.0**53  # floats resolve single counts below this
 # (-1)^k / k for k = 18, ..., 2: x^2/2 - x^3/3 + ... to 17 terms; below
 # x = 0.1 the first term left out, x^19/19, is under 1e-18 of the first
 _PHI_SERIES = tuple((-1) ** k / k for k in range(18, 1, -1))
+# ln j! - (j + 1/2) ln j + j - ln(2 pi)/2 = 1/(12 j) - ..., within 2e-16 from j = 16
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def _check_delta(delta: float) -> None:
 class DetectorSpec:
     """Photon-number threshold detector: accept iff total count <= threshold.
 
-    ``threshold`` is always ``k * (n_thermal + delta)``; use :meth:`make`.
+    ``threshold`` is always ``k * (n_thermal + delta)`` < 2^53; use :meth:`make`.
     """
 
     delta: float
@@ -94,7 +94,9 @@ class DetectorSpec:
         _check_delta(delta)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        return cls(delta=delta, k=k, threshold=k * (channel.n_thermal + delta))
+        threshold = k * (channel.n_thermal + delta)
+        _check_threshold(threshold)
+        return cls(delta=delta, k=k, threshold=threshold)
 
 
 def _check_law(k: int, total_energy: float) -> None:
@@ -104,93 +106,102 @@ def _check_law(k: int, total_energy: float) -> None:
         raise ValueError(f"energy must be finite and >= 0, got {total_energy}")
 
 
-def _log_pmf_terms(k: int, total_energy: float, channel: ChannelModel):
-    """log p_k(n) for n = 0, 1, ..., _MAX_COUNT - 1: the closed-form Laguerre law.
+def _check_threshold(threshold: float) -> None:
+    if not threshold < _FLOAT_COUNTS:
+        raise ValueError(f"threshold {threshold} is beyond 2^53 counts, where floats "
+                         "no longer resolve single counts")
 
-    For N > 0, q_n = c^n L_n^{(k-1)}(x) with c = N/(N+1) and x = -E/(N(N+1))
-    follows (n+1) q_{n+1} = c (2n+k-x) q_n - c^2 (n+k-1) q_{n-1}.  With x <= 0
-    the subtracted term is less than half the first, so nothing cancels
-    (DLMF 18.9).  q is rescaled by exact powers of two, so neither q nor the
-    prefactor (N+1)^{-k} e^{-E/(N+1)} over- or underflows at any k.  For N = 0
-    the law is Poisson(E).  Asking for more terms raises ValueError.
+
+def _log_poisson(j, lam: float) -> np.ndarray:
+    """ln Poi(j; lam) for integers j >= 0 and lam > 0; from j = 16 on, where
+    j ln lam - lam - ln j! cancels terms of size j ln j, as (Loader 2000)
+    -j phi(lam/j) - ln(2 pi j)/2 - s(j), phi(u) = u - 1 - ln u, s in _STIRLING."""
+    j = np.asarray(j, float)
+    big = np.maximum(j, 16)
+    u = lam / big
+    stirling = sum(c / big ** (2 * i + 1) for i, c in enumerate(_STIRLING))
+    return np.where(j < 16, j * math.log(lam) - lam - gammaln(j + 1),
+                    -big * (u - 1 - np.log(u)) - 0.5 * np.log(2 * math.pi * big) - stirling)
+
+
+def _log_nb_tail(a, b, n_thermal: float, upper: bool) -> np.ndarray:
+    """ln I_p(a, b) = ln P(NB(a) < b), or ln(1 - I_p(a, b)) if ``upper``, with
+    p = 1/(N+1); for N < 1 as 1 - I_c(b, a), c = N/(N+1), so 1 - x is never
+    rounded.  Below float range, and where x < 0.01 and a parameter is below
+    40 (there scipy sums a binomial series with 1 - x rounded, off by 1e-10 at
+    x = 1e-6), scipy's value is redone in logs: x^a (1-x)^b / (a B(a, b)) times
+    the continued fraction DLMF 8.17.22 (Lentz's method), for I_x(a, b) if
+    x < (a+1)/(a+b+2), else for I_{1-x}(b, a) = 1 - I_x(a, b), where it
+    converges in tens of terms and is never near 1, so its complement is precise.
     """
-    N, E = channel.n_thermal, total_energy
-    if N == 0:
-        log_e = math.log(E) if E > 0 else -math.inf
-        yield -E
-        for n in range(1, _MAX_COUNT):
-            yield -E + n * log_e - math.lgamma(n + 1)
+    N, a, b = n_thermal, np.asarray(a, float), np.asarray(b, float)
+    x, y, log_x = 1 / (N + 1), N / (N + 1), -math.log1p(N)
+    log_y = -math.log1p(1 / N) if N >= 1 else math.log(N) - math.log1p(N)
+    if N < 1:
+        a, b, x, y, log_x, log_y, upper = b, a, y, x, log_y, log_x, not upper
+    value = betaincc(a, b, x) if upper else betainc(a, b, x)
+    with np.errstate(divide="ignore"):
+        out = np.log(value)
+    redo = (value < _NORMAL_MIN) | ((np.minimum(a, b) < _SMALL_PARAM) & (x < 0.01))
+    if not redo.any():
+        return out
+    flip = x >= (a[redo] + 1) / (a[redo] + b[redo] + 2)
+    a, b = np.where(flip, b[redo], a[redo]), np.where(flip, a[redo], b[redo])
+    x, log_x, log_y = [np.where(flip, *pair) for pair in ((y, x), (log_y, log_x), (log_x, log_y))]
+    c, done = np.ones_like(a), np.zeros(a.shape, bool)
+    h = d = 1 / (1 - (a + b) * x / (a + 1))
+    for m in range(1, _CF_TERMS):
+        step = 1.0
+        for coeff in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                      -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d, c = 1 / (1 + coeff * d), 1 + coeff / c
+            step = step * c * d
+        # freeze converged entries: past its zero term a terminating one may blow up
+        h, done = np.where(done, h, h * step), done | (np.abs(c * d - 1) < 1e-15)
+        if done.all():
+            break
     else:
-        c = N / (N + 1)
-        x = -E / (N * (N + 1))
-        log_amp = -k * math.log1p(N) - E / (N + 1)
-        prev, cur, scale = 0.0, 1.0, 0
-        for n in range(_MAX_COUNT):
-            yield log_amp + scale * _LN2 + math.log(cur)
-            prev, cur = cur, (c * (2 * n + k - x) * cur - c * c * (n + k - 1) * prev) / (n + 1)
-            if not _TINY < cur < _HUGE:
-                e = math.frexp(cur)[1]
-                prev, cur, scale = math.ldexp(prev, -e), math.ldexp(cur, -e), scale + e
-    raise ValueError(f"photon counts beyond {_MAX_COUNT} are out of range")
+        raise RuntimeError("incomplete-beta continued fraction did not converge")
+    log_i = a * log_x + b * log_y - np.log(a) - _log_beta(a, b) + np.log(h)
+    out[redo] = np.where(flip == upper, log_i, np.log(-np.expm1(log_i)))
+    return out
 
 
-def _log_pmf(k: int, total_energy: float, channel: ChannelModel, nmax: int) -> np.ndarray:
-    """log p_k(n) for n = 0..nmax."""
-    terms = _log_pmf_terms(k, total_energy, channel)
-    return np.fromiter(itertools.islice(terms, nmax + 1), float)
+def _log_beta(a, b):
+    """ln B(a, b) for integers a, b >= 1; as ln (s-1)! - sum_{i<s} ln(l+i) where
+    the smaller, s, is below 40 and `betaln` cancels terms of size l ln l."""
+    s, l = np.minimum(a, b), np.maximum(a, b)
+    i = np.arange(_SMALL_PARAM)
+    rising = np.where(i < s[:, None], np.log(l[:, None] + i), 0).sum(axis=1)
+    return np.where(s < _SMALL_PARAM, gammaln(s) - rising, betaln(a, b))
 
 
-def _log_nb_terms(k: int, n_thermal: float, first: int):
-    """log p_k(n) for n = first, first + 1, ... at zero energy.
+def _log_window_sum(log_term, lo: int, hi: float, peak_hi: int) -> float:
+    """ln sum exp(log_term(j)) over integers lo <= j <= hi, for a log-concave
+    summand that peaks at or below peak_hi: grids of 65 points narrow in on
+    the peak, then a window around it doubles until the terms past each open
+    end, falling at least geometrically, sum below 1e-17 of the largest."""
+    first, last = lo, peak_hi
+    while last - first > 64:
+        grid = np.linspace(first, last, 65).round().astype(np.int64)
+        best = int(np.argmax(log_term(grid)))
+        first, last = int(grid[max(best - 1, 0)]), int(grid[min(best + 1, 64)])
 
-    The law is then negative binomial, p_k(n) = C(n+k-1, n) (N+1)^{-k} c^n.
-    The first term is evaluated directly, its binomial coefficient as the
-    sum of ln(1 + b/i) for i up to the smaller of n and k-1.  Its pieces are
-    logs of size up to n + k that cancel to ln p, so they are summed in
-    long double where the platform has it.  The rest follow by the term ratio
-    c (n+k)/(n+1), rescaled by exact powers of two as in _log_pmf_terms.  So
-    nothing walks up from zero, and the count has no limit.
-    """
-    ld = np.longdouble
-    small, big = sorted((first, k - 1))
-    log_binom = np.log1p(ld(big) / np.arange(1, small + 1, dtype=ld)).sum()
-    log_amp = float(log_binom - k * np.log1p(ld(n_thermal)) - first * np.log1p(1 / ld(n_thermal)))
-    c = n_thermal / (n_thermal + 1)
-    cur, scale = 1.0, 0
-    for n in itertools.count(first):
-        yield log_amp + scale * _LN2 + math.log(cur)
-        cur *= c * (n + k) / (n + 1)
-        if not _TINY < cur < _HUGE:
-            e = math.frexp(cur)[1]
-            cur, scale = math.ldexp(cur, -e), scale + e
+    def rest_negligible(edge, inner, top):
+        step = edge - inner
+        return edge == -math.inf or (
+            step < 0 and edge + step - math.log(-math.expm1(step)) < top + _LOG_TAIL_TOL)
 
-
-def _log_pmf_tail(
-    k: int, total_energy: float, channel: ChannelModel, first: int, last: float = math.inf
-) -> np.ndarray:
-    """log p_k(n) for n = first..min(last, stop), where the mass beyond
-    ``stop`` is below 1e-17 of the largest of these terms.
-
-    The law is log-concave, so once the terms fall with ratio r the rest of
-    the tail after a term p is at most p r / (1 - r).  At zero energy the
-    terms start at ``first`` (`_log_nb_terms`); otherwise the recurrence
-    runs up from n = 0.
-    """
-    N = channel.n_thermal
-    if total_energy == 0 and N > 0 and first > 0:
-        terms = enumerate(_log_nb_terms(k, N, first), first)
-    else:
-        terms = enumerate(_log_pmf_terms(k, total_energy, channel))
-    out, prev, top = [], -math.inf, -math.inf
-    for n, lp in terms:
-        if n >= first:
-            out.append(lp)
-            top = max(top, lp)
-            d = lp - prev  # log r
-            rest = lp + d - math.log(-math.expm1(d)) if d < 0 else math.inf
-            if n >= last or lp == -math.inf or rest < top + _LOG_TAIL_TOL:
-                return np.array(out)
-        prev = lp
+    width = 8 + 8 * math.isqrt(first)  # about 8 Poisson standard deviations
+    while True:
+        start, stop = max(lo, first - width), min(hi, last + width)
+        terms = log_term(np.arange(start, stop + 1))
+        top = terms.max()
+        if ((start == lo or rest_negligible(terms[0], terms[1], top))
+                and (stop == hi or rest_negligible(terms[-1], terms[-2], top))):
+            return float(logsumexp(terms))
+        width *= 2
 
 
 def log_tail_probability(
@@ -198,47 +209,61 @@ def log_tail_probability(
 ) -> float:
     """Natural log of P(S_k > threshold) if ``upper``, else of P(S_k <= threshold).
 
-    Both tails are summed term by term by logsumexp over log p_k(n): the
-    lower one over n <= threshold, the upper one from the first count above
-    it, each until the rest is negligible.  Neither is taken as 1 minus a
-    sum, so tails far below float range keep their full relative accuracy.
+    With S_k = J + NB(k+J) (module docstring), P(S_k <= t) is the Poisson
+    mixture sum_j Poi(j; lam) I_{1/(N+1)}(k+j, t-j+1), and P(S_k > t) mixes
+    the complements, 1 for j > t; at zero energy only j = 0 is left.  Summed in
+    logs over a window of j around the peak, its cost grows as sqrt(lam), not
+    with N or t, and tails below float range keep their precision.
     """
     _check_law(k, total_energy)
-    if not threshold < _FLOAT_COUNTS:
-        raise ValueError(f"threshold {threshold} is beyond 2^53 counts, where floats "
-                         "no longer resolve single counts")
-    t = max(math.floor(threshold), -1)
-    if upper:
-        log_p = _log_pmf_tail(k, total_energy, channel, t + 1)
-    elif t < 0:
+    _check_threshold(threshold)
+    t, N = math.floor(threshold), channel.n_thermal
+    lam = total_energy / (N + 1)
+    if upper and lam > t + 1:  # P(S_k <= t) <= P(J <= t) < 1/2: its complement is precise
+        return math.log1p(-math.exp(log_tail_probability(k, total_energy, channel, t, False)))
+
+    def log_term(j):
+        out = _log_poisson(j, lam) if lam > 0 else np.where(j == 0, 0.0, -math.inf)
+        if N > 0:  # at N = 0 the count is J
+            inner = j <= t
+            out[inner] += _log_nb_tail(k + j[inner], t - j[inner] + 1.0, N, upper)
+        return out
+
+    lo = t + 1 if upper and N == 0 else 0
+    hi = min(math.inf if upper else t, 0 if lam == 0 else math.inf)
+    if lo > hi:  # no term: a threshold below 0, or the count is 0 and not above t
         return -math.inf
-    else:
-        log_p = _log_pmf_tail(k, total_energy, channel, 0, last=t)
-    return float(logsumexp(log_p))
+    peak_hi = t + 1 if upper else min(t, math.ceil(lam))
+    return min(_log_window_sum(log_term, lo, hi, max(lo, min(hi, peak_hi))), 0.0)
 
 
 def photon_pmf_array(nmax: int, energy: float, channel: ChannelModel) -> np.ndarray:
-    """pmf p(n | energy, N) for n = 0..nmax: the k = 1 count law."""
+    """pmf p(n | energy, N) for n = 0..nmax: the k = 1 count law.
+
+    For N > 0, q_n = c^n L_n(x) with c = N/(N+1) and x = -e/(N(N+1)) follows
+    (n+1) q_{n+1} = c (2n+1-x) q_n - c^2 n q_{n-1}, in which nothing cancels
+    for x <= 0 (DLMF 18.9); q is rescaled by exact powers of two, so it
+    neither over- nor underflows.  For N = 0 the law is Poisson(e).
+    """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     _check_law(1, energy)
-    return np.exp(_log_pmf(1, energy, channel, nmax))
-
-
-def mgf(z: float, total_energy: float, channel: ChannelModel, k: int) -> float:
-    """Probability generating function E[z^{S_k}] of the total count over k modes.
-
-    Equals exp(-E (1-z)/(N+1-Nz)) / (N+1-Nz)^k on z < (N+1)/N (any z at N=0).
-    """
-    if total_energy < 0:
-        raise ValueError(f"total_energy must be >= 0, got {total_energy}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    N = channel.n_thermal
-    denom = N + 1 - N * z
-    if denom <= 0:
-        raise ValueError(f"z={z} outside convergence domain z < {(N + 1) / N}")
-    return math.exp(-total_energy * (1 - z) / denom) / denom**k
+    N, E = channel.n_thermal, energy
+    if N == 0:
+        n = np.arange(nmax + 1)
+        return np.exp(_log_poisson(n, E)) if E > 0 else (n == 0).astype(float)
+    c = N / (N + 1)
+    x = -E / (N * (N + 1))
+    log_amp = -math.log1p(N) - E / (N + 1)
+    log_p = np.empty(nmax + 1)
+    prev, cur, scale = 0.0, 1.0, 0
+    for n in range(nmax + 1):
+        log_p[n] = log_amp + scale * _LN2 + math.log(cur)
+        prev, cur = cur, (c * (2 * n + 1 - x) * cur - c * c * n * prev) / (n + 1)
+        if not _TINY < cur < _HUGE:
+            e = math.frexp(cur)[1]
+            prev, cur, scale = math.ldexp(prev, -e), math.ldexp(cur, -e), scale + e
+    return np.exp(log_p)
 
 
 def sample_intensity(
@@ -283,31 +308,6 @@ def sample_photon_counts(
     if N == 0:
         return rng.poisson(energy, size)
     return rng.poisson(sample_intensity(k, energy, N, rng, size))
-
-
-def exact_total_pmf(
-    k: int,
-    total_energy: float,
-    channel: ChannelModel,
-    cutoff: int | None = None,
-) -> np.ndarray:
-    """Exact distribution of the total count S_k on {0, ..., cutoff}.
-
-    The closed-form Laguerre law, which depends on the per-mode energies only
-    through their sum.  With ``cutoff=None`` the support runs until the
-    remaining tail is negligible; an explicit cutoff that captures less than
-    1 - 1e-12 of the mass is rejected.
-    """
-    _check_law(k, total_energy)
-    if cutoff is None:
-        pmf = np.exp(_log_pmf_tail(k, total_energy, channel, 0))
-    elif cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    else:
-        pmf = np.exp(_log_pmf(k, total_energy, channel, cutoff))
-    if pmf.sum() < 1 - _MASS_TOL:
-        raise ValueError(f"cutoff={cutoff} captures mass {pmf.sum():.17g} < 1 - 1e-12")
-    return pmf
 
 
 def lambda_exponent(delta: float, channel: ChannelModel) -> float:
@@ -387,10 +387,7 @@ def chernoff_lower_logbound(
     """
     N = channel.n_thermal
     _check_delta(delta)
-    if signal_energy < 0:
-        raise ValueError(f"signal_energy must be >= 0, got {signal_energy}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_law(k, signal_energy)
     t = k * (N + delta)
     from scipy.optimize import minimize_scalar
 
@@ -406,13 +403,3 @@ def chernoff_lower_logbound(
         raise RuntimeError(f"Chernoff minimization failed: {res.message}")
     return min(float(res.fun), 0.0)
 
-
-def theta_lower_logbound(
-    signal_energy: float, delta: float, channel: ChannelModel
-) -> float:
-    """Closed-form variant -signal_energy * Theta(delta, N), for comparison only.
-
-    Reported alongside the rigorous optimized bound; not guaranteed to
-    dominate the exact tail in every regime.
-    """
-    return -signal_energy * theta_exponent(delta, channel)

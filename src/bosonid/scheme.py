@@ -3,9 +3,10 @@
 A code of M signatures in C^k under the energy constraint ||alpha||^2 <= k E
 is built by packing the ball of radius sqrt(k E) in R^{2k} at separation
 2 rho.  The calculators cover the achievable cardinality, the detector error
-bounds exp(-k Lambda) / exp(-4 rho^2 Theta), the converse cardinality bound,
-and the near-k log k scaling choice rho^2 = gamma ln k.  All cardinalities
-are handled in log domain.
+bounds exp(-k Lambda) / exp(-4 rho^2 Theta) and the converse cardinality
+bound.  All cardinalities are handled in log domain.  The near-k log k
+scaling rho^2 = gamma ln k needs no helper of its own: at that rho the
+achievable log cardinality is k ln k - k ln ln k + k ln(E/(4 gamma)).
 """
 
 from __future__ import annotations
@@ -21,15 +22,10 @@ from .photonstats import ChannelModel
 
 __all__ = [
     "SignatureSet",
-    "ErrorBoundReport",
-    "ScalingChoice",
     "build_code",
     "achievable_users_log",
     "analytic_error_bounds",
     "converse_users_log",
-    "scaling_choice",
-    "delta_for_lambda1",
-    "rho_for_lambda2",
     "save_signature_set",
     "load_signature_set",
 ]
@@ -72,24 +68,6 @@ class SignatureSet:
         return np.sum(np.abs(self.signatures) ** 2, axis=1)
 
 
-@dataclass(frozen=True)
-class ErrorBoundReport:
-    """Log error bounds of the threshold detector for a (k, delta, rho) design."""
-
-    lambda1_log: float  # log of the first-kind bound exp(-k Lambda)
-    lambda2_log: float  # log of the second-kind bound exp(-4 rho^2 Theta)
-
-
-@dataclass(frozen=True)
-class ScalingChoice:
-    """Derived design for rho^2 = gamma ln k."""
-
-    rho: float
-    lambda1_log: float
-    lambda2_log: float
-    logM_lower: float
-
-
 def _check_rho(k: int, energy: float, rho: float) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -128,14 +106,16 @@ def achievable_users_log(k: int, energy: float, rho: float) -> float:
 
 def analytic_error_bounds(
     k: int, delta: float, rho: float, channel: ChannelModel
-) -> ErrorBoundReport:
-    """First/second-kind log bounds -k Lambda and -4 rho^2 Theta."""
+) -> tuple[float, float]:
+    """(lambda1_log, lambda2_log): the first- and second-kind log bounds
+    -k Lambda and -4 rho^2 Theta.  Lambda diverges at N = 0, where
+    lambda1_log is NaN."""
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
-    return ErrorBoundReport(
-        lambda1_log=-k * photonstats.lambda_exponent(delta, channel),
-        lambda2_log=-4 * rho**2 * photonstats.theta_exponent(delta, channel),
-    )
+    lambda2_log = -4 * rho**2 * photonstats.theta_exponent(delta, channel)
+    if channel.n_thermal == 0:
+        return math.nan, lambda2_log
+    return -k * photonstats.lambda_exponent(delta, channel), lambda2_log
 
 
 def converse_users_log(
@@ -156,60 +136,6 @@ def converse_users_log(
         )
     denom = math.sqrt((2 * channel.n_thermal + 1) * math.log(1 / (4 * delta_k)))
     return 2 * k * math.log1p(4 * math.sqrt(k * energy) / denom)
-
-
-def scaling_choice(
-    k: int, gamma: float, energy: float, delta: float, channel: ChannelModel
-) -> ScalingChoice:
-    """Evaluate the rho^2 = gamma ln k design.
-
-    Returns lambda2_log = -4 gamma Theta ln k (so lambda2 <= k^{-4 gamma Theta}),
-    lambda1_log = -k Lambda, and logM_lower = k ln k - k ln ln k + k ln(E/(4 gamma)).
-    """
-    if k < 3:
-        raise ValueError(f"k must be >= 3 (need ln ln k > 0), got {k}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    rho = math.sqrt(gamma * math.log(k))
-    _check_rho(k, energy, rho)
-    bounds = analytic_error_bounds(k, delta, rho, channel)
-    log_m = k * math.log(k) - k * math.log(math.log(k)) + k * math.log(energy / (4 * gamma))
-    return ScalingChoice(
-        rho=rho,
-        lambda1_log=bounds.lambda1_log,
-        lambda2_log=bounds.lambda2_log,
-        logM_lower=log_m,
-    )
-
-
-def delta_for_lambda1(k: int, lambda1_target: float, channel: ChannelModel) -> float:
-    """Invert the first-kind bound: smallest delta with exp(-k Lambda) <= target.
-
-    Lambda(delta, N) is increasing in delta; solved by bisection.
-    """
-    if not (0 < lambda1_target < 1):
-        raise ValueError("lambda1_target must be in (0, 1)")
-    need = -math.log(lambda1_target) / k
-    lo, hi = 1e-12, 1.0
-    while photonstats.lambda_exponent(hi, channel) < need:
-        hi *= 2
-        if hi > 1e9:
-            raise ValueError("lambda1_target unreachable")
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if photonstats.lambda_exponent(mid, channel) < need:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def rho_for_lambda2(lambda2_target: float, delta: float, channel: ChannelModel) -> float:
-    """Invert the second-kind bound: rho with exp(-4 rho^2 Theta) = target."""
-    if not (0 < lambda2_target < 1):
-        raise ValueError("lambda2_target must be in (0, 1)")
-    theta = photonstats.theta_exponent(delta, channel)
-    return math.sqrt(-math.log(lambda2_target) / (4 * theta))
 
 
 def save_signature_set(path, code: SignatureSet) -> None:

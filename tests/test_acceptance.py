@@ -69,17 +69,21 @@ def test_criterion_1_chernoff_matches_rate_function():
 
 
 def test_criterion_2_exact_tail_below_exponential_bound():
+    # P(S_k >= k(N + delta)) from the closed-form tail, which must agree with
+    # the sum of the k-fold convolved single-mode pmf, stays below exp(-k Lambda)
     start = time.perf_counter()
     ok = True
+    nmax = 400  # the law at N = 2, k = 16 has mass < 1e-30 beyond
     for delta in DELTA_GRID:
         for noise in NOISE_GRID:
             ch = ChannelModel(noise)
             rate = ps.lambda_exponent(delta, ch)
+            single, pmf = ps.photon_pmf_array(nmax, 0.0, ch), np.ones(1)
             for k in range(1, 17):
-                pmf = ps.exact_total_pmf(k, 0.0, ch)
-                threshold = k * (noise + delta)
-                idx = math.ceil(threshold - 1e-12)
-                tail = float(pmf[idx:].sum()) if idx < len(pmf) else 0.0
+                pmf = np.convolve(pmf, single)[: nmax + 1]
+                idx = math.ceil(k * (noise + delta) - 1e-12)
+                tail = math.exp(ps.log_tail_probability(k, 0.0, ch, idx - 1, upper=True))
+                ok = ok and abs(tail - pmf[idx:].sum()) <= 1e-13
                 ok = ok and tail <= math.exp(-k * rate) * (1 + 1e-12)
     elapsed = time.perf_counter() - start
     report(2, "exact thermal tail below first-kind bound", ok and elapsed < 10.0)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +14,32 @@ from bosonid import cli, geometry, scheme
 
 def run(argv):
     return cli.main(argv)
+
+
+def mp_exact(k, noise, delta, energy):
+    """(lambda1, lambda2) of the threshold detector in mpmath: with
+    S = J + NB(k+J), J ~ Poisson(E/(N+1)), P(NB(k+j) <= t-j) is the binomial
+    tail P(B >= k+j), B ~ Bin(t+k, 1/(N+1)), a finite sum.  For t < 40 or
+    E/(N+1) < 1, where 40 Poisson terms cover the mass."""
+    t = math.floor(k * (noise + delta))
+    n = t + k
+    with mp.workdps(40):
+        p = 1 / (mp.mpf(noise) + 1)
+        lam = mp.mpf(energy) * p
+        below = [mp.mpf(0)]  # below[m] = P(B < m)
+        for i in range(k + min(t, 40)):
+            below.append(below[-1] + mp.binomial(n, i) * p**i * (1 - p) ** (n - i))
+        lambda2 = mp.fsum(mp.exp(-lam) * lam**j / mp.factorial(j) * (1 - below[k + j])
+                          for j in range(min(t, 40) + 1))
+        return float(below[k]), float(lambda2)
+
+
+def four_point_code(path):
+    """k = 4 code whose closest pair, the first two, has ||Delta||^2 = 2."""
+    sigs = np.array([[0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]], dtype=complex)
+    scheme.save_signature_set(path, scheme.SignatureSet(
+        k=4, energy_budget=4.0, rho=math.sqrt(2) / 2, signatures=sigs))
+    return path
 
 
 def read_csv(path):
@@ -95,8 +122,30 @@ class TestBounds:
         assert run(["bounds", "--k", "8", "--rho", "1", "--noise", "1e300",
                     "--out", str(out)]) == 0
         _, rows = read_csv(out)
+        # the exact tail is not taken at a threshold of 8e300 counts
+        exact = rows[0].pop("lambda1_exact_log")
+        assert math.isnan(float(exact))
         assert all(math.isfinite(float(v)) for v in rows[0].values())
         assert -4 * 1.0e-300 < float(rows[0]["lambda2_log"]) < 0
+
+    def test_lambda1_exact_column(self, tmp_path):
+        out = tmp_path / "bounds.csv"
+        assert run(["bounds", "--k", "8,64", "--rho", "1", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        columns = list(rows[0])
+        assert columns.index("lambda1_exact_log") == columns.index("lambda1_log") + 1
+        for row in rows:
+            exact = float(row["lambda1_exact_log"])
+            assert exact == pytest.approx(math.log(mp_exact(int(row["k"]), 1.0, 1.0, 0)[0]),
+                                          rel=1e-11)
+            assert exact <= float(row["lambda1_log"])
+
+    def test_lambda1_exact_vacuum(self, tmp_path):
+        # at N = 0 the count is 0, never above the threshold
+        out = tmp_path / "bounds.csv"
+        assert run(["bounds", "--k", "8", "--rho", "1", "--noise", "0", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert rows[0]["lambda1_exact_log"] == "-inf"
 
 
 class TestNegativeZero:
@@ -181,6 +230,17 @@ class TestSimulate:
         ]) == 0
 
 
+    @pytest.mark.parametrize("noise", [0.0, 5e-324, 1e-300, 1e-12, 1e5, 3e6])
+    def test_exact_columns(self, tmp_path, noise):
+        # subnormal N once printed lambda2 = 1; N = 3e6 once hit a count limit
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--code", str(four_point_code(tmp_path / "code.txt")),
+                    "--noise", repr(noise), "--trials", "1000", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        got = [float(r["exact"]) for r in rows]
+        assert got == pytest.approx(mp_exact(4, noise, 1.0, 2.0), rel=1e-11, abs=0)
+
+
 class TestClosestPairScans:
     @staticmethod
     def count_scans(monkeypatch, argv):
@@ -257,6 +317,16 @@ class TestFiniteInputs:
         ]) == 0
         _, rows = read_csv(out)
         assert [float(r["exact"]) for r in rows] == [0.0, 1.0]
+
+    def test_threshold_beyond_float_counts(self, tmp_path, capsys):
+        # k (N + delta) = 4e300: rejected before any sampling
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--code", str(four_point_code(tmp_path / "code.txt")),
+                    "--noise", "1e300", "--trials", "1000", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "2^53" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestHeterodyne:
@@ -348,7 +418,8 @@ def command_lines(draw):
 
 def numeric_cells(argv, stdout):
     """(name, value) of every number a successful command printed, less the
-    documented NaN: the first-kind bound at N = 0, where Lambda diverges."""
+    documented NaN: the first-kind bound at N = 0, where Lambda diverges.
+    The exact first-kind log tail of `bounds` is checked here instead."""
     if argv[0] == "pack":
         printed = dict(line.split("=") for line in stdout.split())
         if printed["M"] == "1":  # a one-point code has no closest pair
@@ -364,6 +435,12 @@ def numeric_cells(argv, stdout):
             if key == "quantity":
                 continue
             value = float(row[key])
+            if key == "lambda1_exact_log":
+                # -inf at N = 0, NaN where floats do not resolve the threshold
+                threshold = float(row["k"]) * (float(row["N"]) + float(row["delta"]))
+                assert (value == -math.inf if vacuum else
+                        math.isnan(value) == (threshold >= 2.0**53)), (row, value)
+                continue
             lambda1_bound = key == "lambda1_log" or (
                 key == "bound_log" and row["quantity"] == "lambda1")
             if not (vacuum and lambda1_bound and math.isnan(value)):

@@ -55,7 +55,63 @@ def mp_lambda2(k, noise, delta, energy):
         return total * (n_th + 1) ** (-k) * mp.exp(-e / (n_th + 1))
 
 
+def mp_laguerre_lower(k, noise, delta, energy):
+    """P(S <= t) of the noncentral negative binomial count, its Laguerre-form
+    terms summed from n = 0, the polynomials by their three-term recurrence
+    (the terms are positive, so 40 digits carry through)."""
+    t = math.floor(k * (noise + delta))
+    with mp.workdps(40):
+        n_th, e = mp.mpf(noise), mp.mpf(energy)
+        c, x = n_th / (n_th + 1), -e / (n_th * (n_th + 1))
+        prev, cur, total = mp.mpf(0), mp.mpf(1), mp.mpf(0)
+        for n in range(t + 1):
+            total += cur
+            prev, cur = cur, (c * (2 * n + k - x) * cur - c * c * (n + k - 1) * prev) / (n + 1)
+        return total * (n_th + 1) ** (-k) * mp.exp(-e / (n_th + 1))
+
+
+def mp_mixture(k, noise, delta, energy, upper):
+    """P(S > t) if upper, else P(S <= t), as the Poisson mixture
+    sum_j Poi(j; lam) I_p(k+j, t-j+1), p = 1/(N+1), lam = E/(N+1), with each
+    incomplete beta at integer arguments taken as a binomial tail,
+    I_p(k+j, t-j+1) = P(B >= k+j) for B ~ Bin(t+k, p), summed in mpmath.
+    Past 5e4 trials the pmf of B stops 1e-45 below its peak, which needs
+    N >= 1 and a tail that is not itself that small."""
+    t = math.floor(k * (noise + delta))
+    n = t + k
+    with mp.workdps(40):
+        p = 1 / (mp.mpf(noise) + 1)
+        lam = mp.mpf(energy) * p
+        pmf, top, i = [(1 - p) ** n], (1 - p) ** n, 0
+        while i < n and not (n > 5e4 and i > n * p + 10 and i > k + 10
+                             and pmf[-1] < top * mp.mpf(10) ** -45):
+            pmf.append(pmf[-1] * (n - i) / (i + 1) * p / (1 - p))
+            top, i = max(top, pmf[-1]), i + 1
+        at_least = [mp.mpf(0)] * (len(pmf) + 1)  # at_least[m] = P(B >= m)
+        for i in range(len(pmf) - 1, -1, -1):
+            at_least[i] = at_least[i + 1] + pmf[i]
+        total, poi = mp.mpf(0), mp.exp(-lam)
+        for j in range(t + 1):
+            below = at_least[k + j] if k + j < len(at_least) else mp.mpf(0)
+            total += poi * ((1 - below) if upper else below)
+            poi *= lam / (j + 1)
+            if j > lam and poi < mp.mpf(10) ** -45:
+                break
+        if upper and lam > 0:  # P(J > t), where NB(k+J) > t - J always
+            total += mp.gammainc(t + 1, 0, lam, regularized=True)
+        return total
+
+
+def assert_log_matches(got, want):
+    """Within 1e-12 relative of ``want`` where it is a float, and its log
+    within 1e-12 relative below float range."""
+    log_want = float(mp.log(want))
+    tol = 1e-12 * (1 if log_want > -708 else abs(log_want))
+    assert abs(got - log_want) <= tol, (got, log_want)
+
+
 MP_KS = (128, 256, 1024, 4096)
+GRID = [(k, n) for k in (1, 4, 64, 1024, 4096) for n in (1e-12, 0.1, 1.0, 1e3, 1e6, 1e12)]
 
 
 def exact_binomial_ok(successes, trials, p, confidence=0.997):
@@ -128,6 +184,24 @@ class TestExactTails:
     def test_vacuum_channel_lambda1_is_zero(self):
         ch = ChannelModel(0.0)
         assert mc.exact_lambda1(ch, DetectorSpec.make(1.0, 4, ch)) == 0.0
+
+    @pytest.mark.parametrize("k,noise", GRID)
+    def test_lambda1_grid(self, k, noise):
+        # term sums where they converge fast (N <= 1), the mixture elsewhere
+        got = ps.log_tail_probability(k, 0.0, ChannelModel(noise), k * (noise + 1.0), upper=True)
+        want = mp_lambda1(k, noise, 1.0) if noise <= 1 else mp_mixture(k, noise, 1.0, 0.0, True)
+        assert_log_matches(got, want)
+
+    @pytest.mark.parametrize("k,energy,noise,delta", [(k, 2.0 * k, n, 1.0) for k, n in GRID] + [
+        (4, 16.0, 1e3, 1.0),  # the old Laguerre walk was off by 3.2e-11 here
+        (4096, 50.0 * 4096, 10.0, 0.1),  # peaks near j = 0.34 lam, far below lam
+    ])
+    def test_lambda2_grid(self, k, energy, noise, delta):
+        ch = ChannelModel(noise)
+        got = ps.log_tail_probability(k, energy, ch, k * (noise + delta), upper=False)
+        want = (mp_laguerre_lower(k, noise, delta, energy) if noise <= 1
+                else mp_mixture(k, noise, delta, energy, False))
+        assert_log_matches(got, want)
 
     def test_lambda1_log_beyond_count_range(self):
         # threshold 6e6 + 3 > 2^22: the tail starts there, with no walk from zero

@@ -21,6 +21,18 @@ def convolution_pmf(energies, channel, nmax):
     return total
 
 
+def lower_tails(k, energy, channel, nmax):
+    """P(S_k <= n) for n = 0..nmax from the closed-form tails."""
+    return np.exp([ps.log_tail_probability(k, energy, channel, n, upper=False)
+                   for n in range(nmax + 1)])
+
+
+def pgf(z, energy, channel, k):
+    """Closed-form generating function E[z^{S_k}] of the module docstring."""
+    denom = channel.n_thermal + 1 - channel.n_thermal * z
+    return math.exp(-energy * (1 - z) / denom) / denom**k
+
+
 def laguerre_series(n, x):
     """Independent oracle: term-by-term series of L_n(x), summed exactly in
     rationals (in floats its terms, up to ~1e6 at n = 25, cancel)."""
@@ -90,29 +102,35 @@ class TestPmf:
     @pytest.mark.parametrize("energy", [0.0, 1.0, 10.0, 50.0])
     @pytest.mark.parametrize("n_thermal", [0.1, 1.0, 5.0])
     def test_normalization(self, energy, n_thermal):
-        pmf = ps.exact_total_pmf(1, energy, ChannelModel(n_thermal))
+        pmf = ps.photon_pmf_array(600, energy, ChannelModel(n_thermal))
         assert 1 - 1e-10 <= pmf.sum() <= 1 + 1e-12
 
     @pytest.mark.parametrize("energy,n_thermal", [(0.0, 1.0), (3.0, 0.5), (20.0, 2.0)])
     def test_mean_identity(self, energy, n_thermal):
-        pmf = ps.exact_total_pmf(1, energy, ChannelModel(n_thermal))
+        pmf = ps.photon_pmf_array(600, energy, ChannelModel(n_thermal))
         mean = np.arange(pmf.size) @ pmf
         assert mean == pytest.approx(n_thermal + energy, abs=1e-8)
 
 
 class TestMgf:
+    """The count law against its closed-form generating function `pgf`."""
+
     def test_normalization_point(self):
-        assert ps.mgf(1.0, 7.3, ChannelModel(0.8), 5) == pytest.approx(1.0)
+        # G(1) = 1: all the mass lies at or below a threshold far past the bulk
+        got = ps.log_tail_probability(5, 7.3, ChannelModel(0.8), 1e4, upper=False)
+        assert got == pytest.approx(math.log(pgf(1.0, 7.3, ChannelModel(0.8), 5)), abs=1e-15)
 
     def test_vacuum_probability(self):
-        assert ps.mgf(0.0, 0.0, ChannelModel(1.0), 1) == pytest.approx(0.5)
+        # G(0) = P(S = 0)
+        got = ps.log_tail_probability(1, 0.0, ChannelModel(1.0), 0, upper=False)
+        assert math.exp(got) == pytest.approx(pgf(0.0, 0.0, ChannelModel(1.0), 1), rel=1e-15)
 
     def test_matches_pmf_series(self):
         ch = ChannelModel(1.0)
-        pmf = ps.exact_total_pmf(2, 3.0, ch)
+        pmf = np.diff(lower_tails(2, 3.0, ch, 120), prepend=0.0)
         z = 0.5
         series = pmf @ z ** np.arange(pmf.size)
-        assert ps.mgf(z, 3.0, ch, 2) == pytest.approx(series, abs=1e-8)
+        assert pgf(z, 3.0, ch, 2) == pytest.approx(series, abs=1e-8)
 
     @pytest.mark.parametrize("z", [0.0, 0.4, 1.0, 1.5, 1.8])
     def test_matches_pmf_series_grid(self, z):
@@ -123,11 +141,7 @@ class TestMgf:
             series = pmf[0]
         else:
             series = np.exp(np.log(pmf) + np.arange(pmf.size) * math.log(z)).sum()
-        assert ps.mgf(z, 2.0, ch, 1) == pytest.approx(series, rel=1e-8)
-
-    def test_rejects_outside_domain(self):
-        with pytest.raises(ValueError):
-            ps.mgf(2.0, 1.0, ChannelModel(1.0), 1)
+        assert pgf(z, 2.0, ch, 1) == pytest.approx(series, rel=1e-8)
 
 
 class TestSampler:
@@ -140,7 +154,7 @@ class TestSampler:
         ch = ChannelModel(1.0)
         rng = np.random.default_rng(42)
         draws = ps.sample_photon_counts(1, 0.0, ch, rng, 1_000_000)
-        pmf = ps.exact_total_pmf(1, 0.0, ch)
+        pmf = ps.photon_pmf_array(80, 0.0, ch)
         counts = np.bincount(draws, minlength=pmf.size)[: pmf.size]
         tv = 0.5 * np.abs(counts / draws.size - pmf).sum()
         assert tv < 0.01
@@ -149,7 +163,7 @@ class TestSampler:
         # k = 1 with energy: the chi-square of the rotated sum has 1 degree of freedom
         ch = ChannelModel(1.0)
         draws = ps.sample_photon_counts(1, 2.5, ch, np.random.default_rng(5), 200_000)
-        pmf = ps.exact_total_pmf(1, 2.5, ch)
+        pmf = ps.photon_pmf_array(80, 2.5, ch)
         counts = np.bincount(draws, minlength=pmf.size)[: pmf.size]
         assert 0.5 * np.abs(counts / draws.size - pmf).sum() < 0.01
 
@@ -191,7 +205,7 @@ class TestSampler:
     def test_k_mode_total_variation_against_law(self):
         ch = ChannelModel(1.0)
         draws = ps.sample_photon_counts(self.K, self.ENERGY, ch, np.random.default_rng(8), 200_000)
-        pmf = ps.exact_total_pmf(self.K, self.ENERGY, ch)
+        pmf = np.diff(lower_tails(self.K, self.ENERGY, ch, 80), prepend=0.0)
         counts = np.bincount(draws, minlength=pmf.size)[: pmf.size]
         assert 0.5 * np.abs(counts / draws.size - pmf).sum() < 0.01
 
@@ -213,22 +227,25 @@ class TestSampler:
 
 
 class TestExactTotalPmf:
+    """The k-mode law through its closed-form tails, against cumulative sums
+    of convolved single-mode pmfs."""
+
     def test_single_mode_geometric(self):
-        pmf = ps.exact_total_pmf(1, 0.0, ChannelModel(1.0), cutoff=64)
-        assert pmf[:5] == pytest.approx([0.5 * 0.5**n for n in range(5)])
+        # P(S_1 <= n) = 1 - 2^-(n+1) at N = 1
+        got = lower_tails(1, 0.0, ChannelModel(1.0), 4)
+        assert got == pytest.approx([1 - 0.5 ** (n + 1) for n in range(5)], rel=1e-15)
 
     def test_two_modes_are_self_convolution(self):
         ch = ChannelModel(1.0)
-        one = ps.exact_total_pmf(1, 0.0, ch, cutoff=128)
-        two = ps.exact_total_pmf(2, 0.0, ch, cutoff=128)
-        conv = np.convolve(one, one)[:129]
-        assert np.max(np.abs(two - conv)) < 1e-14
+        one = ps.photon_pmf_array(128, 0.0, ch)
+        conv = np.cumsum(np.convolve(one, one)[:129])
+        assert np.max(np.abs(lower_tails(2, 0.0, ch, 128) - conv)) < 1e-14
 
     def test_split_invariance(self):
         ch = ChannelModel(0.7)
-        closed = ps.exact_total_pmf(3, 5.0, ch)
+        closed = lower_tails(3, 5.0, ch, 60)
         for split in ([5, 0, 0], [2, 2, 1]):
-            conv = convolution_pmf(split, ch, closed.size - 1)
+            conv = np.cumsum(convolution_pmf(split, ch, 60))
             assert np.max(np.abs(closed - conv)) < 1e-12
 
     @given(
@@ -239,9 +256,8 @@ class TestExactTotalPmf:
     def test_split_invariance_random(self, energies, n_thermal):
         ch = ChannelModel(n_thermal)
         k = len(energies)
-        total = sum(energies)
-        closed = ps.exact_total_pmf(k, total, ch)
-        conv = convolution_pmf(energies, ch, closed.size - 1)
+        closed = lower_tails(k, sum(energies), ch, 60)
+        conv = np.cumsum(convolution_pmf(energies, ch, 60))
         assert np.max(np.abs(closed - conv)) < 1e-11
 
     @pytest.mark.parametrize("k,energy,n_thermal", [(1, 0.0, 1.0), (8, 6.0, 0.5), (64, 20.0, 2.0)])
@@ -251,10 +267,6 @@ class TestExactTotalPmf:
         upper = ps.log_tail_probability(k, energy, ch, thr, upper=True)
         lower = ps.log_tail_probability(k, energy, ch, thr, upper=False)
         assert math.exp(upper) + math.exp(lower) == pytest.approx(1.0, abs=1e-13)
-
-    def test_insufficient_cutoff_rejected(self):
-        with pytest.raises(ValueError):
-            ps.exact_total_pmf(4, 30.0, ChannelModel(1.0), cutoff=8)
 
     def test_lower_tail_beyond_count_range(self):
         # the threshold is past 2^22 counts, the bulk of the law is not
@@ -370,9 +382,7 @@ class TestChernoffOracles:
         ch = ChannelModel(1.0)
         k, delta, energy = 4, 1.0, 40.0
         bound = ps.chernoff_lower_logbound(k, delta, energy, ch)
-        pmf = ps.exact_total_pmf(k, energy, ch)
-        thr = int(math.floor(k * (ch.n_thermal + delta)))
-        exact_log = math.log(pmf[: thr + 1].sum())
+        exact_log = ps.log_tail_probability(k, energy, ch, k * (ch.n_thermal + delta), False)
         assert bound >= exact_log
 
     def test_lower_bound_matches_grid_search(self):
@@ -394,13 +404,6 @@ class TestChernoffOracles:
         ch = ChannelModel(n_thermal)
         lam = ps.lambda_exponent(delta, ch)
         for k in (1, 2, 4, 8, 16):
-            pmf = ps.exact_total_pmf(k, 0.0, ch)
-            thr = k * (n_thermal + delta)
-            tail = pmf[math.ceil(thr - 1e-12) :].sum()
-            assert math.log(max(tail, 1e-300)) <= -k * lam + 1e-9
-
-    def test_theta_form_reported(self):
-        ch = ChannelModel(1.0)
-        assert ps.theta_lower_logbound(8.0, 1.0, ch) == pytest.approx(
-            -8 * ps.theta_exponent(1.0, ch)
-        )
+            # ln P(S_k >= k(N + delta))
+            first = math.ceil(k * (n_thermal + delta) - 1e-12)
+            assert ps.log_tail_probability(k, 0.0, ch, first - 1, upper=True) <= -k * lam + 1e-9

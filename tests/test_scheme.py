@@ -84,17 +84,17 @@ class TestAchievableUsersLog:
 class TestAnalyticErrorBounds:
     def test_values(self):
         ch = ChannelModel(1.0)
-        report = scheme.analytic_error_bounds(10, 1.0, 1.0, ch)
-        assert report.lambda1_log == pytest.approx(-10 * math.log(32 / 27))
-        assert report.lambda2_log == pytest.approx(-4 * (1 - 2**-0.5) / (2 - 2**-0.5))
+        lambda1_log, lambda2_log = scheme.analytic_error_bounds(10, 1.0, 1.0, ch)
+        assert lambda1_log == pytest.approx(-10 * math.log(32 / 27))
+        assert lambda2_log == pytest.approx(-4 * (1 - 2**-0.5) / (2 - 2**-0.5))
 
     def test_zero_rho_is_vacuous(self):
-        report = scheme.analytic_error_bounds(4, 1.0, 0.0, ChannelModel(1.0))
-        assert report.lambda2_log == 0.0
+        _, lambda2_log = scheme.analytic_error_bounds(4, 1.0, 0.0, ChannelModel(1.0))
+        assert lambda2_log == 0.0
 
     def test_lambda1_linear_in_k(self):
         ch = ChannelModel(1.0)
-        vals = [scheme.analytic_error_bounds(k, 1.0, 1.0, ch).lambda1_log for k in (1, 2, 4, 8)]
+        vals = [scheme.analytic_error_bounds(k, 1.0, 1.0, ch)[0] for k in (1, 2, 4, 8)]
         assert vals[1] == pytest.approx(2 * vals[0])
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -132,46 +132,28 @@ class TestConverseUsersLog:
 
 
 class TestScalingChoice:
+    """The rho^2 = gamma ln k design, through `achievable_users_log`."""
+
+    @staticmethod
+    def scaling_log(k, gamma, energy):
+        return k * math.log(k) - k * math.log(math.log(k)) + k * math.log(energy / (4 * gamma))
+
     def test_example_values(self):
-        ch = ChannelModel(1.0)
-        sc = scheme.scaling_choice(100, 0.5, 2.0, 1.0, ch)
-        assert sc.logM_lower == pytest.approx(
-            100 * math.log(100) - 100 * math.log(math.log(100))
-        )
-        theta = ps.theta_exponent(1.0, ch)
-        assert sc.lambda2_log == pytest.approx(-4 * 0.5 * theta * math.log(100))
-        assert sc.lambda1_log == pytest.approx(-100 * ps.lambda_exponent(1.0, ch))
+        # E = 4 gamma: log M = k ln k - k ln ln k
+        rho = math.sqrt(0.5 * math.log(100))
+        assert scheme.achievable_users_log(100, 2.0, rho) == pytest.approx(
+            100 * math.log(100) - 100 * math.log(math.log(100)), rel=1e-12)
 
     def test_consistency_with_achievable(self):
-        ch = ChannelModel(1.0)
         for k in (8, 64, 512):
-            sc = scheme.scaling_choice(k, 0.8, 4.0, 1.0, ch)
-            assert sc.logM_lower == pytest.approx(
-                scheme.achievable_users_log(k, 4.0, sc.rho), rel=1e-12
-            )
+            rho = math.sqrt(0.8 * math.log(k))
+            assert scheme.achievable_users_log(k, 4.0, rho) == pytest.approx(
+                self.scaling_log(k, 0.8, 4.0), rel=1e-12)
 
     def test_preconditions(self):
-        ch = ChannelModel(1.0)
+        # rho^2 = gamma ln k exceeds kE/4
         with pytest.raises(ValueError):
-            scheme.scaling_choice(2, 0.5, 2.0, 1.0, ch)
-        with pytest.raises(ValueError):
-            # rho^2 = gamma ln k exceeds kE/4
-            scheme.scaling_choice(3, 100.0, 0.1, 1.0, ch)
-
-
-class TestTargetInversion:
-    def test_delta_round_trip(self):
-        ch = ChannelModel(1.0)
-        target = 1e-3
-        delta = scheme.delta_for_lambda1(8, target, ch)
-        assert math.exp(-8 * ps.lambda_exponent(delta, ch)) == pytest.approx(target, rel=1e-6)
-
-    def test_rho_round_trip(self):
-        ch = ChannelModel(0.5)
-        target = 1e-4
-        rho = scheme.rho_for_lambda2(target, 1.0, ch)
-        theta = ps.theta_exponent(1.0, ch)
-        assert math.exp(-4 * rho**2 * theta) == pytest.approx(target, rel=1e-12)
+            scheme.achievable_users_log(3, 0.1, math.sqrt(100.0 * math.log(3)))
 
 
 class TestSerialization:
