@@ -66,7 +66,10 @@ def _write_table(rows, meta, out, fmt):
         sys.stdout.write(text)
 
 
-def _meta(args, config: dict) -> dict:
+def _meta(args) -> dict:
+    """Version, the hash of all arguments but seed, output and subcommand, and the seed."""
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("seed", "out", "func", "command")}
     meta = {"version": __version__, "config_hash": _config_hash(config)}
     if hasattr(args, "seed"):
         meta["seed"] = args.seed
@@ -114,9 +117,7 @@ def cmd_bounds(args) -> int:
                 "lambda2_log": l2,
             }
         )
-    config = {key: getattr(args, key) for key in
-              ("k", "energy", "noise", "delta", "delta_k", "rho", "gamma", "format")}
-    _write_table(rows, _meta(args, config), args.out, args.format)
+    _write_table(rows, _meta(args), args.out, args.format)
     return EXIT_OK
 
 
@@ -163,10 +164,7 @@ def cmd_simulate(args) -> int:
         code.k, args.delta, code.min_distance / 2, channel)
     rows = [_mc_row("lambda1", est1, exact=exact1, bound_log=bound1_log),
             _mc_row("lambda2", est2, exact=exact2, bound_log=bound2_log)]
-    config = {key: getattr(args, key) for key in
-              ("k", "energy", "noise", "delta", "rho", "trials", "pair_strategy",
-               "code", "format")}
-    _write_table(rows, _meta(args, config), args.out, args.format)
+    _write_table(rows, _meta(args), args.out, args.format)
     return EXIT_OK
 
 
@@ -180,9 +178,7 @@ def cmd_heterodyne(args) -> int:
     ana = montecarlo.heterodyne_analytic(code.k, spec, code.min_distance)
     rows = [_mc_row("lambda1", sim["lambda1"], analytic=ana["lambda1"]),
             _mc_row("lambda2", sim["lambda2_worst"], analytic=ana["lambda2"])]
-    config = {key: getattr(args, key) for key in
-              ("k", "energy", "noise", "delta", "rho", "tau", "trials", "code", "format")}
-    _write_table(rows, _meta(args, config), args.out, args.format)
+    _write_table(rows, _meta(args), args.out, args.format)
     return EXIT_OK
 
 
@@ -204,7 +200,7 @@ def _verify_checks():
     for alpha, n in ((1.0, 0.5), (0.7 + 0.4j, 1.0), (1.4j, 0.3)):
         ch = ChannelModel(n)
         rho = fockspace.displaced_thermal_density(alpha, ch, 60)
-        diag = np.diag(rho.entries).real
+        diag = np.diag(rho).real
         pmf = photonstats.photon_pmf_array(20, abs(alpha) ** 2, ch)
         dev = max(dev, float(np.max(np.abs(diag[:21] - pmf))))
     checks.append(("pmf_matches_fock_diagonal", dev, 1e-9))
@@ -215,8 +211,8 @@ def _verify_checks():
         ch = ChannelModel(n)
         rho = fockspace.displaced_thermal_density(alpha, ch, 60)
         vec = fockspace.coherent_state_vector(beta, 60)
-        numeric = float((vec.conj() @ rho.entries @ vec).real)
-        exact = fockspace.overlap_closed_form([alpha], [beta], ch).exact
+        numeric = float((vec.conj() @ rho @ vec).real)
+        exact = fockspace.overlap_closed_form([alpha], [beta], ch)
         dev = max(dev, abs(numeric - exact))
     checks.append(("overlap_closed_form", dev, 1e-8))
 
@@ -329,7 +325,7 @@ def main(argv=None) -> int:
                 raise ValueError("this command takes a single --k value")
             args.k = ks[0]
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

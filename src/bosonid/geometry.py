@@ -269,15 +269,12 @@ def closest_pair(points) -> tuple[float, int, int]:
         raise ValueError("need at least 2 points")
     x = np.concatenate([arr.real, arr.imag], axis=1) if np.iscomplexobj(arr) else arr
     x = x - x.mean(axis=0)
-    sq = np.einsum("ij,ij->i", x, x)[:, None]
-    ones = np.ones_like(sq)
-    # one product gives |a|^2 + |b|^2 - 2 a.b: rows (a, |a|^2, 1) by columns (-2 b, 1, |b|^2)
-    rows = np.hstack([x, sq, ones])
-    cols = np.ascontiguousarray(np.hstack([-2 * x, ones, sq]).T)
+    # one product gives |a|^2 + |b|^2 - 2 a.b
+    rows, cols = _augmented_rows(x), _augmented_cols(x)
     # Screen and refine differ by at most (5 dim + 16) eps max|x|^2 to first
     # order: rounding in the norms and the product, in the centering and in
     # the refine.  So the closest pair screens within twice that of the minimum.
-    slack = _rounding_slack(x.shape[1], float(sq.max()))
+    slack = _rounding_slack(x.shape[1], float(rows[:, -1].max()))
     best = (math.inf, 0, 1)
     floor = math.inf
     for lo in range(0, m - 1, _PAIR_BLOCK):

@@ -61,11 +61,19 @@ _GATHER = 1 << 16  # signature entries gathered at once for per-trial pair energ
 
 @dataclass(frozen=True)
 class McEstimate:
+    """Successes in a number of trials; the point estimate and its binomial
+    standard error follow from the two."""
+
     successes: int
     trials: int
-    point: float
-    stderr: float
-    seed: int
+
+    @property
+    def point(self) -> float:
+        return self.successes / self.trials
+
+    @property
+    def stderr(self) -> float:
+        return math.sqrt(self.point * (1 - self.point) / self.trials)
 
 
 @dataclass(frozen=True)
@@ -86,17 +94,6 @@ class HeterodyneSpec:
             )
         if not 0 <= self.threshold < math.inf:
             raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
-
-
-def _make_estimate(successes: int, trials: int, seed: int) -> McEstimate:
-    p = successes / trials
-    return McEstimate(
-        successes=successes,
-        trials=trials,
-        point=p,
-        stderr=math.sqrt(p * (1 - p) / trials),
-        seed=seed,
-    )
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.997):
@@ -139,7 +136,7 @@ def estimate_lambda1(
     for rng, n in _blocks(trials, seed, chunks):
         counts = sample_photon_counts(code.k, 0.0, channel, rng, n)
         successes += int(np.count_nonzero(counts > detector.threshold))
-    return _make_estimate(successes, trials, seed)
+    return McEstimate(successes, trials)
 
 
 def worst_pair_delta(code: SignatureSet) -> np.ndarray:
@@ -185,7 +182,7 @@ def estimate_lambda2(
             ])
         counts = sample_photon_counts(code.k, energy, channel, rng, n)
         successes += int(np.count_nonzero(counts <= detector.threshold))
-    return _make_estimate(successes, trials, seed)
+    return McEstimate(successes, trials)
 
 
 def exact_lambda1(channel: ChannelModel, detector: DetectorSpec) -> float:
@@ -230,8 +227,8 @@ def heterodyne_simulate(
         norm2 = sample_intensity(k, energy, var, rng, n)
         succ2 += int(np.count_nonzero(norm2 <= spec.threshold))
     return {
-        "lambda1": _make_estimate(succ1, trials, seed),
-        "lambda2_worst": _make_estimate(succ2, trials, seed),
+        "lambda1": McEstimate(succ1, trials),
+        "lambda2_worst": McEstimate(succ2, trials),
     }
 
 

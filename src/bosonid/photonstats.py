@@ -85,7 +85,6 @@ class DetectorSpec:
     ``threshold`` is always ``k * (n_thermal + delta)`` < 2^53; use :meth:`make`.
     """
 
-    delta: float
     k: int
     threshold: float
 
@@ -96,7 +95,7 @@ class DetectorSpec:
             raise ValueError(f"k must be >= 1, got {k}")
         threshold = k * (channel.n_thermal + delta)
         _check_threshold(threshold)
-        return cls(delta=delta, k=k, threshold=threshold)
+        return cls(k=k, threshold=threshold)
 
 
 def _check_law(k: int, total_energy: float) -> None:

@@ -33,16 +33,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SignatureSet:
-    """Codebook of complex amplitude vectors plus its construction parameters.
-
-    ``min_distance`` left as None is taken from :attr:`closest_pair`.
-    """
+    """Codebook of complex amplitude vectors plus its construction parameters;
+    ``min_distance`` is derived from the closest pair, found once on first use."""
 
     k: int
     energy_budget: float  # E; per-signature energy is bounded by k * E
     rho: float
     signatures: np.ndarray  # complex, shape (M, k)
-    min_distance: float | None = None
 
     def __post_init__(self):
         if self.signatures.ndim != 2 or self.signatures.shape[1] != self.k:
@@ -52,14 +49,16 @@ class SignatureSet:
         norms = np.hypot.reduce(np.abs(self.signatures), axis=1)  # overflow-free
         if len(self) and norms.max() > geometry.MAX_NORM:
             raise ValueError(f"signature norms must be at most {geometry.MAX_NORM:.6g}")
-        if self.min_distance is None:
-            d = math.sqrt(self.closest_pair[0]) if len(self) >= 2 else math.inf
-            object.__setattr__(self, "min_distance", d)
 
     @cached_property
     def closest_pair(self) -> tuple[float, int, int]:
         """(squared distance, i, j) of the closest pair, found once per code."""
         return geometry.closest_pair(self.signatures)
+
+    @property
+    def min_distance(self) -> float:
+        """Distance of the closest pair; inf for fewer than 2 signatures."""
+        return math.sqrt(self.closest_pair[0]) if len(self) >= 2 else math.inf
 
     def __len__(self) -> int:
         return self.signatures.shape[0]
@@ -164,10 +163,14 @@ def load_signature_set(path) -> SignatureSet:
         fields = dict(tok.split("=") for tok in header[len("# signature-set ") :].split())
         rows = [[float(x) for x in line.split()] for line in fh
                 if line.strip() and not line.startswith("#")]
+    for key in ("k", "energy_budget", "rho"):
+        if key not in fields:
+            raise ValueError(f"{path}: signature-set header lacks {key}=")
     k = int(fields["k"])
-    arr = np.array(rows) if rows else np.zeros((0, 2 * k))
-    if arr.size and arr.shape[1] != 2 * k:
-        raise ValueError(f"{path}: row width {arr.shape[1]} != 2k = {2 * k}")
+    for row in rows:
+        if len(row) != 2 * k:
+            raise ValueError(f"{path}: row width {len(row)} != 2k = {2 * k}")
+    arr = np.array(rows).reshape(-1, 2 * k)
     sigs = arr[:, 0::2] + 1j * arr[:, 1::2]
     return SignatureSet(
         k=k,

@@ -33,7 +33,6 @@ def two_point_code(k, per_mode_amp):
         energy_budget=abs(per_mode_amp) ** 2,
         rho=d / 2,
         signatures=sigs,
-        min_distance=d,
     )
 
 
@@ -98,7 +97,7 @@ def test_criterion_3_coherent_overlap_closed_form():
             state = fs.displaced_thermal_density(alpha, ch, cutoff)
             for beta in (0.0, 0.5j, 1.0 + 1.0j, -2.0):
                 vec = fs.coherent_state_vector(beta, cutoff)
-                numeric = float((vec.conj() @ state.entries @ vec).real)
+                numeric = float((vec.conj() @ state @ vec).real)
                 closed = math.exp(-abs(alpha - beta) ** 2 / (noise + 1)) / (noise + 1)
                 worst = max(worst, abs(numeric - closed))
     report(3, "coherent-state overlap equals closed form", worst < 1e-8)

@@ -292,18 +292,30 @@ class TestFiniteInputs:
         ["simulate", "--code", "CODE", "--trials", "10", "--delta", "1e300"],
         ["bounds", "--k", "8", "--rho", "1", "--delta", "1e306"],
         ["pack", "--k", "1", "--energy", "1e308", "--rho", "1"],
+        ["simulate", "--code", "MISSING", "--trials", "10"],
+        ["simulate", "--code", "NO_K", "--trials", "10"],
     ])
     def test_rejected_with_error_line(self, tmp_path, capsys, argv):
         code = scheme.SignatureSet(k=2, energy_budget=4.0, rho=1.0,
                                    signatures=np.array([[0, 0], [2, 1j]], dtype=complex))
         scheme.save_signature_set(tmp_path / "code.txt", code)
-        argv = [str(tmp_path / "code.txt") if a == "CODE" else a for a in argv]
+        (tmp_path / "no_k.txt").write_text("# signature-set energy_budget=4 rho=1\n0 0 2 0\n")
+        paths = {"CODE": "code.txt", "MISSING": "missing.txt", "NO_K": "no_k.txt"}
+        argv = [str(tmp_path / paths[a]) if a in paths else a for a in argv]
         out = tmp_path / "out.csv"
         assert run([*argv, "--out", str(out)]) == cli.EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_unwritable_out_rejected_with_error_line(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "code.txt"
+        assert run(["pack", "--k", "1", "--rho", "1", "--out", str(out)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
     def test_threshold_beyond_count_range(self, tmp_path):
         # k = 3, delta = 2e6: the detector threshold is above 2^22 counts

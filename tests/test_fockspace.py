@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import pdtrc
 
 from bosonid import fockspace as fs
 from bosonid import photonstats as ps
@@ -15,36 +16,34 @@ amplitudes = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infini
 class TestThermalDensity:
     def test_vacuum(self):
         mat = fs.thermal_density(ChannelModel(0.0), 4)
-        assert np.allclose(mat.entries, np.diag([1, 0, 0, 0]))
-        assert mat.truncation_deficit == 0.0
+        assert np.allclose(mat, np.diag([1, 0, 0, 0]))
 
     def test_geometric_entries(self):
         mat = fs.thermal_density(ChannelModel(1.0), 2)
-        assert np.allclose(np.diag(mat.entries).real, [0.5, 0.25])
-        assert mat.truncation_deficit == pytest.approx(0.25)
+        assert np.allclose(np.diag(mat).real, [0.5, 0.25])
 
     def test_trace_at_large_cutoff(self):
         mat = fs.thermal_density(ChannelModel(1.0), 60)
-        assert np.trace(mat.entries).real >= 1 - 1e-18
+        assert np.trace(mat).real >= 1 - 1e-18
 
 
 class TestDisplacementMatrix:
     def test_zero_displacement_is_identity(self):
         mat = fs.displacement_matrix(0.0, 12)
-        assert np.allclose(mat.entries, np.eye(12))
+        assert np.allclose(mat, np.eye(12))
 
     def test_column_zero_is_coherent_state(self):
         mat = fs.displacement_matrix(1.0, 40)
         expected = fs.coherent_state_vector(1.0, 40)
-        assert np.max(np.abs(mat.entries[:, 0] - expected)) < 1e-12
+        assert np.max(np.abs(mat[:, 0] - expected)) < 1e-12
 
     def test_inverse_product_on_interior_block(self):
         # truncation degrades the rows near the cutoff; the interior block
         # (cutoff minus a spreading margin) is clean
         alpha = 0.7 + 0.2j
         prod = (
-            fs.displacement_matrix(alpha, 50).entries
-            @ fs.displacement_matrix(-alpha, 50).entries
+            fs.displacement_matrix(alpha, 50)
+            @ fs.displacement_matrix(-alpha, 50)
         )
         block = 30
         assert np.max(np.abs(prod[:block, :block] - np.eye(block))) < 1e-8
@@ -54,9 +53,10 @@ class TestDisplacementMatrix:
         # block shrinks with the displacement magnitude
         for alpha, block in ((0.5, 40), (1.0 + 1.0j, 25), (2.0, 20)):
             mat = fs.displacement_matrix(alpha, 60)
-            prod = mat.entries @ mat.entries.conj().T
+            prod = mat @ mat.conj().T
             dev = np.max(np.abs(prod[:block, :block] - np.eye(block)))
-            assert dev < max(10 * mat.truncation_deficit, 1e-8)
+            deficit = pdtrc(60 - 1, abs(alpha) ** 2)  # mass of D(alpha)|0> beyond the cutoff
+            assert dev < max(10 * deficit, 1e-8)
 
     def test_rejects_oversized_amplitude(self):
         with pytest.raises(ValueError):
@@ -68,39 +68,38 @@ class TestDisplacedThermal:
         ch = ChannelModel(1.0)
         a = fs.displaced_thermal_density(0.0, ch, 40)
         b = fs.thermal_density(ch, 40)
-        assert np.max(np.abs(a.entries - b.entries)) < 1e-14
+        assert np.max(np.abs(a - b)) < 1e-14
 
     def test_vacuum_noise_gives_coherent_projector(self):
         mat = fs.displaced_thermal_density(1.2, ChannelModel(0.0), 50)
         vec = fs.coherent_state_vector(1.2, 50)
-        assert np.max(np.abs(mat.entries - np.outer(vec, vec.conj()))) < 1e-8
+        assert np.max(np.abs(mat - np.outer(vec, vec.conj()))) < 1e-8
 
     def test_diagonal_matches_pmf(self):
         ch = ChannelModel(0.5)
         mat = fs.displaced_thermal_density(1.0, ch, 60)
         pmf = ps.photon_pmf_array(30, 1.0, ch)
-        assert np.max(np.abs(np.diag(mat.entries).real[:31] - pmf)) < 1e-9
+        assert np.max(np.abs(np.diag(mat).real[:31] - pmf)) < 1e-9
 
 
 class TestOverlap:
     def test_pure_self_overlap(self):
         res = fs.overlap_closed_form([1.0], [1.0], ChannelModel(0.0))
-        assert res.exact == 1.0 and res.bound == 1.0
+        assert res == 1.0
 
     def test_thermal_self_overlap(self):
         res = fs.overlap_closed_form([0.7], [0.7], ChannelModel(1.0))
-        assert res.exact == pytest.approx(0.5)
-        assert res.bound == 1.0
+        assert res == pytest.approx(0.5)
 
     def test_matches_fock_numeric(self):
         ch = ChannelModel(1.0)
         alpha, beta = 0.5, 0.5 + math.sqrt(2)
         rho = fs.displaced_thermal_density(alpha, ch, 60)
         vec = fs.coherent_state_vector(beta, 60)
-        numeric = float((vec.conj() @ rho.entries @ vec).real)
+        numeric = float((vec.conj() @ rho @ vec).real)
         res = fs.overlap_closed_form([alpha], [beta], ch)
-        assert res.exact == pytest.approx(0.5 * math.exp(-1))
-        assert numeric == pytest.approx(res.exact, abs=1e-8)
+        assert res == pytest.approx(0.5 * math.exp(-1))
+        assert numeric == pytest.approx(res, abs=1e-8)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -115,8 +114,9 @@ class TestOverlap:
         ch = ChannelModel(n_thermal)
         betas = [a + 0.3 for a in alphas]
         res = fs.overlap_closed_form(alphas, betas, ch)
-        assert res.exact <= res.bound
-        assert res.exact / res.bound == pytest.approx(
+        bound = math.exp(-0.09 * len(alphas) / (n_thermal + 1))  # ||alpha - beta||^2 = 0.09 k
+        assert res <= bound
+        assert res / bound == pytest.approx(
             (n_thermal + 1) ** -len(alphas), rel=1e-12
         )
 
@@ -125,7 +125,8 @@ class TestFidelity:
     def test_self_fidelity(self):
         rho = fs.displaced_thermal_density(0.8, ChannelModel(0.5), 60)
         f = fs.fidelity_numeric(rho, rho)
-        assert f == pytest.approx(1.0, abs=10 * max(rho.truncation_deficit, 1e-12))
+        deficit = 1 - np.trace(rho).real
+        assert f == pytest.approx(1.0, abs=10 * max(deficit, 1e-12))
 
     def test_pure_state_overlap(self):
         vac = np.zeros((40, 40), dtype=complex)

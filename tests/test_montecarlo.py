@@ -24,7 +24,6 @@ def two_point_code(k, per_mode_amp):
         energy_budget=abs(per_mode_amp) ** 2,
         rho=d / 2,
         signatures=sigs,
-        min_distance=d,
     )
 
 
@@ -273,7 +272,7 @@ class TestEstimateLambda2:
 
     def test_worst_pair_selection(self):
         sigs = np.array([[0.0], [3.0], [3.5]], dtype=complex)
-        code = SignatureSet(k=1, energy_budget=16.0, rho=0.25, signatures=sigs, min_distance=0.5)
+        code = SignatureSet(k=1, energy_budget=16.0, rho=0.25, signatures=sigs)
         delta = mc.worst_pair_delta(code)
         assert abs(delta[0]) == pytest.approx(0.5)
 

@@ -88,7 +88,7 @@ class TestPmf:
         ch = ChannelModel(0.5)
         rho = fockspace.displaced_thermal_density(math.sqrt(2.0), ch, 60)
         assert ps.photon_pmf_array(3, 2.0, ch)[3] == pytest.approx(
-            rho.entries[3, 3].real, abs=1e-10
+            rho[3, 3].real, abs=1e-10
         )
 
     def test_vacuum_channel_is_poisson(self):

@@ -1,6 +1,7 @@
-"""Every public function of bosonid has a use outside the tests: code only
-tests reach belongs in the tests."""
+"""Every public function and every field of a public type of bosonid has a
+use outside the tests: code only tests reach belongs in the tests."""
 
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -32,3 +33,24 @@ def test_public_functions_are_used(module):
         if not uses:
             unused.append(name)
     assert not unused, f"{module.__name__}.__all__ names functions nothing uses: {unused}"
+
+
+@pytest.mark.parametrize("module", [bosonid, *MODULES], ids=lambda m: m.__name__)
+def test_public_fields_are_read(module):
+    """Every field of a dataclass or NamedTuple named in an ``__all__`` is read
+    as ``.field`` on some line of src/ or scripts/.  The match is by text, so
+    ``args.delta`` would count as a read of a field called ``delta``."""
+    unread = []
+    for name in getattr(module, "__all__", ()):
+        obj = getattr(module, name)
+        if dataclasses.is_dataclass(obj):
+            fields = [f.name for f in dataclasses.fields(obj)]
+        elif isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields"):
+            fields = list(obj._fields)
+        else:
+            continue
+        for field in fields:
+            read = re.compile(rf"\.{field}\b")
+            if not any(read.search(line) for line in SOURCE_LINES):
+                unread.append(f"{name}.{field}")
+    assert not unread, f"{module.__name__}.__all__ names types with unread fields: {unread}"

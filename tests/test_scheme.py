@@ -198,6 +198,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match="finite"):
             scheme.load_signature_set(path)
 
+    @pytest.mark.parametrize("key", ["k", "energy_budget", "rho"])
+    def test_rejects_header_without_field(self, tmp_path, key):
+        fields = {"k": "1", "energy_budget": "4", "rho": "1"}
+        del fields[key]
+        path = tmp_path / "code.txt"
+        path.write_text("# signature-set " + " ".join(f"{f}={v}" for f, v in fields.items())
+                        + "\n0 0\n")
+        with pytest.raises(ValueError, match=f"lacks {key}="):
+            scheme.load_signature_set(path)
+
+    def test_rejects_ragged_rows(self, tmp_path):
+        path = tmp_path / "code.txt"
+        path.write_text("# signature-set k=1 energy_budget=4 rho=1\n0 0\n1 2 3\n")
+        with pytest.raises(ValueError, match="row width 3 != 2k = 2"):
+            scheme.load_signature_set(path)
+
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not a signature file\n")
