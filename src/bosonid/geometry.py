@@ -69,7 +69,7 @@ class PackingSpec:
 
 
 def sample_uniform_ball(
-    dim: int, radius: float, rng: np.random.Generator, size: int = 1
+    dim: int, radius: float, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """Uniform samples from the closed ball: Gaussian direction, radial u^{1/d}."""
     g = rng.normal(size=(size, dim))

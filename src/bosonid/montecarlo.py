@@ -15,13 +15,13 @@ summed P-function intensity of the k modes, or the heterodyne norm
 ||Delta + w||^2.  Both are drawn in law by `photonstats.sample_intensity`, a
 scaled noncentral chi-square taken as one normal and one chi-square per
 trial, and the photon counts by `photonstats.sample_photon_counts` as one
-Poisson count of that intensity.  Trials are split into chunks with
-independently seeded streams derived from (master seed, chunk index); each
-chunk draws in blocks of at most `_BLOCK` trials, so memory stays bounded by
-a few arrays of _BLOCK doubles whatever k and the trial count
-(`all_pairs_sampled` gathers the sampled pairs' signature differences in
-slices of at most `_GATHER` entries).  Results merge by summation and are
-bit-identical for a fixed (seed, chunk count).
+Poisson count of that intensity.  Trials are split into `DEFAULT_CHUNKS`
+chunks, drawn one after another from independently seeded streams derived
+from (master seed, chunk index); each chunk draws in blocks of at most
+`_BLOCK` trials, so memory stays bounded by a few arrays of _BLOCK doubles
+whatever k and the trial count (`all_pairs_sampled` gathers the sampled
+pairs' signature differences in slices of at most `_GATHER` entries).
+Results merge by summation and are bit-identical for a fixed seed.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ __all__ = [
 DEFAULT_CHUNKS = 8
 _BLOCK = 1 << 16  # trials drawn at once within a chunk
 _GATHER = 1 << 16  # signature entries gathered at once for per-trial pair energies
+_WILSON_Z = ndtri(1 - (1 - 0.997) / 2)  # two-sided 99.7% normal quantile
 
 
 @dataclass(frozen=True)
@@ -96,9 +97,9 @@ class HeterodyneSpec:
             raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.997):
-    """Wilson score interval; well behaved in small-probability regimes."""
-    z = ndtri(1 - (1 - confidence) / 2)
+def wilson_interval(successes: int, trials: int):
+    """99.7% Wilson score interval; well behaved in small-probability regimes."""
+    z = _WILSON_Z
     p = successes / trials
     denom = 1 + z**2 / trials
     center = (p + z**2 / (2 * trials)) / denom
@@ -106,13 +107,13 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.997):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _blocks(trials: int, seed: int, chunks: int):
-    """(rng, n) for every block: chunk i draws from its own stream, seeded by
-    (seed, i), in consecutive blocks of at most _BLOCK trials."""
+def _blocks(trials: int, seed: int):
+    """(rng, n) for every block: chunk i of DEFAULT_CHUNKS draws from its own
+    stream, seeded by (seed, i), in consecutive blocks of at most _BLOCK trials."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    base, extra = divmod(trials, chunks)
-    for i in range(chunks):
+    base, extra = divmod(trials, DEFAULT_CHUNKS)
+    for i in range(DEFAULT_CHUNKS):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         size = base + (1 if i < extra else 0)
         for start in range(0, size, _BLOCK):
@@ -125,7 +126,6 @@ def estimate_lambda1(
     detector: DetectorSpec,
     trials: int,
     seed: int,
-    chunks: int = DEFAULT_CHUNKS,
 ) -> McEstimate:
     """First-kind error rate: total thermal count exceeds k(N+delta).
 
@@ -133,7 +133,7 @@ def estimate_lambda1(
     code enters only through k.
     """
     successes = 0
-    for rng, n in _blocks(trials, seed, chunks):
+    for rng, n in _blocks(trials, seed):
         counts = sample_photon_counts(code.k, 0.0, channel, rng, n)
         successes += int(np.count_nonzero(counts > detector.threshold))
     return McEstimate(successes, trials)
@@ -152,7 +152,6 @@ def estimate_lambda2(
     trials: int,
     seed: int,
     pair_strategy: str = "worst_pair",
-    chunks: int = DEFAULT_CHUNKS,
 ) -> McEstimate:
     """Second-kind (false-accept) error rate of the threshold detector.
 
@@ -170,7 +169,7 @@ def estimate_lambda2(
     # the count law depends on Delta only through ||Delta||^2
     energy = code.closest_pair[0] if pair_strategy == "worst_pair" else None
     successes = 0
-    for rng, n in _blocks(trials, seed, chunks):
+    for rng, n in _blocks(trials, seed):
         if pair_strategy == "all_pairs_sampled":
             send = rng.integers(0, m, size=n)
             recv = rng.integers(0, m - 1, size=n)
@@ -206,7 +205,6 @@ def heterodyne_simulate(
     spec: HeterodyneSpec,
     trials: int,
     seed: int,
-    chunks: int = DEFAULT_CHUNKS,
 ) -> dict:
     """Ball-test errors on the Gaussian channel z = alpha + w.
 
@@ -221,7 +219,7 @@ def heterodyne_simulate(
     energy = code.closest_pair[0]  # ||Delta||^2 of the worst pair
     succ1 = 0
     succ2 = 0
-    for rng, n in _blocks(trials, seed, chunks):
+    for rng, n in _blocks(trials, seed):
         norm1 = sample_intensity(k, 0.0, var, rng, n)
         succ1 += int(np.count_nonzero(norm1 > spec.threshold))
         norm2 = sample_intensity(k, energy, var, rng, n)

@@ -22,8 +22,8 @@ This module provides the single-mode pmf, an exact sampler (one Poisson count
 of the summed P-function intensity, which is drawn in law as a scaled
 noncentral chi-square after rotating alpha onto one quadrature), the tails of
 S_k in log domain, and the two tail exponents that drive the identification
-error bounds, each paired with an independent numerically optimized Chernoff
-bound.
+error bounds; the upper one has a numerically optimized Chernoff exponent as
+its oracle.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "lambda_exponent",
     "theta_exponent",
     "chernoff_upper_exponent",
-    "chernoff_lower_logbound",
 ]
 
 _LOG_TAIL_TOL = math.log(1e-17)
@@ -242,17 +241,18 @@ def photon_pmf_array(nmax: int, energy: float, channel: ChannelModel) -> np.ndar
     For N > 0, q_n = c^n L_n(x) with c = N/(N+1) and x = -e/(N(N+1)) follows
     (n+1) q_{n+1} = c (2n+1-x) q_n - c^2 n q_{n-1}, in which nothing cancels
     for x <= 0 (DLMF 18.9); q is rescaled by exact powers of two, so it
-    neither over- nor underflows.  For N = 0 the law is Poisson(e).
+    neither over- nor underflows.  For N = 0 the law is Poisson(e), and so it
+    is to float precision where N is so small that x overflows.
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     _check_law(1, energy)
     N, E = channel.n_thermal, energy
-    if N == 0:
+    x = -E / (N * (N + 1)) if N > 0 else -math.inf
+    if math.isinf(x):
         n = np.arange(nmax + 1)
         return np.exp(_log_poisson(n, E)) if E > 0 else (n == 0).astype(float)
     c = N / (N + 1)
-    x = -E / (N * (N + 1))
     log_amp = -math.log1p(N) - E / (N + 1)
     log_p = np.empty(nmax + 1)
     prev, cur, scale = 0.0, 1.0, 0
@@ -374,31 +374,3 @@ def chernoff_upper_exponent(delta: float, channel: ChannelModel) -> float:
     if res.x >= s_max * (1 - 1e-9):
         raise RuntimeError("Chernoff maximum not interior to (0, ln((N+1)/N))")
     return -res.fun
-
-
-def chernoff_lower_logbound(
-    k: int, delta: float, signal_energy: float, channel: ChannelModel
-) -> float:
-    """Rigorous log Chernoff bound on P(S_k <= k(N+delta)) at given total energy.
-
-    Minimizes s k(N+delta) - k ln(N+1-N e^{-s}) - E (1-e^{-s})/(N+1-N e^{-s})
-    over s > 0 and clamps at 0 (the bound never exceeds probability one).
-    """
-    N = channel.n_thermal
-    _check_delta(delta)
-    _check_law(k, signal_energy)
-    t = k * (N + delta)
-    from scipy.optimize import minimize_scalar
-
-    def obj(s: float) -> float:
-        w = math.exp(-s)
-        denom = N + 1 - N * w
-        return s * t - k * math.log(denom) - signal_energy * (1 - w) / denom
-
-    res = minimize_scalar(
-        obj, bounds=(1e-12, 60.0), method="bounded", options={"xatol": 1e-13}
-    )
-    if not res.success:
-        raise RuntimeError(f"Chernoff minimization failed: {res.message}")
-    return min(float(res.fun), 0.0)
-

@@ -153,28 +153,56 @@ def save_signature_set(path, code: SignatureSet) -> None:
             fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def load_signature_set(path) -> SignatureSet:
-    """Read a :func:`save_signature_set` file.  Comment lines after the
-    header are skipped, such as the ``# dim=..`` line older files carry."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# signature-set "):
-            raise ValueError(f"{path}: missing signature-set header")
-        fields = dict(tok.split("=") for tok in header[len("# signature-set ") :].split())
-        rows = [[float(x) for x in line.split()] for line in fh
-                if line.strip() and not line.startswith("#")]
-    for key in ("k", "energy_budget", "rho"):
-        if key not in fields:
-            raise ValueError(f"{path}: signature-set header lacks {key}=")
-    k = int(fields["k"])
+def _header_field(fields: dict, key: str, kind):
+    if key not in fields:
+        raise ValueError(f"signature-set header lacks {key}=")
+    try:
+        return kind(fields[key])
+    except ValueError:
+        raise ValueError(f"header field {key}={fields[key]} is not "
+                         f"{'an integer' if kind is int else 'a number'}") from None
+
+
+def _read_signature_set(fh) -> SignatureSet:
+    header = fh.readline().strip()
+    if not header.startswith("# signature-set "):
+        raise ValueError("missing signature-set header")
+    fields = {}
+    for tok in header[len("# signature-set ") :].split():
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ValueError(f"header token {tok!r} is not key=value")
+        fields[key] = value
+    rows = [[float(x) for x in line.split()] for line in fh
+            if line.strip() and not line.startswith("#")]
+    k = _header_field(fields, "k", int)
+    energy = _header_field(fields, "energy_budget", float)
+    rho = _header_field(fields, "rho", float)
+    if k < 1:
+        raise ValueError(f"header field k={k} must be >= 1")
+    for key, value in (("energy_budget", energy), ("rho", rho)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"header field {key}={value} must be finite and > 0")
+    if "M" in fields and _header_field(fields, "M", int) != len(rows):
+        raise ValueError(f"header field M={fields['M']} but the file has {len(rows)} rows")
     for row in rows:
         if len(row) != 2 * k:
-            raise ValueError(f"{path}: row width {len(row)} != 2k = {2 * k}")
+            raise ValueError(f"row width {len(row)} != 2k = {2 * k}")
     arr = np.array(rows).reshape(-1, 2 * k)
-    sigs = arr[:, 0::2] + 1j * arr[:, 1::2]
-    return SignatureSet(
-        k=k,
-        energy_budget=float(fields["energy_budget"]),
-        rho=float(fields["rho"]),
-        signatures=sigs,
-    )
+    code = SignatureSet(k=k, energy_budget=energy, rho=rho,
+                        signatures=arr[:, 0::2] + 1j * arr[:, 1::2])
+    top = code.energies().max() if len(code) else 0.0
+    if top > k * energy * (1 + 1e-9):  # beyond rounding
+        raise ValueError(f"a row has energy {top:.12g} > k E = {k * energy:.12g}")
+    return code
+
+
+def load_signature_set(path) -> SignatureSet:
+    """Read a :func:`save_signature_set` file.  Comment lines after the
+    header are skipped, such as the ``# dim=..`` line older files carry.  A
+    malformed file raises ValueError naming it."""
+    with open(path) as fh:
+        try:
+            return _read_signature_set(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

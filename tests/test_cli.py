@@ -274,6 +274,18 @@ class TestClosestPairScans:
 
 
 class TestFiniteInputs:
+    BAD_FILES = {  # signature files the loader rejects
+        "NO_K": "# signature-set energy_budget=4 rho=1\n0 0 2 0\n",
+        "TOKEN_WITHOUT_EQ": "# signature-set k=1 energy_budget=4 rho=1 foo\n0 0\n",
+        "K_NOT_INT": "# signature-set k=abc energy_budget=4 rho=1\n0 0\n",
+        "K_ZERO": "# signature-set k=0 energy_budget=4 rho=1\n",
+        "E_NAN": "# signature-set k=1 energy_budget=nan rho=1\n0 0\n1 0\n",
+        "RHO_NEGATIVE": "# signature-set k=1 energy_budget=4 rho=-1\n0 0\n1 0\n",
+        "M_WRONG": "# signature-set k=1 energy_budget=4 rho=1 M=7\n0 0\n1 0\n",
+        "ROW_ABOVE_KE": "# signature-set k=1 energy_budget=4 rho=1 M=2\n0 0\n3 0\n",
+        "ALL_OUT_OF_RANGE": "# signature-set k=1 energy_budget=nan rho=-1 M=7\n0 0\n3 0\n",
+    }
+
     @pytest.mark.parametrize("argv", [
         ["bounds", "--k", "8", "--rho", "1", "--noise", "inf"],
         ["bounds", "--k", "8", "--rho", "1", "--delta", "nan"],
@@ -294,20 +306,29 @@ class TestFiniteInputs:
         ["pack", "--k", "1", "--energy", "1e308", "--rho", "1"],
         ["simulate", "--code", "MISSING", "--trials", "10"],
         ["simulate", "--code", "NO_K", "--trials", "10"],
+        *[["simulate", "--code", name, "--trials", "10"] for name in (
+            "TOKEN_WITHOUT_EQ", "K_NOT_INT", "K_ZERO", "E_NAN", "RHO_NEGATIVE", "M_WRONG",
+            "ROW_ABOVE_KE", "ALL_OUT_OF_RANGE")],
+        ["heterodyne", "--code", "K_ZERO", "--trials", "10"],
     ])
     def test_rejected_with_error_line(self, tmp_path, capsys, argv):
         code = scheme.SignatureSet(k=2, energy_budget=4.0, rho=1.0,
                                    signatures=np.array([[0, 0], [2, 1j]], dtype=complex))
         scheme.save_signature_set(tmp_path / "code.txt", code)
-        (tmp_path / "no_k.txt").write_text("# signature-set energy_budget=4 rho=1\n0 0 2 0\n")
-        paths = {"CODE": "code.txt", "MISSING": "missing.txt", "NO_K": "no_k.txt"}
+        for name, text in self.BAD_FILES.items():
+            (tmp_path / f"{name.lower()}.txt").write_text(text)
+        paths = {"CODE": "code.txt", "MISSING": "missing.txt",
+                 **{name: f"{name.lower()}.txt" for name in self.BAD_FILES}}
         argv = [str(tmp_path / paths[a]) if a in paths else a for a in argv]
         out = tmp_path / "out.csv"
         assert run([*argv, "--out", str(out)]) == cli.EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
         assert not out.exists()
+        bad = [a for a in argv if a.endswith(".txt") and not a.endswith("code.txt")]
+        assert all(path in captured.err for path in bad)  # a bad file is named
 
     def test_unwritable_out_rejected_with_error_line(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "code.txt"

@@ -390,8 +390,9 @@ class TestBlocks:
         monkeypatch.setattr(mc, "_BLOCK", self.TRIALS // mc.DEFAULT_CHUNKS)
         assert self.runs() == default
 
-    def test_block_memory_does_not_grow_with_k(self):
+    def test_block_memory_does_not_grow_with_k(self, monkeypatch):
         # one full block at k = 64: 2^16 x 64 complex amplitudes would be 64 MB
+        monkeypatch.setattr(mc, "DEFAULT_CHUNKS", 1)
         k, trials = 64, mc._BLOCK
         sigs = np.random.default_rng(0).normal(size=(20, k)) + 0j
         code = SignatureSet(k=k, energy_budget=1.0, rho=0.1, signatures=sigs)
@@ -399,10 +400,10 @@ class TestBlocks:
         det = DetectorSpec.make(1.0, k, ch)
         spec = mc.HeterodyneSpec(noise_variance=2.0, threshold=4.0 * k)
         for run in (
-            lambda: mc.estimate_lambda1(code, ch, det, trials, 1, chunks=1),
-            lambda: mc.estimate_lambda2(code, ch, det, trials, 1, chunks=1),
-            lambda: mc.estimate_lambda2(code, ch, det, trials, 1, "all_pairs_sampled", 1),
-            lambda: mc.heterodyne_simulate(code, spec, trials, 1, chunks=1),
+            lambda: mc.estimate_lambda1(code, ch, det, trials, 1),
+            lambda: mc.estimate_lambda2(code, ch, det, trials, 1),
+            lambda: mc.estimate_lambda2(code, ch, det, trials, 1, "all_pairs_sampled"),
+            lambda: mc.heterodyne_simulate(code, spec, trials, 1),
         ):
             tracemalloc.start()
             try:

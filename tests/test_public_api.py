@@ -1,6 +1,8 @@
-"""Every public function and every field of a public type of bosonid has a
-use outside the tests: code only tests reach belongs in the tests."""
+"""Every public function, every field of a public type and every default of a
+public function of bosonid has a use outside the tests: code only tests reach
+belongs in the tests."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -13,9 +15,11 @@ import pytest
 import bosonid
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SOURCE_LINES = [line for folder in ("src", "scripts")
-                for path in sorted((ROOT / folder).rglob("*.py"))
-                for line in path.read_text().splitlines()]
+SOURCES = [path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))]
+SOURCE_LINES = [line for text in SOURCES for line in text.splitlines()]
+# names passed as ``name=`` in some call
+SOURCE_KEYWORDS = {kw.arg for text in SOURCES for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.Call) for kw in node.keywords}
 MODULES = [importlib.import_module(f"bosonid.{info.name}")
            for info in pkgutil.iter_modules(bosonid.__path__)]
 
@@ -38,7 +42,7 @@ def test_public_functions_are_used(module):
 @pytest.mark.parametrize("module", [bosonid, *MODULES], ids=lambda m: m.__name__)
 def test_public_fields_are_read(module):
     """Every field of a dataclass or NamedTuple named in an ``__all__`` is read
-    as ``.field`` on some line of src/ or scripts/.  The match is by text, so
+    as ``.field`` on some line of src/.  The match is by text, so
     ``args.delta`` would count as a read of a field called ``delta``."""
     unread = []
     for name in getattr(module, "__all__", ()):
@@ -54,3 +58,19 @@ def test_public_fields_are_read(module):
             if not any(read.search(line) for line in SOURCE_LINES):
                 unread.append(f"{name}.{field}")
     assert not unread, f"{module.__name__}.__all__ names types with unread fields: {unread}"
+
+
+@pytest.mark.parametrize("module", [bosonid, *MODULES], ids=lambda m: m.__name__)
+def test_public_defaults_are_set(module):
+    """Every defaulted parameter of a function named in an ``__all__`` is passed
+    by name in some call in src/: a default that no caller overrides is a
+    constant.  The match is by name, so ``size=`` in a numpy call counts too."""
+    unset = []
+    for name in getattr(module, "__all__", ()):
+        fn = getattr(module, name)
+        if not inspect.isfunction(fn):
+            continue
+        unset += [f"{name}({param.name}=)"
+                  for param in inspect.signature(fn).parameters.values()
+                  if param.default is not param.empty and param.name not in SOURCE_KEYWORDS]
+    assert not unset, f"{module.__name__}.__all__ names defaults nothing sets: {unset}"

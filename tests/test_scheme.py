@@ -214,6 +214,35 @@ class TestSerialization:
         with pytest.raises(ValueError, match="row width 3 != 2k = 2"):
             scheme.load_signature_set(path)
 
+    @pytest.mark.parametrize("header,rows,message", [
+        ("k=1 energy_budget=4 rho=1 foo", "0 0\n", "header token 'foo' is not key=value"),
+        ("k=abc energy_budget=4 rho=1", "0 0\n", "k=abc is not an integer"),
+        ("k=1.5 energy_budget=4 rho=1", "0 0\n", "k=1.5 is not an integer"),
+        ("k=0 energy_budget=4 rho=1", "", "k=0 must be >= 1"),
+        ("k=1 energy_budget=four rho=1", "0 0\n", "energy_budget=four is not a number"),
+        ("k=1 energy_budget=nan rho=1", "0 0\n", "energy_budget=nan must be finite and > 0"),
+        ("k=1 energy_budget=0 rho=1", "0 0\n", "energy_budget=0.0 must be finite and > 0"),
+        ("k=1 energy_budget=4 rho=-1", "0 0\n", "rho=-1.0 must be finite and > 0"),
+        ("k=1 energy_budget=4 rho=inf", "0 0\n", "rho=inf must be finite and > 0"),
+        ("k=1 energy_budget=4 rho=1 M=two", "0 0\n", "M=two is not an integer"),
+        ("k=1 energy_budget=4 rho=1 M=7", "0 0\n3 0\n", "M=7 but the file has 2 rows"),
+        ("k=1 energy_budget=4 rho=1", "0 0\n3 0\n", "a row has energy 9 > k E = 4"),
+    ], ids=["token_without_eq", "k_word", "k_fraction", "k_zero", "energy_word", "energy_nan",
+            "energy_zero", "rho_negative", "rho_inf", "m_word", "m_wrong", "row_above_kE"])
+    def test_rejects_malformed_header(self, tmp_path, header, rows, message):
+        path = tmp_path / "code.txt"
+        path.write_text(f"# signature-set {header}\n{rows}")
+        with pytest.raises(ValueError) as info:
+            scheme.load_signature_set(path)
+        assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+    @pytest.mark.parametrize("edge", ["2", "2.000000000002"])
+    def test_loads_rows_on_the_energy_sphere(self, tmp_path, edge):
+        # energy k E = 4, and 4 (1 + 2e-12): above k E by rounding only
+        path = tmp_path / "code.txt"
+        path.write_text(f"# signature-set k=1 energy_budget=4 rho=1 M=2\n0 0\n{edge} 0\n")
+        assert len(scheme.load_signature_set(path)) == 2
+
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not a signature file\n")
