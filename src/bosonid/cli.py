@@ -153,13 +153,12 @@ def cmd_simulate(args) -> int:
     channel = ChannelModel(args.noise)
     code = _load_or_build_code(args)
     detector = DetectorSpec.make(args.delta, code.k, channel)
-    est1 = montecarlo.estimate_lambda1(code, channel, detector, args.trials, args.seed)
-    est2 = montecarlo.estimate_lambda2(
-        code, channel, detector, args.trials, args.seed, pair_strategy=args.pair_strategy
-    )
+    d2, i, j = code.closest_pair
+    pairs = d2 if args.pair_strategy == "worst_pair" else montecarlo.sampled_pairs(code.signatures)
+    est1 = montecarlo.estimate_lambda1(channel, detector, args.trials, args.seed)
+    est2 = montecarlo.estimate_lambda2(pairs, channel, detector, args.trials, args.seed)
     exact1 = montecarlo.exact_lambda1(channel, detector)
-    delta_vec = montecarlo.worst_pair_delta(code)
-    exact2 = montecarlo.exact_lambda2(delta_vec, channel, detector)
+    exact2 = montecarlo.exact_lambda2(code.signatures[j] - code.signatures[i], channel, detector)
     bound1_log, bound2_log = scheme.analytic_error_bounds(
         code.k, args.delta, code.min_distance / 2, channel)
     rows = [_mc_row("lambda1", est1, exact=exact1, bound_log=bound1_log),
@@ -174,7 +173,8 @@ def cmd_heterodyne(args) -> int:
     sigma2 = channel.n_thermal + 1  # shot noise plus thermal extension
     tau = args.tau if args.tau is not None else code.k * sigma2 * (1 + args.delta)
     spec = montecarlo.HeterodyneSpec(noise_variance=sigma2, threshold=tau)
-    sim = montecarlo.heterodyne_simulate(code, spec, args.trials, args.seed)
+    sim = montecarlo.heterodyne_simulate(
+        code.k, code.closest_pair[0], spec, args.trials, args.seed)
     ana = montecarlo.heterodyne_analytic(code.k, spec, code.min_distance)
     rows = [_mc_row("lambda1", sim["lambda1"], analytic=ana["lambda1"]),
             _mc_row("lambda2", sim["lambda2_worst"], analytic=ana["lambda2"])]

@@ -4,11 +4,12 @@ The threshold detector commutes with the displaced number basis, so both
 error events reduce to classical total-photon-count thresholds: a first-kind
 error is "k thermal modes exceed k(N+delta)", and a second-kind error for the
 pair (m, m') is "k displaced thermal modes with amplitudes Delta = alpha_m' -
-alpha_m stay at or below k(N+delta)".  The simulators realize exactly those
-events; exact tail masses, Poisson mixtures of incomplete betas summed in log
-domain (`photonstats.log_tail_probability`), are the ground truth.  A
-heterodyne baseline (ball test on the induced Gaussian channel) is included
-with its closed-form chi-square error probabilities.
+alpha_m stay at or below k(N+delta)".  Their laws depend on a code only
+through k and ||Delta||^2, so the simulators take those numbers; exact tail
+masses, Poisson mixtures of incomplete betas summed in log domain
+(`photonstats.log_tail_probability`), are the ground truth.  A heterodyne
+baseline (ball test on the induced Gaussian channel) is included with its
+closed-form chi-square error probabilities.
 
 Every event depends on a trial only through a sum of squared Gaussians: the
 summed P-function intensity of the k modes, or the heterodyne norm
@@ -19,8 +20,8 @@ Poisson count of that intensity.  Trials are split into `DEFAULT_CHUNKS`
 chunks, drawn one after another from independently seeded streams derived
 from (master seed, chunk index); each chunk draws in blocks of at most
 `_BLOCK` trials, so memory stays bounded by a few arrays of _BLOCK doubles
-whatever k and the trial count (`all_pairs_sampled` gathers the sampled
-pairs' signature differences in slices of at most `_GATHER` entries).
+whatever k and the trial count (`sampled_pairs` gathers the sampled pairs'
+signature differences in slices of at most `_GATHER` entries).
 Results merge by summation and are bit-identical for a fixed seed.
 """
 
@@ -39,7 +40,6 @@ from .photonstats import (
     sample_intensity,
     sample_photon_counts,
 )
-from .scheme import SignatureSet
 
 __all__ = [
     "McEstimate",
@@ -48,7 +48,7 @@ __all__ = [
     "estimate_lambda2",
     "exact_lambda1",
     "exact_lambda2",
-    "worst_pair_delta",
+    "sampled_pairs",
     "heterodyne_simulate",
     "heterodyne_analytic",
     "wilson_interval",
@@ -121,11 +121,7 @@ def _blocks(trials: int, seed: int):
 
 
 def estimate_lambda1(
-    code: SignatureSet,
-    channel: ChannelModel,
-    detector: DetectorSpec,
-    trials: int,
-    seed: int,
+    channel: ChannelModel, detector: DetectorSpec, trials: int, seed: int
 ) -> McEstimate:
     """First-kind error rate: total thermal count exceeds k(N+delta).
 
@@ -134,52 +130,47 @@ def estimate_lambda1(
     """
     successes = 0
     for rng, n in _blocks(trials, seed):
-        counts = sample_photon_counts(code.k, 0.0, channel, rng, n)
+        counts = sample_photon_counts(detector.k, 0.0, channel, rng, n)
         successes += int(np.count_nonzero(counts > detector.threshold))
     return McEstimate(successes, trials)
 
 
-def worst_pair_delta(code: SignatureSet) -> np.ndarray:
-    """Difference vector of the minimum-distance pair (lowest-index tie-break)."""
-    _, i, j = code.closest_pair
-    return code.signatures[j] - code.signatures[i]
+def sampled_pairs(signatures):
+    """(rng, n) -> ||Delta||^2 of n ordered pairs (send, recv), recv != send,
+    drawn uniformly from the rows of an (M, k) signature array."""
+    m, k = signatures.shape
+    if m < 2:
+        raise ValueError("need at least 2 signatures")
+    step = max(1, _GATHER // k)  # rows per gather, so memory is O(_GATHER)
+
+    def energies(rng, n):
+        send = rng.integers(0, m, size=n)
+        recv = rng.integers(0, m - 1, size=n)
+        recv += recv >= send  # uniform over ordered pairs with recv != send
+        return np.concatenate([
+            np.sum(np.abs(signatures[send[i : i + step]] - signatures[recv[i : i + step]]) ** 2,
+                   axis=1)
+            for i in range(0, n, step)
+        ])
+
+    return energies
 
 
 def estimate_lambda2(
-    code: SignatureSet,
-    channel: ChannelModel,
-    detector: DetectorSpec,
-    trials: int,
-    seed: int,
-    pair_strategy: str = "worst_pair",
+    energy, channel: ChannelModel, detector: DetectorSpec, trials: int, seed: int
 ) -> McEstimate:
     """Second-kind (false-accept) error rate of the threshold detector.
 
-    The event for a pair depends only on Delta = alpha_m' - alpha_m:
-    displaced thermal counts with amplitudes Delta_t total at most k(N+delta).
-    worst_pair uses the minimum-distance pair; all_pairs_sampled averages over
-    uniformly sampled ordered pairs.
+    The event for a pair depends only on ||Delta||^2, Delta = alpha_m' -
+    alpha_m: displaced thermal counts of that total energy are at most
+    k(N+delta).  ``energy`` is that float (the worst pair's, say), or a
+    function (rng, n) -> n energies such as `sampled_pairs` returns, called on
+    each block's stream before its counts are drawn.
     """
-    if pair_strategy not in ("worst_pair", "all_pairs_sampled"):
-        raise ValueError(f"unknown pair_strategy {pair_strategy!r}")
-    m = len(code)
-    if m < 2:
-        raise ValueError("need at least 2 signatures")
-    sigs = code.signatures
-    # the count law depends on Delta only through ||Delta||^2
-    energy = code.closest_pair[0] if pair_strategy == "worst_pair" else None
     successes = 0
     for rng, n in _blocks(trials, seed):
-        if pair_strategy == "all_pairs_sampled":
-            send = rng.integers(0, m, size=n)
-            recv = rng.integers(0, m - 1, size=n)
-            recv += recv >= send  # uniform over ordered pairs with recv != send
-            step = max(1, _GATHER // code.k)  # rows per gather, so memory is O(_GATHER)
-            energy = np.concatenate([
-                np.sum(np.abs(sigs[send[i : i + step]] - sigs[recv[i : i + step]]) ** 2, axis=1)
-                for i in range(0, n, step)
-            ])
-        counts = sample_photon_counts(code.k, energy, channel, rng, n)
+        energies = energy(rng, n) if callable(energy) else energy
+        counts = sample_photon_counts(detector.k, energies, channel, rng, n)
         successes += int(np.count_nonzero(counts <= detector.threshold))
     return McEstimate(successes, trials)
 
@@ -201,22 +192,19 @@ def exact_lambda2(delta_vec, channel: ChannelModel, detector: DetectorSpec) -> f
 
 
 def heterodyne_simulate(
-    code: SignatureSet,
-    spec: HeterodyneSpec,
-    trials: int,
-    seed: int,
+    k: int, energy: float, spec: HeterodyneSpec, trials: int, seed: int
 ) -> dict:
     """Ball-test errors on the Gaussian channel z = alpha + w.
 
     Returns {"lambda1": ..., "lambda2_worst": ...} as McEstimates; lambda1 is
-    the event ||w||^2 > threshold, lambda2 the worst-pair event
-    ||Delta + w||^2 <= threshold.  With w_t ~ CN(0, noise_variance), both
-    norms are drawn in law by `photonstats.sample_intensity`:
+    the event ||w||^2 > threshold, lambda2 the event ||Delta + w||^2 <=
+    threshold at ``energy`` = ||Delta||^2, the worst pair's.  With
+    w_t ~ CN(0, noise_variance), both norms are drawn in law by
+    `photonstats.sample_intensity`:
     ||w||^2 = s chi^2(2k) and ||Delta + w||^2 = (sqrt(s) Z + ||Delta||)^2
     + s chi^2(2k-1), with s = noise_variance / 2 per real quadrature.
     """
-    k, var = code.k, spec.noise_variance
-    energy = code.closest_pair[0]  # ||Delta||^2 of the worst pair
+    var = spec.noise_variance
     succ1 = 0
     succ2 = 0
     for rng, n in _blocks(trials, seed):

@@ -47,9 +47,6 @@ __all__ = [
 ]
 
 _LOG_TAIL_TOL = math.log(1e-17)
-_LN2 = math.log(2)
-_HUGE = 2.0**500
-_TINY = 2.0**-500
 _NORMAL_MIN = np.finfo(float).tiny  # smallest float at full precision
 _CF_TERMS = 1000
 _SMALL_PARAM = 40  # below this incomplete-beta parameter scipy sums a binomial series
@@ -238,31 +235,31 @@ def log_tail_probability(
 def photon_pmf_array(nmax: int, energy: float, channel: ChannelModel) -> np.ndarray:
     """pmf p(n | energy, N) for n = 0..nmax: the k = 1 count law.
 
-    For N > 0, q_n = c^n L_n(x) with c = N/(N+1) and x = -e/(N(N+1)) follows
-    (n+1) q_{n+1} = c (2n+1-x) q_n - c^2 n q_{n-1}, in which nothing cancels
-    for x <= 0 (DLMF 18.9); q is rescaled by exact powers of two, so it
-    neither over- nor underflows.  For N = 0 the law is Poisson(e), and so it
-    is to float precision where N is so small that x overflows.
+    With S_1 = J + NB(1+J) (module docstring), p(n) is the mixture
+    sum_{j<=n} Poi(j; lam) C(n, j) (N+1)^{-1-j} (N/(N+1))^{n-j},
+    lam = e/(N+1), summed in logs from one ln n! table, so no N or energy
+    over- or underflows it; at lam = 0 it is geometric, at N = 0 Poisson.
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     _check_law(1, energy)
-    N, E = channel.n_thermal, energy
-    x = -E / (N * (N + 1)) if N > 0 else -math.inf
-    if math.isinf(x):
-        n = np.arange(nmax + 1)
-        return np.exp(_log_poisson(n, E)) if E > 0 else (n == 0).astype(float)
-    c = N / (N + 1)
-    log_amp = -math.log1p(N) - E / (N + 1)
-    log_p = np.empty(nmax + 1)
-    prev, cur, scale = 0.0, 1.0, 0
-    for n in range(nmax + 1):
-        log_p[n] = log_amp + scale * _LN2 + math.log(cur)
-        prev, cur = cur, (c * (2 * n + 1 - x) * cur - c * c * n * prev) / (n + 1)
-        if not _TINY < cur < _HUGE:
-            e = math.frexp(cur)[1]
-            prev, cur, scale = math.ldexp(prev, -e), math.ldexp(cur, -e), scale + e
-    return np.exp(log_p)
+    N = channel.n_thermal
+    lam = energy / (N + 1)
+    n = np.arange(nmax + 1)
+    if N == 0:  # the count is J
+        return np.exp(_log_poisson(n, lam)) if lam > 0 else (n == 0).astype(float)
+    log_c = -math.log1p(1 / N) if N >= 1 else math.log(N) - math.log1p(N)
+    log_geo = n * log_c - math.log1p(N)  # ln P(NB(1) = n)
+    if lam == 0:
+        return np.exp(log_geo)
+    log_fact = gammaln(n + 1.0)  # the one ln n! table
+    gap = n - n[:, None]  # n - j in row j
+    log_nb = np.where(gap >= 0, (log_geo - log_fact)[np.maximum(gap, 0)], -math.inf)
+    # ln Poi(j; lam) - ln j! - j ln(N+1) in row j
+    log_j = n * (math.log(lam) - math.log1p(N)) - lam - 2 * log_fact
+    terms = log_j[:, None] + log_fact + log_nb
+    top = terms.max(axis=0)  # finite: the j = 0 term is
+    return np.exp(top + np.log(np.exp(terms - top).sum(axis=0)))
 
 
 def sample_intensity(

@@ -13,7 +13,6 @@ from scipy.stats import binom
 from bosonid import cli, fockspace as fs, geometry as geo, montecarlo as mc
 from bosonid import photonstats as ps
 from bosonid.photonstats import ChannelModel, DetectorSpec
-from bosonid.scheme import SignatureSet
 
 DELTA_GRID = (0.1, 0.5, 1.0, 2.0)
 NOISE_GRID = (0.2, 0.5, 1.0, 2.0)
@@ -22,18 +21,6 @@ NOISE_GRID = (0.2, 0.5, 1.0, 2.0)
 def report(num, label, ok):
     print(f"criterion {num} ({label}): {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {num} ({label}) failed"
-
-
-def two_point_code(k, per_mode_amp):
-    sigs = np.zeros((2, k), dtype=complex)
-    sigs[1] = per_mode_amp
-    d = abs(per_mode_amp) * math.sqrt(k)
-    return SignatureSet(
-        k=k,
-        energy_budget=abs(per_mode_amp) ** 2,
-        rho=d / 2,
-        signatures=sigs,
-    )
 
 
 def binomial_interval(trials, p, confidence=0.997):
@@ -141,13 +128,12 @@ def test_criterion_6_monte_carlo_matches_exact():
     trials = 100_000
     ok = True
     for k in (2, 4, 8, 16):
-        code = two_point_code(k, 1.0)
-        det = DetectorSpec.make(1.0, k, ch)
-        est1 = mc.estimate_lambda1(code, ch, det, trials, 1000 + k)
+        det = DetectorSpec.make(1.0, k, ch)  # the pair 0, (1, ..., 1): ||Delta||^2 = k
+        est1 = mc.estimate_lambda1(ch, det, trials, 1000 + k)
         lo, hi = binomial_interval(trials, mc.exact_lambda1(ch, det))
         ok = ok and lo <= est1.successes <= hi
-        est2 = mc.estimate_lambda2(code, ch, det, trials, 2000 + k)
-        lo, hi = binomial_interval(trials, mc.exact_lambda2(mc.worst_pair_delta(code), ch, det))
+        est2 = mc.estimate_lambda2(float(k), ch, det, trials, 2000 + k)
+        lo, hi = binomial_interval(trials, mc.exact_lambda2(np.ones(k), ch, det))
         ok = ok and lo <= est2.successes <= hi
     elapsed = time.perf_counter() - start
     report(6, "Monte Carlo inside exact-binomial intervals", ok and elapsed < 120.0)
@@ -176,10 +162,9 @@ def test_criterion_8_heterodyne_consistency():
     trials = 1_000_000
     ok = True
     for k in (1, 2, 4):
-        code = two_point_code(k, 1.0)
         spec = mc.HeterodyneSpec(noise_variance=1.0, threshold=1.5 * k)
-        sim = mc.heterodyne_simulate(code, spec, trials, 300 + k)
-        exact = mc.heterodyne_analytic(k, spec, code.min_distance)
+        sim = mc.heterodyne_simulate(k, float(k), spec, trials, 300 + k)  # ||Delta||^2 = k
+        exact = mc.heterodyne_analytic(k, spec, math.sqrt(k))
         lo, hi = binomial_interval(trials, exact["lambda1"])
         ok = ok and lo <= sim["lambda1"].successes <= hi
         lo, hi = binomial_interval(trials, exact["lambda2"])

@@ -117,7 +117,7 @@ class TestBounds:
             run(["bounds", "--k", "8", "--rho", "1", "--seed", "3"])
 
     def test_huge_noise_is_finite(self, tmp_path):
-        # N + 1 - N r rounds to 0 at N = 1e300 unless Theta is evaluated with expm1
+        # N + 1 - N r rounds to 0 at N = 1e300 unless r - 1 is evaluated with expm1
         out = tmp_path / "bounds.csv"
         assert run(["bounds", "--k", "8", "--rho", "1", "--noise", "1e300",
                     "--out", str(out)]) == 0
@@ -126,7 +126,9 @@ class TestBounds:
         exact = rows[0].pop("lambda1_exact_log")
         assert math.isnan(float(exact))
         assert all(math.isfinite(float(v)) for v in rows[0].values())
-        assert -4 * 1.0e-300 < float(rows[0]["lambda2_log"]) < 0
+        # the mean count kN + 4 rho^2 is below the threshold k(N + delta), where
+        # no Chernoff bound on the lower tail is below 0
+        assert float(rows[0]["lambda2_log"]) == 0.0
 
     def test_lambda1_exact_column(self, tmp_path):
         out = tmp_path / "bounds.csv"
@@ -310,14 +312,19 @@ class TestFiniteInputs:
             "TOKEN_WITHOUT_EQ", "K_NOT_INT", "K_ZERO", "E_NAN", "RHO_NEGATIVE", "M_WRONG",
             "ROW_ABOVE_KE", "ALL_OUT_OF_RANGE")],
         ["heterodyne", "--code", "K_ZERO", "--trials", "10"],
+        ["simulate", "--code", "ONE_ROW", "--trials", "10"],
+        ["heterodyne", "--code", "ONE_ROW", "--trials", "10"],
     ])
     def test_rejected_with_error_line(self, tmp_path, capsys, argv):
         code = scheme.SignatureSet(k=2, energy_budget=4.0, rho=1.0,
                                    signatures=np.array([[0, 0], [2, 1j]], dtype=complex))
         scheme.save_signature_set(tmp_path / "code.txt", code)
+        # a well-formed code of one signature: it has no closest pair
+        scheme.save_signature_set(tmp_path / "one_row_code.txt", scheme.SignatureSet(
+            k=2, energy_budget=4.0, rho=1.0, signatures=np.zeros((1, 2), dtype=complex)))
         for name, text in self.BAD_FILES.items():
             (tmp_path / f"{name.lower()}.txt").write_text(text)
-        paths = {"CODE": "code.txt", "MISSING": "missing.txt",
+        paths = {"CODE": "code.txt", "MISSING": "missing.txt", "ONE_ROW": "one_row_code.txt",
                  **{name: f"{name.lower()}.txt" for name in self.BAD_FILES}}
         argv = [str(tmp_path / paths[a]) if a in paths else a for a in argv]
         out = tmp_path / "out.csv"

@@ -11,20 +11,9 @@ from scipy.stats import binom, chi2, ncx2
 from bosonid import montecarlo as mc
 from bosonid import photonstats as ps
 from bosonid.photonstats import ChannelModel, DetectorSpec
-from bosonid.scheme import SignatureSet
 
-
-def two_point_code(k, per_mode_amp):
-    """Minimal codebook {0, (a, ..., a)} for controlled worst-pair distance."""
-    sigs = np.zeros((2, k), dtype=complex)
-    sigs[1] = per_mode_amp
-    d = abs(per_mode_amp) * math.sqrt(k)
-    return SignatureSet(
-        k=k,
-        energy_budget=abs(per_mode_amp) ** 2,
-        rho=d / 2,
-        signatures=sigs,
-    )
+# four k = 2 signatures at squared distances 1, 2.25, 4, 4.25, 4.25 and 5
+FOUR_POINTS = np.array([[0, 0], [1, 0], [0, 2j], [1.5, 1 + 1j]], dtype=complex)
 
 
 def mp_lambda1(k, noise, delta):
@@ -122,34 +111,30 @@ def exact_binomial_ok(successes, trials, p, confidence=0.997):
 
 class TestEstimateLambda1:
     def test_vacuum_channel_never_errs(self):
-        code = two_point_code(4, 1.0)
         ch = ChannelModel(0.0)
         det = DetectorSpec.make(0.5, 4, ch)
-        est = mc.estimate_lambda1(code, ch, det, 10_000, 0)
+        est = mc.estimate_lambda1(ch, det, 10_000, 0)
         assert est.point == 0.0
 
     def test_matches_exact_oracle(self):
         ch = ChannelModel(1.0)
-        code = two_point_code(8, 1.0)
         det = DetectorSpec.make(1.0, 8, ch)
-        est = mc.estimate_lambda1(code, ch, det, 100_000, 21)
+        est = mc.estimate_lambda1(ch, det, 100_000, 21)
         exact = mc.exact_lambda1(ch, det)
         assert exact_binomial_ok(est.successes, est.trials, exact)
 
     def test_below_analytic_bound(self):
         ch = ChannelModel(1.0)
-        code = two_point_code(8, 1.0)
         det = DetectorSpec.make(1.0, 8, ch)
-        est = mc.estimate_lambda1(code, ch, det, 100_000, 3)
+        est = mc.estimate_lambda1(ch, det, 100_000, 3)
         bound = math.exp(-8 * ps.lambda_exponent(1.0, ch))
         assert est.point <= bound + 3 * est.stderr
 
     def test_reproducible(self):
         ch = ChannelModel(0.7)
-        code = two_point_code(4, 1.2)
         det = DetectorSpec.make(1.0, 4, ch)
-        a = mc.estimate_lambda1(code, ch, det, 20_000, 99)
-        b = mc.estimate_lambda1(code, ch, det, 20_000, 99)
+        a = mc.estimate_lambda1(ch, det, 20_000, 99)
+        b = mc.estimate_lambda1(ch, det, 20_000, 99)
         assert a == b
 
 
@@ -212,55 +197,49 @@ class TestExactTails:
 class TestEstimateLambda2:
     def test_matches_exact_oracle(self):
         ch = ChannelModel(1.0)
-        code = two_point_code(4, math.sqrt(2))  # ||Delta||^2 = 8
         det = DetectorSpec.make(1.0, 4, ch)
-        est = mc.estimate_lambda2(code, ch, det, 100_000, 12)
-        exact = mc.exact_lambda2(mc.worst_pair_delta(code), ch, det)
+        est = mc.estimate_lambda2(8.0, ch, det, 100_000, 12)
+        exact = mc.exact_lambda2(np.full(4, math.sqrt(2)), ch, det)  # ||Delta||^2 = 8
         assert exact_binomial_ok(est.successes, est.trials, exact)
 
     def test_all_pairs_sampled(self):
         ch = ChannelModel(1.0)
-        code = two_point_code(2, 1.5)
+        sigs = np.array([[0, 0], [1.5, 1.5]], dtype=complex)
         det = DetectorSpec.make(1.0, 2, ch)
-        est = mc.estimate_lambda2(code, ch, det, 2000, 5, pair_strategy="all_pairs_sampled")
+        est = mc.estimate_lambda2(mc.sampled_pairs(sigs), ch, det, 2000, 5)
         # with only one pair this must agree with the worst-pair target
-        exact = mc.exact_lambda2(mc.worst_pair_delta(code), ch, det)
+        exact = mc.exact_lambda2(sigs[1] - sigs[0], ch, det)
         assert exact_binomial_ok(est.successes, est.trials, exact)
 
     def test_all_pairs_sampled_unequal_distances(self):
-        # squared distances 1, 2.25, 4, 4.25, 4.25 and 5: the pair average is
-        # far from the worst pair's, so only the sampled average passes
-        sigs = np.array([[0, 0], [1, 0], [0, 2j], [1.5, 1 + 1j]], dtype=complex)
-        code = SignatureSet(k=2, energy_budget=4.0, rho=0.5, signatures=sigs)
+        # the pair average is far from the worst pair's (squared distance 1),
+        # so only the sampled average passes
+        sigs = FOUR_POINTS
         ch = ChannelModel(1.0)
         det = DetectorSpec.make(1.0, 2, ch)
         pairs = [(s, r) for s in range(4) for r in range(4) if s != r]
         mean = sum(mc.exact_lambda2(sigs[s] - sigs[r], ch, det) for s, r in pairs) / len(pairs)
-        worst = mc.exact_lambda2(mc.worst_pair_delta(code), ch, det)
+        worst = mc.exact_lambda2(sigs[1] - sigs[0], ch, det)
         trials = 40_000
         assert worst - mean > 10 * math.sqrt(mean * (1 - mean) / trials)
-        est = mc.estimate_lambda2(code, ch, det, trials, 6, pair_strategy="all_pairs_sampled")
+        est = mc.estimate_lambda2(mc.sampled_pairs(sigs), ch, det, trials, 6)
         assert exact_binomial_ok(est.successes, est.trials, mean)
+
+    def test_sampled_pairs_needs_two_signatures(self):
+        with pytest.raises(ValueError, match="2 signatures"):
+            mc.sampled_pairs(FOUR_POINTS[:1])
 
     def test_paper_scale_block_length(self):
         # k = 1024 at N = delta = 1 and ||Delta||^2 = k: the threshold 2k is
         # the law's mean, so lambda2 is near 1/2
         start = time.perf_counter()
         ch = ChannelModel(1.0)
-        code = two_point_code(1024, 1.0)
         det = DetectorSpec.make(1.0, 1024, ch)
-        est = mc.estimate_lambda2(code, ch, det, 100_000, 13)
-        exact = mc.exact_lambda2(mc.worst_pair_delta(code), ch, det)
+        est = mc.estimate_lambda2(1024.0, ch, det, 100_000, 13)
+        exact = mc.exact_lambda2(np.ones(1024), ch, det)
         assert 0.3 < exact < 0.7
         assert exact_binomial_ok(est.successes, est.trials, exact)
         assert time.perf_counter() - start < 1.0
-
-    def test_unknown_strategy_rejected(self):
-        code = two_point_code(2, 1.0)
-        ch = ChannelModel(1.0)
-        det = DetectorSpec.make(1.0, 2, ch)
-        with pytest.raises(ValueError):
-            mc.estimate_lambda2(code, ch, det, 100, 0, pair_strategy="best_pair")
 
     def test_permutation_invariance_of_exact_target(self):
         ch = ChannelModel(0.5)
@@ -270,34 +249,25 @@ class TestEstimateLambda2:
         b = mc.exact_lambda2(delta[[2, 0, 1]], ch, det)
         assert a == pytest.approx(b, abs=1e-12)
 
-    def test_worst_pair_selection(self):
-        sigs = np.array([[0.0], [3.0], [3.5]], dtype=complex)
-        code = SignatureSet(k=1, energy_budget=16.0, rho=0.25, signatures=sigs)
-        delta = mc.worst_pair_delta(code)
-        assert abs(delta[0]) == pytest.approx(0.5)
-
 
 class TestHeterodyne:
     def test_huge_threshold_never_rejects(self):
-        code = two_point_code(2, 1.0)
         spec = mc.HeterodyneSpec(noise_variance=1.0, threshold=1e9)
-        out = mc.heterodyne_simulate(code, spec, 5000, 0)
+        out = mc.heterodyne_simulate(2, 2.0, spec, 5000, 0)
         assert out["lambda1"].point == 0.0
 
     def test_lambda1_matches_chi_square(self):
         k = 2
-        code = two_point_code(k, 1.0)
         spec = mc.HeterodyneSpec(noise_variance=1.0, threshold=4.0)
-        out = mc.heterodyne_simulate(code, spec, 200_000, 8)
+        out = mc.heterodyne_simulate(k, 2.0, spec, 200_000, 8)
         p = chi2.sf(2 * spec.threshold / spec.noise_variance, 2 * k)
         assert exact_binomial_ok(out["lambda1"].successes, out["lambda1"].trials, p)
 
     def test_lambda2_matches_noncentral_chi_square(self):
-        k = 2
-        code = two_point_code(k, 1.5)  # worst-pair distance 1.5 sqrt(2)
+        k, energy = 2, 4.5  # worst-pair distance 1.5 sqrt(2)
         spec = mc.HeterodyneSpec(noise_variance=1.0, threshold=4.0)
-        out = mc.heterodyne_simulate(code, spec, 200_000, 8)
-        nc = 2 * code.min_distance**2 / spec.noise_variance
+        out = mc.heterodyne_simulate(k, energy, spec, 200_000, 8)
+        nc = 2 * energy / spec.noise_variance
         p = ncx2.cdf(2 * spec.threshold / spec.noise_variance, 2 * k, nc)
         assert exact_binomial_ok(out["lambda2_worst"].successes, out["lambda2_worst"].trials, p)
 
@@ -360,18 +330,17 @@ class TestBlocks:
 
     def runs(self):
         ch = ChannelModel(1.0)
-        code = two_point_code(2, 1.5)
+        sigs = np.array([[0, 0], [1.5, 1.5]], dtype=complex)  # ||Delta||^2 = 4.5
         det = DetectorSpec.make(1.0, 2, ch)
         spec = mc.HeterodyneSpec(noise_variance=2.0, threshold=6.0)
-        het = mc.heterodyne_simulate(code, spec, self.TRIALS, 3)
+        het = mc.heterodyne_simulate(2, 4.5, spec, self.TRIALS, 3)
+        exact2 = mc.exact_lambda2(sigs[1] - sigs[0], ch, det)
         return {
-            "lambda1": (mc.estimate_lambda1(code, ch, det, self.TRIALS, 1),
+            "lambda1": (mc.estimate_lambda1(ch, det, self.TRIALS, 1),
                         mc.exact_lambda1(ch, det)),
-            "worst_pair": (mc.estimate_lambda2(code, ch, det, self.TRIALS, 2),
-                           mc.exact_lambda2(mc.worst_pair_delta(code), ch, det)),
-            "all_pairs": (mc.estimate_lambda2(code, ch, det, self.TRIALS, 2,
-                                              pair_strategy="all_pairs_sampled"),
-                          mc.exact_lambda2(mc.worst_pair_delta(code), ch, det)),
+            "worst_pair": (mc.estimate_lambda2(4.5, ch, det, self.TRIALS, 2), exact2),
+            "all_pairs": (mc.estimate_lambda2(mc.sampled_pairs(sigs), ch, det, self.TRIALS, 2),
+                          exact2),
             # 2 ||.||^2 / noise_variance: chi-square with 4 degrees of freedom,
             # noncentral by 2 ||Delta||^2 / noise_variance = 4.5 for lambda2
             "heterodyne1": (het["lambda1"], chi2.sf(6.0, 4)),
@@ -395,15 +364,14 @@ class TestBlocks:
         monkeypatch.setattr(mc, "DEFAULT_CHUNKS", 1)
         k, trials = 64, mc._BLOCK
         sigs = np.random.default_rng(0).normal(size=(20, k)) + 0j
-        code = SignatureSet(k=k, energy_budget=1.0, rho=0.1, signatures=sigs)
         ch = ChannelModel(1.0)
         det = DetectorSpec.make(1.0, k, ch)
         spec = mc.HeterodyneSpec(noise_variance=2.0, threshold=4.0 * k)
         for run in (
-            lambda: mc.estimate_lambda1(code, ch, det, trials, 1),
-            lambda: mc.estimate_lambda2(code, ch, det, trials, 1),
-            lambda: mc.estimate_lambda2(code, ch, det, trials, 1, "all_pairs_sampled"),
-            lambda: mc.heterodyne_simulate(code, spec, trials, 1),
+            lambda: mc.estimate_lambda1(ch, det, trials, 1),
+            lambda: mc.estimate_lambda2(2.0 * k, ch, det, trials, 1),
+            lambda: mc.estimate_lambda2(mc.sampled_pairs(sigs), ch, det, trials, 1),
+            lambda: mc.heterodyne_simulate(k, 2.0 * k, spec, trials, 1),
         ):
             tracemalloc.start()
             try:
@@ -416,13 +384,11 @@ class TestBlocks:
     def test_pair_energies_gathered_in_slices(self, monkeypatch):
         # 7 entries per gather is 3 pairs of a k = 2 code per slice: the same
         # per-trial energies, so the same estimate
-        sigs = np.array([[0, 0], [1, 0], [0, 2j], [1.5, 1 + 1j]], dtype=complex)
-        code = SignatureSet(k=2, energy_budget=4.0, rho=0.5, signatures=sigs)
         ch = ChannelModel(1.0)
         det = DetectorSpec.make(1.0, 2, ch)
 
         def run():
-            return mc.estimate_lambda2(code, ch, det, 5000, 4, pair_strategy="all_pairs_sampled")
+            return mc.estimate_lambda2(mc.sampled_pairs(FOUR_POINTS), ch, det, 5000, 4)
 
         default = run()
         monkeypatch.setattr(mc, "_GATHER", 7)
@@ -443,17 +409,40 @@ class TestManySeeds:
     def test_lambda2_unbiased(self):
         # k = 4, N = delta = 1, ||Delta||^2 = 4
         ch = ChannelModel(1.0)
-        code = two_point_code(4, 1.0)
         det = DetectorSpec.make(1.0, 4, ch)
-        p = mc.exact_lambda2(mc.worst_pair_delta(code), ch, det)
-        runs = [mc.estimate_lambda2(code, ch, det, self.TRIALS, s) for s in self.SEEDS]
+        p = mc.exact_lambda2(np.ones(4), ch, det)
+        runs = [mc.estimate_lambda2(4.0, ch, det, self.TRIALS, s) for s in self.SEEDS]
         assert abs(self.mean_z([r.successes for r in runs], p)) < 0.5
 
     def test_heterodyne_lambda2_unbiased(self):
-        # the same code at per-mode variance N + 1 = 2 and the CLI's default
+        # the same pair at per-mode variance N + 1 = 2 and the CLI's default
         # threshold k sigma^2 (1 + delta) = 16
-        code = two_point_code(4, 1.0)
         spec = mc.HeterodyneSpec(noise_variance=2.0, threshold=16.0)
         p = float(chndtr(2 * 16.0 / 2.0, 8, 2 * 4.0 / 2.0))
-        runs = [mc.heterodyne_simulate(code, spec, self.TRIALS, s) for s in self.SEEDS]
+        runs = [mc.heterodyne_simulate(4, 4.0, spec, self.TRIALS, s) for s in self.SEEDS]
         assert abs(self.mean_z([r["lambda2_worst"].successes for r in runs], p)) < 0.5
+
+
+class TestGoldenStreams:
+    """Success counts at fixed seeds, recorded before the estimators took the
+    count law's parameters instead of a code: the streams are part of the
+    determinism contract, so a change to any of these integers must be
+    announced."""
+
+    TRIALS = 20_000
+    # N: (lambda1, worst pair, sampled pairs, heterodyne lambda1, heterodyne lambda2)
+    GOLDEN = {0.0: (0, 18385, 7624, 334, 18315), 1.0: (2204, 15343, 9597, 3947, 13870)}
+
+    @pytest.mark.parametrize("noise", sorted(GOLDEN))
+    def test_successes(self, noise):
+        ch = ChannelModel(noise)
+        det = DetectorSpec.make(1.0, 2, ch)
+        spec = mc.HeterodyneSpec(noise_variance=noise + 1, threshold=6.0)
+        worst = 1.0  # ||Delta||^2 of FOUR_POINTS' closest pair
+        het = mc.heterodyne_simulate(2, worst, spec, self.TRIALS, 5)
+        pairs = mc.sampled_pairs(FOUR_POINTS)
+        got = (mc.estimate_lambda1(ch, det, self.TRIALS, 1).successes,
+               mc.estimate_lambda2(worst, ch, det, self.TRIALS, 2).successes,
+               mc.estimate_lambda2(pairs, ch, det, self.TRIALS, 3).successes,
+               het["lambda1"].successes, het["lambda2_worst"].successes)
+        assert got == self.GOLDEN[noise]

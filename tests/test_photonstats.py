@@ -106,6 +106,20 @@ class TestPmf:
         poisson = [math.exp(-1) / math.factorial(n) for n in range(6)]
         assert pmf == pytest.approx(poisson, rel=1e-14)
 
+    @pytest.mark.parametrize("energy", [0.0, 1e-320, 1e-310])
+    @pytest.mark.parametrize("n_thermal", [5e-324, 1e-320, 1e-310])
+    def test_subnormal_noise_and_energy(self, energy, n_thermal):
+        # the Laguerre recurrence overflowed here: x = -e/(N(N+1)) is huge or
+        # not representable; its values are taken in mpmath
+        pmf = ps.photon_pmf_array(5, energy, ChannelModel(n_thermal))
+        with mp.workdps(50):
+            N, e = mp.mpf(n_thermal), mp.mpf(energy)
+            x = -e / (N * (N + 1))
+            want = [float((N / (N + 1)) ** n * mp.exp(-e / (N + 1)) * mp.laguerre(n, 0, x)
+                          / (N + 1)) for n in range(6)]
+        assert pmf.sum() == 1.0
+        assert pmf == pytest.approx(want, rel=1e-12, abs=1e-322)  # 20 subnormal steps
+
     @pytest.mark.parametrize("energy", [0.0, 1.0, 10.0, 50.0])
     @pytest.mark.parametrize("n_thermal", [0.1, 1.0, 5.0])
     def test_normalization(self, energy, n_thermal):

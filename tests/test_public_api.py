@@ -1,6 +1,6 @@
 """Every public function, every field of a public type and every default of a
 public function of bosonid has a use outside the tests: code only tests reach
-belongs in the tests."""
+belongs in the tests.  And the Monte Carlo layer does not depend on codes."""
 
 import ast
 import dataclasses
@@ -74,3 +74,17 @@ def test_public_defaults_are_set(module):
                   for param in inspect.signature(fn).parameters.values()
                   if param.default is not param.empty and param.name not in SOURCE_KEYWORDS]
     assert not unset, f"{module.__name__}.__all__ names defaults nothing sets: {unset}"
+
+
+def test_montecarlo_does_not_import_scheme():
+    """The estimators take the count law's parameters, k and ||Delta||^2, not
+    a code: `montecarlo` reads nothing of `scheme`."""
+    tree = ast.parse((ROOT / "src" / "bosonid" / "montecarlo.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):  # relative imports are from bosonid
+            module = ".".join(["bosonid"] * bool(node.level) + [node.module] * bool(node.module))
+            imported += [module, *(f"{module}.{alias.name}" for alias in node.names)]
+    assert not [name for name in imported if name.split(".")[:2] == ["bosonid", "scheme"]]

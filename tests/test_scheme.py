@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -83,10 +84,45 @@ class TestAchievableUsersLog:
 
 class TestAnalyticErrorBounds:
     def test_values(self):
+        # N = delta = 1: r = 2^{-1/2}, Theta = (1 - r)/(2 - r), and the
+        # Chernoff bound adds k ln(2/(2 - r)) to -4 rho^2 Theta
         ch = ChannelModel(1.0)
         lambda1_log, lambda2_log = scheme.analytic_error_bounds(10, 1.0, 1.0, ch)
         assert lambda1_log == pytest.approx(-10 * math.log(32 / 27))
-        assert lambda2_log == pytest.approx(-4 * (1 - 2**-0.5) / (2 - 2**-0.5))
+        assert lambda2_log == 0.0  # -0.906 + 4.362: vacuous
+        _, lambda2_log = scheme.analytic_error_bounds(1, 1.0, 2.0, ch)
+        theta = (1 - 2**-0.5) / (2 - 2**-0.5)
+        assert lambda2_log == pytest.approx(-16 * theta + math.log(2 / (2 - 2**-0.5)))
+        assert lambda2_log < -3
+
+    @pytest.mark.parametrize("noise,rho2", [(1e6, 1e8), (1e300, 1e304)])
+    def test_lambda2_matches_mpmath_at_huge_noise(self, noise, rho2):
+        # r = (N+1)^{-1/(N+delta)} rounds to 1 in floats; 350 digits resolve 1 - r
+        k, delta = 8, 1.0
+        with mp.workdps(350):
+            N = mp.mpf(noise)
+            r = (N + 1) ** (-1 / (N + delta))
+            want = float(-4 * rho2 * (1 - r) / (N + 1 - N * r)
+                         + k * mp.log((N + 1) / (N + 1 - N * r)))
+        _, got = scheme.analytic_error_bounds(k, delta, math.sqrt(rho2), ChannelModel(noise))
+        assert want < 0
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_lambda2_bounds_exact_tail_on_grid(self):
+        # -4 rho^2 Theta alone is below the exact log tail at 356 of these 672 points
+        above = []
+        for k in (1, 2, 4, 16, 64, 256, 1024):
+            for noise in (0.1, 0.5, 1.0, 4.0):
+                ch = ChannelModel(noise)
+                for delta in (0.1, 0.5, 1.0, 2.0):
+                    for energy in (0.5, 2.0, 8.0, 32.0, 128.0, 1000.0):
+                        rho = math.sqrt(energy) / 2
+                        _, bound = scheme.analytic_error_bounds(k, delta, rho, ch)
+                        exact = ps.log_tail_probability(
+                            k, energy, ch, k * (noise + delta), upper=False)
+                        if exact > bound:
+                            above.append((k, noise, delta, energy, exact, bound))
+        assert not above
 
     def test_zero_rho_is_vacuous(self):
         _, lambda2_log = scheme.analytic_error_bounds(4, 1.0, 0.0, ChannelModel(1.0))
@@ -123,7 +159,7 @@ class TestConverseUsersLog:
     def test_dominates_achievable(self):
         ch = ChannelModel(1.0)
         theta = ps.theta_exponent(1.0, ch)
-        gamma = 1 / (4 * theta)  # second-kind bound <= 1/k
+        gamma = 1 / (4 * theta)
         for k in (8, 32, 128, 512):
             rho = math.sqrt(gamma * math.log(k))
             lower = scheme.achievable_users_log(k, 4.0, rho)
