@@ -42,6 +42,8 @@ _BATCH = 4096  # candidates per draw of the packing
 _MAX_PIVOTS = 32  # pivots of the packing's witness screen, at most
 _PIVOT_SEED = 20260  # the pivots' own stream
 _CELL_MIN = 64  # accepted points below which one product against all is cheaper
+# multiply-adds up to which OpenBLAS runs a matrix product on one thread (65536 x 4)
+_SERIAL_PRODUCT = 1 << 18
 # The screens' partial sums of |a|^2 + |b|^2 - 2 a.b are at most (|a| + |b|)^2,
 # and closest_pair centers its points, which can double their norms.  For
 # points of norm at most MAX_NORM both stay below (4 MAX_NORM)^2, a quarter of
@@ -252,6 +254,20 @@ def _augmented_cols(c: np.ndarray) -> np.ndarray:
     return cols
 
 
+def _serial_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, as products of tiles of at most _SERIAL_PRODUCT multiply-adds
+    each (unless one row of a times one column of b is more), which OpenBLAS
+    runs without waking its thread pool."""
+    n, inner = a.shape
+    rows = max(1, min(n, _SERIAL_PRODUCT // (2 * inner)))
+    cols = max(1, _SERIAL_PRODUCT // (rows * inner))
+    out = np.empty((n, b.shape[1]))
+    for i in range(0, n, rows):
+        for j in range(0, b.shape[1], cols):
+            np.matmul(a[i : i + rows], b[:, j : j + cols], out=out[i : i + rows, j : j + cols])
+    return out
+
+
 def closest_pair(points) -> tuple[float, int, int]:
     """(squared distance, i, j), i < j, of the closest pair of rows of a real
     or complex array; among equal distances the lowest indices win.
@@ -262,6 +278,15 @@ def closest_pair(points) -> tuple[float, int, int]:
     float-error slack of the running minimum is recomputed as the sum of
     |a_j - a_i|^2 and ranked by (distance, i, j), so the result is the exact
     minimum of that sum, ties included, whatever the screen's rounding.
+
+    The products run in tiles small enough that OpenBLAS keeps them on the
+    calling thread (`_serial_product`).  Handed whole to its thread pool, a
+    256 x 10 x M product wakes it, and its idle worker then spins for about
+    0.1 s, taking a CPU from the Monte Carlo threads that `simulate` and
+    `heterodyne` start next.  On 2 vCPUs at M = 2500, k = 4, a 10^6-trial
+    lambda1 estimate took 76 ms right after an untiled `closest_pair` and
+    39 ms after a 0.3 s pause; after the tiled one it takes 39 ms.  Tiling
+    costs `closest_pair` itself 11.5 -> 16 ms there (medians of 5).
     """
     arr = np.asarray(points)
     m = arr.shape[0]
@@ -279,7 +304,7 @@ def closest_pair(points) -> tuple[float, int, int]:
     floor = math.inf
     for lo in range(0, m - 1, _PAIR_BLOCK):
         hi = min(lo + _PAIR_BLOCK, m)
-        s = rows[lo:hi] @ cols[:, lo:]
+        s = _serial_product(rows[lo:hi], cols[:, lo:])
         s[np.tril_indices(hi - lo)] = math.inf  # keep j > i only
         floor = min(floor, float(s.min()))
         near = s <= floor + slack

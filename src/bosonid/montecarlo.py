@@ -17,17 +17,22 @@ summed P-function intensity of the k modes, or the heterodyne norm
 scaled noncentral chi-square taken as one normal and one chi-square per
 trial, and the photon counts by `photonstats.sample_photon_counts` as one
 Poisson count of that intensity.  Trials are split into `DEFAULT_CHUNKS`
-chunks, drawn one after another from independently seeded streams derived
-from (master seed, chunk index); each chunk draws in blocks of at most
-`_BLOCK` trials, so memory stays bounded by a few arrays of _BLOCK doubles
-whatever k and the trial count (`sampled_pairs` gathers the sampled pairs'
-signature differences in slices of at most `_GATHER` entries).
-Results merge by summation and are bit-identical for a fixed seed.
+chunks, each drawn from its own stream seeded by (master seed, chunk index).
+The chunks run at the same time, on one thread per CPU the process may use
+(at most DEFAULT_CHUNKS); numpy's samplers and ufuncs release the GIL while
+they fill large arrays.  Each chunk draws in blocks of at most `_BLOCK`
+trials, so memory stays bounded by the workers times a few arrays of _BLOCK
+doubles whatever k and the trial count (`sampled_pairs` gathers the sampled
+pairs' signature differences in slices of at most `_GATHER` entries).
+Chunk success counts merge by integer summation, so results are
+bit-identical for a fixed seed whatever the CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +63,9 @@ DEFAULT_CHUNKS = 8
 _BLOCK = 1 << 16  # trials drawn at once within a chunk
 _GATHER = 1 << 16  # signature entries gathered at once for per-trial pair energies
 _WILSON_Z = ndtri(1 - (1 - 0.997) / 2)  # two-sided 99.7% normal quantile
+# threads that run the chunks: one per CPU this process may use
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+    os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -107,17 +115,22 @@ def wilson_interval(successes: int, trials: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _blocks(trials: int, seed: int):
-    """(rng, n) for every block: chunk i of DEFAULT_CHUNKS draws from its own
-    stream, seeded by (seed, i), in consecutive blocks of at most _BLOCK trials."""
+def _successes(trials: int, seed: int, count):
+    """Sum of count(rng, n) over every block: chunk i of DEFAULT_CHUNKS draws
+    from its own stream, seeded by (seed, i), in consecutive blocks of at most
+    _BLOCK trials.  The chunks run on min(_WORKERS, DEFAULT_CHUNKS) threads;
+    the sum of their integer counts does not depend on which thread ran which."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     base, extra = divmod(trials, DEFAULT_CHUNKS)
-    for i in range(DEFAULT_CHUNKS):
+
+    def chunk(i):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         size = base + (1 if i < extra else 0)
-        for start in range(0, size, _BLOCK):
-            yield rng, min(_BLOCK, size - start)
+        return sum(count(rng, min(_BLOCK, size - start)) for start in range(0, size, _BLOCK))
+
+    with ThreadPoolExecutor(max_workers=min(_WORKERS, DEFAULT_CHUNKS)) as pool:
+        return sum(pool.map(chunk, range(DEFAULT_CHUNKS)))
 
 
 def estimate_lambda1(
@@ -128,11 +141,11 @@ def estimate_lambda1(
     By unitary invariance the event is identical for every signature, so the
     code enters only through k.
     """
-    successes = 0
-    for rng, n in _blocks(trials, seed):
+    def count(rng, n):
         counts = sample_photon_counts(detector.k, 0.0, channel, rng, n)
-        successes += int(np.count_nonzero(counts > detector.threshold))
-    return McEstimate(successes, trials)
+        return np.count_nonzero(counts > detector.threshold)
+
+    return McEstimate(int(_successes(trials, seed, count)), trials)
 
 
 def sampled_pairs(signatures):
@@ -167,12 +180,12 @@ def estimate_lambda2(
     function (rng, n) -> n energies such as `sampled_pairs` returns, called on
     each block's stream before its counts are drawn.
     """
-    successes = 0
-    for rng, n in _blocks(trials, seed):
+    def count(rng, n):
         energies = energy(rng, n) if callable(energy) else energy
         counts = sample_photon_counts(detector.k, energies, channel, rng, n)
-        successes += int(np.count_nonzero(counts <= detector.threshold))
-    return McEstimate(successes, trials)
+        return np.count_nonzero(counts <= detector.threshold)
+
+    return McEstimate(int(_successes(trials, seed, count)), trials)
 
 
 def exact_lambda1(channel: ChannelModel, detector: DetectorSpec) -> float:
@@ -205,13 +218,14 @@ def heterodyne_simulate(
     + s chi^2(2k-1), with s = noise_variance / 2 per real quadrature.
     """
     var = spec.noise_variance
-    succ1 = 0
-    succ2 = 0
-    for rng, n in _blocks(trials, seed):
+
+    def count(rng, n):
         norm1 = sample_intensity(k, 0.0, var, rng, n)
-        succ1 += int(np.count_nonzero(norm1 > spec.threshold))
+        succ1 = np.count_nonzero(norm1 > spec.threshold)
         norm2 = sample_intensity(k, energy, var, rng, n)
-        succ2 += int(np.count_nonzero(norm2 <= spec.threshold))
+        return np.array([succ1, np.count_nonzero(norm2 <= spec.threshold)])
+
+    succ1, succ2 = _successes(trials, seed, count).tolist()
     return {
         "lambda1": McEstimate(succ1, trials),
         "lambda2_worst": McEstimate(succ2, trials),

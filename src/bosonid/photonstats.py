@@ -112,11 +112,13 @@ def _log_poisson(j, lam: float) -> np.ndarray:
     j ln lam - lam - ln j! cancels terms of size j ln j, as (Loader 2000)
     -j phi(lam/j) - ln(2 pi j)/2 - s(j), phi(u) = u - 1 - ln u, s in _STIRLING."""
     j = np.asarray(j, float)
-    big = np.maximum(j, 16)
+    out = j * math.log(lam) - lam - gammaln(j + 1)
+    large = j >= 16
+    big = j[large]
     u = lam / big
     stirling = sum(c / big ** (2 * i + 1) for i, c in enumerate(_STIRLING))
-    return np.where(j < 16, j * math.log(lam) - lam - gammaln(j + 1),
-                    -big * (u - 1 - np.log(u)) - 0.5 * np.log(2 * math.pi * big) - stirling)
+    out[large] = -big * (u - 1 - np.log(u)) - 0.5 * np.log(2 * math.pi * big) - stirling
+    return out
 
 
 def _log_nb_tail(a, b, n_thermal: float, upper: bool) -> np.ndarray:

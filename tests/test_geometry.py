@@ -278,6 +278,40 @@ class TestClosestPairScreen:
         assert geo.closest_pair(pts) == min(rows)
 
 
+class TestSerialProduct:
+    """closest_pair's products, in tiles small enough that OpenBLAS runs each
+    on the calling thread."""
+
+    @staticmethod
+    def products(monkeypatch, fn, *args):
+        """fn(*args) and the multiply-adds of every np.matmul it called."""
+        sizes, matmul = [], np.matmul
+
+        def spy(a, b, **kwargs):
+            sizes.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return matmul(a, b, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "matmul", spy)
+            return fn(*args), sizes
+
+    @pytest.mark.parametrize("n,inner,q", [(256, 10, 2500), (300, 5000, 7), (3, 4, 5)])
+    def test_matches_product(self, n, inner, q, monkeypatch):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(n, inner)), rng.normal(size=(inner, q))
+        got, sizes = self.products(monkeypatch, geo._serial_product, a, b)
+        assert max(sizes) <= geo._SERIAL_PRODUCT
+        assert sum(sizes) == n * inner * q  # every output entry computed once
+        # |a.b| rounding is within inner eps (|a|^2 + |b|^2) / 2
+        scale = float(np.max(np.sum(a * a, axis=1))) + float(np.max(np.sum(b * b, axis=0)))
+        assert np.max(np.abs(got - a @ b)) <= geo._rounding_slack(inner, scale)
+
+    def test_closest_pair_products_are_serial(self, monkeypatch):
+        pts = np.random.default_rng(1).normal(size=(2500, 4, 2)).view(complex)[..., 0]
+        _, sizes = self.products(monkeypatch, geo.closest_pair, pts)
+        assert sizes and max(sizes) <= geo._SERIAL_PRODUCT
+
+
 class TestClosestPairAtMaxNorm:
     """Points of norm up to geo.MAX_NORM, where the centered screen's partial
     sums come closest to overflow."""

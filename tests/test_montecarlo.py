@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import tracemalloc
 
@@ -360,26 +361,30 @@ class TestBlocks:
         assert self.runs() == default
 
     def test_block_memory_does_not_grow_with_k(self, monkeypatch):
-        # one full block at k = 64: 2^16 x 64 complex amplitudes would be 64 MB
-        monkeypatch.setattr(mc, "DEFAULT_CHUNKS", 1)
-        k, trials = 64, mc._BLOCK
+        # one full block per chunk at k = 64: 2^16 x 64 complex amplitudes
+        # would be 64 MB.  With every chunk active, each worker thread holds
+        # one block's arrays at a time.
+        k = 64
         sigs = np.random.default_rng(0).normal(size=(20, k)) + 0j
         ch = ChannelModel(1.0)
         det = DetectorSpec.make(1.0, k, ch)
         spec = mc.HeterodyneSpec(noise_variance=2.0, threshold=4.0 * k)
-        for run in (
-            lambda: mc.estimate_lambda1(ch, det, trials, 1),
-            lambda: mc.estimate_lambda2(2.0 * k, ch, det, trials, 1),
-            lambda: mc.estimate_lambda2(mc.sampled_pairs(sigs), ch, det, trials, 1),
-            lambda: mc.heterodyne_simulate(k, 2.0 * k, spec, trials, 1),
-        ):
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 16 * 2**20
+        for chunks in (1, mc.DEFAULT_CHUNKS):
+            monkeypatch.setattr(mc, "DEFAULT_CHUNKS", chunks)
+            trials = chunks * mc._BLOCK
+            for run in (
+                lambda: mc.estimate_lambda1(ch, det, trials, 1),
+                lambda: mc.estimate_lambda2(2.0 * k, ch, det, trials, 1),
+                lambda: mc.estimate_lambda2(mc.sampled_pairs(sigs), ch, det, trials, 1),
+                lambda: mc.heterodyne_simulate(k, 2.0 * k, spec, trials, 1),
+            ):
+                tracemalloc.start()
+                try:
+                    run()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 16 * 2**20 * min(mc._WORKERS, chunks)
 
     def test_pair_energies_gathered_in_slices(self, monkeypatch):
         # 7 entries per gather is 3 pairs of a k = 2 code per slice: the same
@@ -393,6 +398,35 @@ class TestBlocks:
         default = run()
         monkeypatch.setattr(mc, "_GATHER", 7)
         assert run() == default
+
+
+class TestWorkers:
+    """The chunks run on up to mc._WORKERS threads; the thread count changes
+    no result, also where some chunks have no trials."""
+
+    @pytest.mark.parametrize("trials", [*range(1, mc.DEFAULT_CHUNKS), 20_001])
+    def test_results_do_not_depend_on_worker_count(self, trials, monkeypatch):
+        ch = ChannelModel(1.0)
+        det = DetectorSpec.make(1.0, 2, ch)
+        spec = mc.HeterodyneSpec(noise_variance=2.0, threshold=6.0)
+
+        def runs():
+            return (mc.estimate_lambda1(ch, det, trials, 1),
+                    mc.estimate_lambda2(1.0, ch, det, trials, 2),
+                    mc.estimate_lambda2(mc.sampled_pairs(FOUR_POINTS), ch, det, trials, 3),
+                    mc.heterodyne_simulate(2, 1.0, spec, trials, 4))
+
+        monkeypatch.setattr(mc, "_WORKERS", 1)
+        serial = runs()
+        # a thread per chunk, switching as often as the interpreter can
+        monkeypatch.setattr(mc, "_WORKERS", mc.DEFAULT_CHUNKS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = runs()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 class TestManySeeds:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -288,6 +289,16 @@ class TestExactTotalPmf:
         upper = ps.log_tail_probability(k, energy, ch, thr, upper=True)
         lower = ps.log_tail_probability(k, energy, ch, thr, upper=False)
         assert math.exp(upper) + math.exp(lower) == pytest.approx(1.0, abs=1e-13)
+
+    def test_subnormal_energy_does_not_warn(self):
+        # lam / j underflowed to 0 in the j >= 16 branch of ln Poi(j; lam),
+        # evaluated at j = 0 too, and warned of a log of zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ps.log_tail_probability(2, 5e-324, ChannelModel(0.2), 0, upper=False)
+        # ln P(NB(2) = 0) = -2 ln 1.2, as returned while it warned
+        assert got == -0.3646431135879093
+        assert got == pytest.approx(-2 * math.log(1.2), rel=1e-15)
 
     def test_lower_tail_beyond_count_range(self):
         # the threshold is past 2^22 counts, the bulk of the law is not
