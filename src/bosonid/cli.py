@@ -77,7 +77,10 @@ def _meta(args) -> dict:
 
 
 def _parse_k_list(text: str) -> list[int]:
-    ks = [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        ks = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        ks = []
     if not ks or any(k < 1 for k in ks):
         raise ValueError(f"invalid --k list {text!r}")
     return ks
@@ -90,6 +93,9 @@ def cmd_bounds(args) -> int:
         raise ValueError("exactly one of --rho / --gamma is required")
     if args.gamma is not None and not 0 < args.gamma < math.inf:
         raise ValueError(f"gamma must be finite and > 0, got {args.gamma}")
+    if args.gamma is not None and min(ks) < 2:
+        raise ValueError("--gamma needs every k >= 2 (rho^2 = gamma ln k is 0 at k = 1), "
+                         f"got --k {args.k}")
     rows = []
     for k in ks:
         delta_k = args.delta_k if args.delta_k is not None else 1.0 / k

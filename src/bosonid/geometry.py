@@ -16,9 +16,9 @@ with those of its second-nearest.  A screened squared distance below
 separation^2 minus a rigorous float-error slack is a real witness.  The few
 candidates without one are compared with every accepted point, by one
 matrix product; those within the slack of separation^2 get the exact
-`cdist` distance.  So each candidate is accepted or rejected exactly as by a
-`cdist` against all accepted points, and the accepted set is the same point
-for point.
+distance, `_distances`, also used for the points accepted within a batch.
+So each candidate is accepted or rejected exactly as by `_distances` to all
+accepted points, and the accepted set is the same point for point.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "PackingSpec",
@@ -37,7 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_REJECTION_BUDGET = 100_000
-_PAIR_BLOCK = 256  # rows per block of the closest-pair screen
 _BATCH = 4096  # candidates per draw of the packing
 _MAX_PIVOTS = 32  # pivots of the packing's witness screen, at most
 _PIVOT_SEED = 20260  # the pivots' own stream
@@ -84,12 +82,12 @@ def greedy_packing(spec: PackingSpec, rng: np.random.Generator) -> np.ndarray:
     """Sequential rejection sampling of a separated point set in the ball:
     the (M, dim) array of accepted points, in order of acceptance.
 
-    Uniform candidates, drawn in batches of 4096, are accepted when at `cdist`
-    distance >= separation from every accepted point (exact comparison, no
+    Uniform candidates, drawn in batches of 4096, are accepted when at
+    `_distances` >= separation from every accepted point (exact comparison, no
     slack); stops after ``rejection_budget`` consecutive rejections.  The
     pivot-cell witness screen (module docstring) only rejects candidates that
     have a point within the separation, and it hands every other one to that
-    exact comparison, so the accepted points are those of a plain `cdist` scan.
+    exact comparison, so the accepted points are those of a plain scan.
     """
     screen = _WitnessScreen(spec.dim, spec.radius, spec.separation)
     consecutive = 0
@@ -111,8 +109,7 @@ def greedy_packing(spec: PackingSpec, rng: np.random.Generator) -> np.ndarray:
             consecutive = 0
             start += j + 1
             if start < _BATCH:
-                d_new = np.sqrt(((cands[start:] - new) ** 2).sum(axis=1))
-                mind[start:] = np.minimum(mind[start:], d_new)
+                mind[start:] = np.minimum(mind[start:], _distances(cands[start:], new))
     return screen.accepted()
 
 
@@ -168,7 +165,7 @@ class _WitnessScreen:
 
     def min_distance(self, cands: np.ndarray) -> np.ndarray:
         """Per candidate, a value that is >= separation exactly where its
-        cdist distance to the nearest accepted point is."""
+        `_distances` distance to the nearest accepted point is."""
         n, dim = cands.shape
         self._file()
         if not len(self.points):
@@ -176,10 +173,10 @@ class _WitnessScreen:
         cols = _augmented_cols(cands)
         # To first order, the screened |c|^2 + |a|^2 - 2 c.a is within
         # (1.5 dim + 2) eps (|c|^2 + |a|^2) of |c - a|^2, and the square of
-        # the cdist distance within (dim + 4) eps (|c|^2 + |a|^2).  The slack
+        # the exact distance within (dim + 4) eps (|c|^2 + |a|^2).  The slack
         # is over four times their sum, so a screened value below sep^2 -
-        # slack is a cdist distance below sep, and one above sep^2 + slack a
-        # cdist distance above it.
+        # slack is an exact distance below sep, and one above sep^2 + slack an
+        # exact distance above it.
         slack = _rounding_slack(dim, float(cols[-2].max()) + self.max_sq)
         low, high = self.sep2 - slack, self.sep2 + slack
         mind = np.full(n, -math.inf)  # below separation: a witness rejects it
@@ -195,8 +192,8 @@ class _WitnessScreen:
             smin = (self.rows @ cols).min(axis=0)
             mind[todo[smin > high]] = math.inf
             near = todo[(smin >= low) & (smin <= high)]
-            if near.size:
-                mind[near] = cdist(cands[near], self.points).min(axis=1)
+            for i in near:
+                mind[i] = _distances(self.points, cands[i]).min()
         return mind
 
     def _cell_witness(self, nearest: np.ndarray, cols: np.ndarray, low: float) -> np.ndarray:
@@ -218,6 +215,11 @@ class _WitnessScreen:
         hit = np.zeros(n, dtype=bool)
         hit[idx[witness]] = True
         return hit
+
+
+def _distances(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The exact distance of the packing: |a_i - c| for each row a_i of a."""
+    return np.sqrt(((a - c) ** 2).sum(axis=1))
 
 
 def _pivot_count(m: int) -> int:
@@ -254,20 +256,6 @@ def _augmented_cols(c: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _serial_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, as products of tiles of at most _SERIAL_PRODUCT multiply-adds
-    each (unless one row of a times one column of b is more), which OpenBLAS
-    runs without waking its thread pool."""
-    n, inner = a.shape
-    rows = max(1, min(n, _SERIAL_PRODUCT // (2 * inner)))
-    cols = max(1, _SERIAL_PRODUCT // (rows * inner))
-    out = np.empty((n, b.shape[1]))
-    for i in range(0, n, rows):
-        for j in range(0, b.shape[1], cols):
-            np.matmul(a[i : i + rows], b[:, j : j + cols], out=out[i : i + rows, j : j + cols])
-    return out
-
-
 def closest_pair(points) -> tuple[float, int, int]:
     """(squared distance, i, j), i < j, of the closest pair of rows of a real
     or complex array; among equal distances the lowest indices win.
@@ -279,14 +267,15 @@ def closest_pair(points) -> tuple[float, int, int]:
     |a_j - a_i|^2 and ranked by (distance, i, j), so the result is the exact
     minimum of that sum, ties included, whatever the screen's rounding.
 
-    The products run in tiles small enough that OpenBLAS keeps them on the
-    calling thread (`_serial_product`).  Handed whole to its thread pool, a
-    256 x 10 x M product wakes it, and its idle worker then spins for about
-    0.1 s, taking a CPU from the Monte Carlo threads that `simulate` and
-    `heterodyne` start next.  On 2 vCPUs at M = 2500, k = 4, a 10^6-trial
-    lambda1 estimate took 76 ms right after an untiled `closest_pair` and
-    39 ms after a 0.3 s pause; after the tiled one it takes 39 ms.  Tiling
-    costs `closest_pair` itself 11.5 -> 16 ms there (medians of 5).
+    Each block has as many rows as keep its product within _SERIAL_PRODUCT
+    multiply-adds, so OpenBLAS runs it on the calling thread.  A product
+    handed to its thread pool wakes it, and its idle worker then spins for
+    about 0.1 s, taking a CPU from the Monte Carlo threads that `simulate`
+    and `heterodyne` start next.  On 2 vCPUs at M = 2500, k = 4, a 10^6-trial
+    lambda1 estimate took 76 ms right after 256-row blocks and 39 ms after a
+    0.3 s pause.  A single row passes the limit only where (d + 2) M > 2^18,
+    d the real dimension (2k for a code: k >= 64 with M > 2016, say); there
+    the product may use the pool, which changes the speed, not the result.
     """
     arr = np.asarray(points)
     m = arr.shape[0]
@@ -302,18 +291,19 @@ def closest_pair(points) -> tuple[float, int, int]:
     slack = _rounding_slack(x.shape[1], float(rows[:, -1].max()))
     best = (math.inf, 0, 1)
     floor = math.inf
-    for lo in range(0, m - 1, _PAIR_BLOCK):
-        hi = min(lo + _PAIR_BLOCK, m)
-        s = _serial_product(rows[lo:hi], cols[:, lo:])
+    lo = 0
+    while lo < m - 1:
+        hi = min(m, lo + max(1, _SERIAL_PRODUCT // (rows.shape[1] * (m - lo))))
+        s = np.matmul(rows[lo:hi], cols[:, lo:])
         s[np.tril_indices(hi - lo)] = math.inf  # keep j > i only
         floor = min(floor, float(s.min()))
         near = s <= floor + slack
-        if not near.any():
-            continue
-        i, j = np.divmod(np.flatnonzero(near), s.shape[1])
-        i, j = i + lo, j + lo
-        d2 = np.sum(np.abs(arr[j] - arr[i]) ** 2, axis=1)
-        first = np.lexsort((j, i, d2))[0]
-        best = min(best, (float(d2[first]), int(i[first]), int(j[first])))
+        if near.any():
+            i, j = np.divmod(np.flatnonzero(near), s.shape[1])
+            i, j = i + lo, j + lo
+            d2 = np.sum(np.abs(arr[j] - arr[i]) ** 2, axis=1)
+            first = np.lexsort((j, i, d2))[0]
+            best = min(best, (float(d2[first]), int(i[first]), int(j[first])))
+        lo = hi
     return best
 

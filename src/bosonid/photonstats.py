@@ -117,7 +117,8 @@ def _log_poisson(j, lam: float) -> np.ndarray:
     big = j[large]
     u = lam / big
     stirling = sum(c / big ** (2 * i + 1) for i, c in enumerate(_STIRLING))
-    out[large] = -big * (u - 1 - np.log(u)) - 0.5 * np.log(2 * math.pi * big) - stirling
+    with np.errstate(divide="ignore"):  # where lam / j underflows to 0, -inf is right
+        out[large] = -big * (u - 1 - np.log(u)) - 0.5 * np.log(2 * math.pi * big) - stirling
     return out
 
 
@@ -186,9 +187,10 @@ def _log_window_sum(log_term, lo: int, hi: float, peak_hi: int) -> float:
         first, last = int(grid[max(best - 1, 0)]), int(grid[min(best + 1, 64)])
 
     def rest_negligible(edge, inner, top):
+        if edge == -math.inf:
+            return True
         step = edge - inner
-        return edge == -math.inf or (
-            step < 0 and edge + step - math.log(-math.expm1(step)) < top + _LOG_TAIL_TOL)
+        return step < 0 and edge + step - math.log(-math.expm1(step)) < top + _LOG_TAIL_TOL
 
     width = 8 + 8 * math.isqrt(first)  # about 8 Poisson standard deviations
     while True:

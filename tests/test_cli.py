@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -287,6 +291,10 @@ class TestFiniteInputs:
         "ROW_ABOVE_KE": "# signature-set k=1 energy_budget=4 rho=1 M=2\n0 0\n3 0\n",
         "ALL_OUT_OF_RANGE": "# signature-set k=1 energy_budget=nan rho=-1 M=7\n0 0\n3 0\n",
     }
+    NAMED_FLAG = {  # command lines whose error names the flag at fault
+        ("bounds", "--k", "1,8", "--gamma", "1.1"): "--gamma",  # rho = 0 at k = 1
+        ("bounds", "--k", "0x10", "--rho", "1"): "--k",
+    }
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--k", "8", "--rho", "1", "--noise", "inf"],
@@ -314,8 +322,11 @@ class TestFiniteInputs:
         ["heterodyne", "--code", "K_ZERO", "--trials", "10"],
         ["simulate", "--code", "ONE_ROW", "--trials", "10"],
         ["heterodyne", "--code", "ONE_ROW", "--trials", "10"],
+        ["bounds", "--k", "1,8", "--gamma", "1.1"],
+        ["bounds", "--k", "0x10", "--rho", "1"],
     ])
     def test_rejected_with_error_line(self, tmp_path, capsys, argv):
+        named = self.NAMED_FLAG.get(tuple(argv))
         code = scheme.SignatureSet(k=2, energy_budget=4.0, rho=1.0,
                                    signatures=np.array([[0, 0], [2, 1j]], dtype=complex))
         scheme.save_signature_set(tmp_path / "code.txt", code)
@@ -336,6 +347,7 @@ class TestFiniteInputs:
         assert not out.exists()
         bad = [a for a in argv if a.endswith(".txt") and not a.endswith("code.txt")]
         assert all(path in captured.err for path in bad)  # a bad file is named
+        assert named is None or named in captured.err
 
     def test_unwritable_out_rejected_with_error_line(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "code.txt"
@@ -379,6 +391,19 @@ class TestHeterodyne:
         _, rows = read_csv(out)
         for row in rows:
             assert float(row["wilson_low"]) <= float(row["analytic"]) <= float(row["wilson_high"])
+
+
+class TestColdStart:
+    def test_import_leaves_out_scipy_spatial_and_linalg(self):
+        # geometry needs numpy alone; scipy.special loads neither
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, bosonid.cli; "
+                "print([m for m in ('scipy.spatial', 'scipy.linalg') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "[]\n"
 
 
 class TestVerify:

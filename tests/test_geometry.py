@@ -160,11 +160,25 @@ class TestWitnessScreen:
         (16, math.sqrt(32.0), 5.2, 50),
     ])
     def test_matches_reference(self, dim, radius, separation, budget):
-        spec = geo.PackingSpec(dim, radius, separation, budget)
-        for seed in range(1, 11):
+        self.assert_matches_reference(geo.PackingSpec(dim, radius, separation, budget),
+                                      range(1, 11))
+
+    # M = 1038-1055 (16 pivots) and 2482-2629 (32 pivots): the cells are
+    # refiled as M passes 8 -> 16 -> 32 pivots
+    @pytest.mark.parametrize("dim,radius,separation,budget", [
+        (8, 4.0, 2.2, 300),
+        (6, 3.0, 1.0, 100),
+    ])
+    def test_matches_reference_at_16_and_32_pivots(self, dim, radius, separation, budget):
+        self.assert_matches_reference(geo.PackingSpec(dim, radius, separation, budget),
+                                      range(1, 4))
+
+    @staticmethod
+    def assert_matches_reference(spec, seeds):
+        for seed in seeds:
             got = geo.greedy_packing(spec, np.random.default_rng(seed))
             want = reference_greedy_packing(spec, np.random.default_rng(seed))
-            assert np.array_equal(got, want), (dim, seed)
+            assert np.array_equal(got, want), (spec.dim, seed)
 
     @staticmethod
     def axis_candidates(sep):
@@ -257,8 +271,10 @@ class TestClosestPairScreen:
     @given(point_sets(), st.integers(1, 8))
     @settings(max_examples=300, deadline=None)
     def test_matches_brute_force(self, pts, block):
-        # small blocks put the pairs of one point set across many blocks
-        with mock.patch.object(geo, "_PAIR_BLOCK", block):
+        # small blocks put the pairs of one point set across many blocks: the
+        # first has `block` rows, later ones more as fewer columns remain
+        dim = pts.shape[1] * (2 if np.iscomplexobj(pts) else 1)
+        with mock.patch.object(geo, "_SERIAL_PRODUCT", block * (dim + 2) * len(pts)):
             assert geo.closest_pair(pts) == brute_closest_pair(pts)
 
     def test_two_points(self):
@@ -267,7 +283,7 @@ class TestClosestPairScreen:
 
     @pytest.mark.parametrize("offset", [0.0, 1.0e6])
     def test_lattice_ties_across_blocks(self, offset):
-        # 600 lattice points, 3 blocks, hundreds of pairs tied at the spacing
+        # 600 lattice points, 7 blocks, hundreds of pairs tied at the spacing
         z = np.random.default_rng(1).integers(-3, 4, size=(2000, 6))
         pts = np.unique(z, axis=0)[:600] * 1.7 + offset
         rows = []  # the closest partner of each row, lowest index first
@@ -279,7 +295,7 @@ class TestClosestPairScreen:
 
 
 class TestSerialProduct:
-    """closest_pair's products, in tiles small enough that OpenBLAS runs each
+    """closest_pair's products, in blocks small enough that OpenBLAS runs each
     on the calling thread."""
 
     @staticmethod
@@ -294,17 +310,6 @@ class TestSerialProduct:
         with monkeypatch.context() as m:
             m.setattr(np, "matmul", spy)
             return fn(*args), sizes
-
-    @pytest.mark.parametrize("n,inner,q", [(256, 10, 2500), (300, 5000, 7), (3, 4, 5)])
-    def test_matches_product(self, n, inner, q, monkeypatch):
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=(n, inner)), rng.normal(size=(inner, q))
-        got, sizes = self.products(monkeypatch, geo._serial_product, a, b)
-        assert max(sizes) <= geo._SERIAL_PRODUCT
-        assert sum(sizes) == n * inner * q  # every output entry computed once
-        # |a.b| rounding is within inner eps (|a|^2 + |b|^2) / 2
-        scale = float(np.max(np.sum(a * a, axis=1))) + float(np.max(np.sum(b * b, axis=0)))
-        assert np.max(np.abs(got - a @ b)) <= geo._rounding_slack(inner, scale)
 
     def test_closest_pair_products_are_serial(self, monkeypatch):
         pts = np.random.default_rng(1).normal(size=(2500, 4, 2)).view(complex)[..., 0]

@@ -300,6 +300,17 @@ class TestExactTotalPmf:
         assert got == -0.3646431135879093
         assert got == pytest.approx(-2 * math.log(1.2), rel=1e-15)
 
+    @pytest.mark.parametrize("energy", [1e-322, 5e-324])
+    def test_subnormal_energy_upper_tail_does_not_warn(self, energy):
+        # the upper tail sums j >= 16 only, where lam / j underflows to 0 and
+        # ln Poi(j; lam) is -inf, at both ends of its window
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ps.log_tail_probability(2, energy, ChannelModel(0.2), 40, upper=True)
+        # the E = 0 value, as returned while it warned
+        assert got == -69.90203957410223
+        assert got == ps.log_tail_probability(2, 0.0, ChannelModel(0.2), 40, upper=True)
+
     def test_lower_tail_beyond_count_range(self):
         # the threshold is past 2^22 counts, the bulk of the law is not
         ch = ChannelModel(1.0)
