@@ -7,12 +7,7 @@ Monte Carlo verification of the threshold detector and a heterodyne baseline.
 
 __version__ = "0.1.0"
 
-from .photonstats import (
-    ChannelModel,
-    DetectorSpec,
-    lambda_exponent,
-    theta_exponent,
-)
+from .photonstats import ChannelModel, DetectorSpec, lambda_exponent
 from .scheme import SignatureSet, build_code, achievable_users_log, converse_users_log
 
 __all__ = [
@@ -21,7 +16,6 @@ __all__ = [
     "DetectorSpec",
     "SignatureSet",
     "lambda_exponent",
-    "theta_exponent",
     "build_code",
     "achievable_users_log",
     "converse_users_log",

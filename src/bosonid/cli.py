@@ -96,13 +96,16 @@ def cmd_bounds(args) -> int:
     if args.gamma is not None and min(ks) < 2:
         raise ValueError("--gamma needs every k >= 2 (rho^2 = gamma ln k is 0 at k = 1), "
                          f"got --k {args.k}")
+    if args.delta_k is None and min(ks) <= 4:
+        raise ValueError("--delta-k defaults to 1/k, which the converse needs below 1/4: "
+                         f"pass --delta-k, or use k >= 5 (got k = {min(ks)})")
     rows = []
     for k in ks:
         delta_k = args.delta_k if args.delta_k is not None else 1.0 / k
         rho = args.rho if args.rho is not None else math.sqrt(args.gamma * math.log(k))
         log_lower = scheme.achievable_users_log(k, args.energy, rho)
         log_upper = scheme.converse_users_log(k, args.energy, delta_k, channel)
-        l1, l2 = scheme.analytic_error_bounds(k, args.delta, rho, channel)
+        l1, l2 = photonstats.analytic_error_bounds(k, args.delta, 4 * rho**2, channel)
         try:  # -inf at N = 0, where the count is 0
             l1_exact = photonstats.log_tail_probability(
                 k, 0.0, channel, k * (channel.n_thermal + args.delta), upper=True)
@@ -165,8 +168,7 @@ def cmd_simulate(args) -> int:
     est2 = montecarlo.estimate_lambda2(pairs, channel, detector, args.trials, args.seed)
     exact1 = montecarlo.exact_lambda1(channel, detector)
     exact2 = montecarlo.exact_lambda2(code.signatures[j] - code.signatures[i], channel, detector)
-    bound1_log, bound2_log = scheme.analytic_error_bounds(
-        code.k, args.delta, code.min_distance / 2, channel)
+    bound1_log, bound2_log = photonstats.analytic_error_bounds(code.k, args.delta, d2, channel)
     rows = [_mc_row("lambda1", est1, exact=exact1, bound_log=bound1_log),
             _mc_row("lambda2", est2, exact=exact2, bound_log=bound2_log)]
     _write_table(rows, _meta(args), args.out, args.format)
@@ -322,9 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed usage and an error, or --help / --version
+        return EXIT_VALIDATION if exc.code else EXIT_OK
+    try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         if args.func in (cmd_pack, cmd_simulate, cmd_heterodyne):
             ks = _parse_k_list(args.k)
             if len(ks) != 1:

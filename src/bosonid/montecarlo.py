@@ -106,13 +106,16 @@ class HeterodyneSpec:
 
 
 def wilson_interval(successes: int, trials: int):
-    """99.7% Wilson score interval; well behaved in small-probability regimes."""
+    """99.7% Wilson score interval; well behaved in small-probability regimes.
+    At 0 or ``trials`` successes the end at the point is exactly 0 or 1,
+    where ``center -/+ half`` can round past it."""
     z = _WILSON_Z
     p = successes / trials
     denom = 1 + z**2 / trials
     center = (p + z**2 / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z**2 / (4 * trials**2)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    return low, 1.0 if successes == trials else min(1.0, center + half)
 
 
 def _successes(trials: int, seed: int, count):

@@ -1,10 +1,9 @@
-"""Identification-code construction and the analytic bound calculators.
+"""Identification-code construction and the cardinality bounds.
 
 A code of M signatures in C^k under the energy constraint ||alpha||^2 <= k E
 is built by packing the ball of radius sqrt(k E) in R^{2k} at separation
-2 rho.  The calculators cover the achievable cardinality, the detector error
-bounds exp(-k Lambda) and exp(-4 rho^2 Theta) ((N+1)/(N+1-N r))^k (the
-paper drops the factor) and the converse cardinality bound.  All
+2 rho.  The calculators cover the achievable and the converse cardinality;
+the detector error bounds live with the count law, in `photonstats`.  All
 cardinalities are handled in log domain.  The near-k log k scaling
 rho^2 = gamma ln k needs no helper of its own: at that rho the achievable log
 cardinality is k ln k - k ln ln k + k ln(E/(4 gamma)).
@@ -18,14 +17,13 @@ from functools import cached_property
 
 import numpy as np
 
-from . import geometry, photonstats
+from . import geometry
 from .photonstats import ChannelModel
 
 __all__ = [
     "SignatureSet",
     "build_code",
     "achievable_users_log",
-    "analytic_error_bounds",
     "converse_users_log",
     "save_signature_set",
     "load_signature_set",
@@ -102,26 +100,6 @@ def achievable_users_log(k: int, energy: float, rho: float) -> float:
     """log of the guaranteed code size (k E / (4 rho^2))^k."""
     _check_rho(k, energy, rho)
     return k * (math.log(k * energy) - 2 * math.log(2 * rho))
-
-
-def analytic_error_bounds(
-    k: int, delta: float, rho: float, channel: ChannelModel
-) -> tuple[float, float]:
-    """(lambda1_log, lambda2_log): -k Lambda (NaN at N = 0, where Lambda
-    diverges) and, at ||Delta||^2 = 4 rho^2, the Chernoff bound on
-    ln P(S_k <= k(N+delta)) at the paper's s = ln(N+1)/(N+delta), capped at
-    0: -4 rho^2 Theta + k ln((N+1)/(N+1-N r)), r = e^{-s}.  The paper drops
-    the second term; the exact tail then lies above its bound at 356 of 672
-    grid points with k up to 1024, and above this one at none."""
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    theta = photonstats.theta_exponent(delta, channel)
-    N = channel.n_thermal
-    m = math.expm1(-math.log1p(N) / (N + delta))  # r - 1
-    lambda2_log = min(0.0, -4 * rho**2 * theta + k * (math.log1p(N) - math.log1p(-N * m)))
-    if N == 0:
-        return math.nan, lambda2_log
-    return -k * photonstats.lambda_exponent(delta, channel), lambda2_log
 
 
 def converse_users_log(

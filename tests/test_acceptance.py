@@ -140,8 +140,7 @@ def test_criterion_6_monte_carlo_matches_exact():
 
 
 def test_criterion_7_sandwich_at_desk_scale(tmp_path):
-    ch = ChannelModel(1.0)
-    gamma = 1 / (4 * ps.theta_exponent(1.0, ch))
+    gamma = 1.1035533905932737  # 1/(4 Theta) at N = delta = 1
     ks = [8 * 2**i for i in range(10)]  # 8 .. 4096
     out = tmp_path / "sweep.csv"
     assert cli.main([

@@ -117,8 +117,7 @@ class TestBounds:
         meta, _ = read_csv(csv)
         assert set(meta) == {"config_hash"}
         assert set(json.loads(js.read_text())["meta"]) == {"version", "config_hash"}
-        with pytest.raises(SystemExit):
-            run(["bounds", "--k", "8", "--rho", "1", "--seed", "3"])
+        assert run(["bounds", "--k", "8", "--rho", "1", "--seed", "3"]) == cli.EXIT_VALIDATION
 
     def test_huge_noise_is_finite(self, tmp_path):
         # N + 1 - N r rounds to 0 at N = 1e300 unless r - 1 is evaluated with expm1
@@ -294,6 +293,10 @@ class TestFiniteInputs:
     NAMED_FLAG = {  # command lines whose error names the flag at fault
         ("bounds", "--k", "1,8", "--gamma", "1.1"): "--gamma",  # rho = 0 at k = 1
         ("bounds", "--k", "0x10", "--rho", "1"): "--k",
+        ("bounds", "--rho", "1"): "--delta-k",  # default --k 4: delta_k = 1/4
+        ("bounds", "--k", "2,8", "--rho", "1"): "--delta-k",
+        ("pack", "--k", "2", "--rho", "1", "--seed", "-1"): "--seed",
+        ("simulate", "--code", "CODE", "--trials", "10", "--seed", "-1"): "--seed",
     }
 
     @pytest.mark.parametrize("argv", [
@@ -324,6 +327,10 @@ class TestFiniteInputs:
         ["heterodyne", "--code", "ONE_ROW", "--trials", "10"],
         ["bounds", "--k", "1,8", "--gamma", "1.1"],
         ["bounds", "--k", "0x10", "--rho", "1"],
+        ["bounds", "--rho", "1"],
+        ["bounds", "--k", "2,8", "--rho", "1"],
+        ["pack", "--k", "2", "--rho", "1", "--seed", "-1"],
+        ["simulate", "--code", "CODE", "--trials", "10", "--seed", "-1"],
     ])
     def test_rejected_with_error_line(self, tmp_path, capsys, argv):
         named = self.NAMED_FLAG.get(tuple(argv))
@@ -414,6 +421,22 @@ class TestVerify:
         assert out.count("PASS") == 5
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--bogus"],
+        ["bounds", "--energy", "abc", "--rho", "1"],
+        ["simulate", "--trials", "1.5"],
+    ])
+    def test_argparse_rejection_is_a_validation_error(self, capsys, argv):
+        assert run(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: ") and captured.out == ""
+
+    def test_version_exits_0(self, capsys):
+        assert run(["--version"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == f"bosonid {cli.__version__}\n"
+
+
 class TestReproducibility:
     def test_bounds_byte_identical(self, tmp_path):
         args = ["bounds", "--k", "8,16", "--gamma", "1.1"]
@@ -471,7 +494,7 @@ def command_lines(draw):
         assume(not valid or math.sqrt(energy) <= 4 * rho)
         argv += ["--k", "1", *flag("energy", energy), *flag("rho", rho)]
     else:
-        argv += ["--code", "CODE", "--seed", str(draw(st.integers(0, 9))),
+        argv += ["--code", "CODE", "--seed", str(draw(st.integers(-2, 9))),
                  "--trials", str(draw(st.integers(1, 1000)))]
         for name in ["noise", "delta"] + (["tau"] if command == "heterodyne" else []):
             if draw(st.booleans()):
@@ -528,11 +551,8 @@ class TestFuzz:
         argv = [str(two_point_code) if a == "CODE" else a for a in argv]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                status = cli.main(argv)
-            except SystemExit as exc:  # argparse rejected the command line
-                status = exc.code
-        assert status in (0, 1, 2), argv
+            status = cli.main(argv)
+        assert status in (0, 1), argv  # none of these commands runs an oracle
         assert "Traceback" not in stderr.getvalue(), argv
         if status == 0:
             for name, value in numeric_cells(argv, stdout.getvalue()):

@@ -6,6 +6,8 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import chndtr
 from scipy.stats import binom, chi2, ncx2
 
@@ -318,10 +320,19 @@ class TestWilsonInterval:
         assert lo < 0.05 < hi
 
     def test_degenerate_counts(self):
-        lo, hi = mc.wilson_interval(0, 100)
-        assert lo == 0.0 and hi > 0
-        lo, hi = mc.wilson_interval(100, 100)
-        assert hi == 1.0 and lo < 1
+        # center - half rounds above 0 at 871 of these n, center + half below
+        # 1 at 6204 (from n = 19 on)
+        for n in range(1, 20_001):
+            lo, hi = mc.wilson_interval(0, n)
+            assert lo == 0.0 and hi > 0, n
+            lo, hi = mc.wilson_interval(n, n)
+            assert hi == 1.0 and lo < 1, n
+
+    @given(st.integers(1, 10**9).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+    def test_holds_point(self, counts):
+        successes, trials = counts
+        lo, hi = mc.wilson_interval(successes, trials)
+        assert 0.0 <= lo <= successes / trials <= hi <= 1.0
 
 
 class TestBlocks:

@@ -375,31 +375,22 @@ class TestExponents:
         with pytest.raises(ValueError):
             ps.lambda_exponent(1.0, ChannelModel(0.0))
 
-    def test_theta_closed_form(self):
-        expected = (1 - 2**-0.5) / (2 - 2**-0.5)
-        assert ps.theta_exponent(1.0, ChannelModel(1.0)) == pytest.approx(expected)
-
-    def test_theta_vacuum_limit_is_zero(self):
-        assert ps.theta_exponent(1.0, ChannelModel(0.0)) == 0.0
-
     @pytest.mark.parametrize("n_thermal", [0.1, 1.0, 37.0, 1e6, 1e300])
     @pytest.mark.parametrize("delta", [1e-3, 1.0, 10.0])
     def test_theta_matches_mpmath(self, n_thermal, delta):
-        # at N = 1e300, r = (N+1)^{-1/(N+delta)} rounds to 1 in floats; 1 - r
-        # is about 1e-298, so the reference carries 350 digits
+        # Theta = (1 - r)/(N+1-N r), r = (N+1)^{-1/(N+delta)}, read through the
+        # lambda2 bound at k = 1 and a pair energy that puts the bound at -3
+        # times its k term.  At N = 1e300, r rounds to 1 in floats; 1 - r is
+        # about 1e-298, so the reference carries 350 digits
         with mp.workdps(350):
             N, d = mp.mpf(n_thermal), mp.mpf(delta)
             r = (N + 1) ** (-1 / (N + d))
-            expected = float((1 - r) / (N + 1 - N * r))
-        assert ps.theta_exponent(delta, ChannelModel(n_thermal)) == pytest.approx(
-            expected, rel=1e-13)
-
-    def test_theta_decreases_with_slack(self):
-        # larger slack makes false accepts easier, so the exponent decays to 0
-        ch = ChannelModel(1.0)
-        vals = [ps.theta_exponent(d, ch) for d in (0.1, 1, 10, 100, 1000)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert vals[-1] == pytest.approx(math.log(2) / 1000, rel=1e-2)
+            theta, gap = (1 - r) / (N + 1 - N * r), mp.log((N + 1) / (N + 1 - N * r))
+            pair_energy = float(4 * gap / theta)
+            want = float(-pair_energy * theta + gap)
+        _, got = ps.analytic_error_bounds(1, delta, pair_energy, ChannelModel(n_thermal))
+        assert want < 0
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestChernoffOracles:

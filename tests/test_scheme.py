@@ -85,12 +85,12 @@ class TestAchievableUsersLog:
 class TestAnalyticErrorBounds:
     def test_values(self):
         # N = delta = 1: r = 2^{-1/2}, Theta = (1 - r)/(2 - r), and the
-        # Chernoff bound adds k ln(2/(2 - r)) to -4 rho^2 Theta
+        # Chernoff bound adds k ln(2/(2 - r)) to -||Delta||^2 Theta
         ch = ChannelModel(1.0)
-        lambda1_log, lambda2_log = scheme.analytic_error_bounds(10, 1.0, 1.0, ch)
+        lambda1_log, lambda2_log = ps.analytic_error_bounds(10, 1.0, 4.0, ch)
         assert lambda1_log == pytest.approx(-10 * math.log(32 / 27))
         assert lambda2_log == 0.0  # -0.906 + 4.362: vacuous
-        _, lambda2_log = scheme.analytic_error_bounds(1, 1.0, 2.0, ch)
+        _, lambda2_log = ps.analytic_error_bounds(1, 1.0, 16.0, ch)
         theta = (1 - 2**-0.5) / (2 - 2**-0.5)
         assert lambda2_log == pytest.approx(-16 * theta + math.log(2 / (2 - 2**-0.5)))
         assert lambda2_log < -3
@@ -104,20 +104,19 @@ class TestAnalyticErrorBounds:
             r = (N + 1) ** (-1 / (N + delta))
             want = float(-4 * rho2 * (1 - r) / (N + 1 - N * r)
                          + k * mp.log((N + 1) / (N + 1 - N * r)))
-        _, got = scheme.analytic_error_bounds(k, delta, math.sqrt(rho2), ChannelModel(noise))
+        _, got = ps.analytic_error_bounds(k, delta, 4 * rho2, ChannelModel(noise))
         assert want < 0
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_lambda2_bounds_exact_tail_on_grid(self):
-        # -4 rho^2 Theta alone is below the exact log tail at 356 of these 672 points
+        # -||Delta||^2 Theta alone is below the exact log tail at 356 of these 672 points
         above = []
         for k in (1, 2, 4, 16, 64, 256, 1024):
             for noise in (0.1, 0.5, 1.0, 4.0):
                 ch = ChannelModel(noise)
                 for delta in (0.1, 0.5, 1.0, 2.0):
                     for energy in (0.5, 2.0, 8.0, 32.0, 128.0, 1000.0):
-                        rho = math.sqrt(energy) / 2
-                        _, bound = scheme.analytic_error_bounds(k, delta, rho, ch)
+                        _, bound = ps.analytic_error_bounds(k, delta, energy, ch)
                         exact = ps.log_tail_probability(
                             k, energy, ch, k * (noise + delta), upper=False)
                         if exact > bound:
@@ -125,12 +124,21 @@ class TestAnalyticErrorBounds:
         assert not above
 
     def test_zero_rho_is_vacuous(self):
-        _, lambda2_log = scheme.analytic_error_bounds(4, 1.0, 0.0, ChannelModel(1.0))
+        _, lambda2_log = ps.analytic_error_bounds(4, 1.0, 0.0, ChannelModel(1.0))
         assert lambda2_log == 0.0
+
+    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    @pytest.mark.parametrize("delta,pair_energy,name", [
+        (0.0, 4.0, "delta"), (math.nan, 4.0, "delta"), (1e20, 4.0, "delta"),
+        (1.0, -1.0, "pair energy"), (1.0, math.inf, "pair energy"),
+        (1.0, math.nan, "pair energy")])
+    def test_rejects_out_of_range(self, noise, delta, pair_energy, name):
+        with pytest.raises(ValueError, match=name):
+            ps.analytic_error_bounds(4, delta, pair_energy, ChannelModel(noise))
 
     def test_lambda1_linear_in_k(self):
         ch = ChannelModel(1.0)
-        vals = [scheme.analytic_error_bounds(k, 1.0, 1.0, ch)[0] for k in (1, 2, 4, 8)]
+        vals = [ps.analytic_error_bounds(k, 1.0, 4.0, ch)[0] for k in (1, 2, 4, 8)]
         assert vals[1] == pytest.approx(2 * vals[0])
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -158,8 +166,7 @@ class TestConverseUsersLog:
 
     def test_dominates_achievable(self):
         ch = ChannelModel(1.0)
-        theta = ps.theta_exponent(1.0, ch)
-        gamma = 1 / (4 * theta)
+        gamma = 1.1035533905932737  # 1/(4 Theta) at N = delta = 1
         for k in (8, 32, 128, 512):
             rho = math.sqrt(gamma * math.log(k))
             lower = scheme.achievable_users_log(k, 4.0, rho)
