@@ -119,11 +119,8 @@ class _WitnessScreen:
 
     def __init__(self, dim: int, radius: float, separation: float):
         # pivots uniform in the ball, from a stream of their own
-        rng = np.random.default_rng(_PIVOT_SEED)
-        g = rng.normal(size=(_MAX_PIVOTS, dim))
-        g *= radius * rng.random((_MAX_PIVOTS, 1)) ** (1.0 / dim) / np.linalg.norm(
-            g, axis=1, keepdims=True)
-        self.pivot_rows = _augmented_rows(g)
+        pivots = sample_uniform_ball(dim, radius, np.random.default_rng(_PIVOT_SEED), _MAX_PIVOTS)
+        self.pivot_rows = _augmented_rows(pivots)
         self.sep2 = separation**2
         self.points = np.empty((0, dim))
         self.pending: list[np.ndarray] = []  # added since the last _file

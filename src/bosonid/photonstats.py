@@ -281,12 +281,14 @@ def sample_intensity(
     This is numpy's own noncentral chi-square construction, written in the
     units of the sum; `rng.noncentral_chisquare` itself would need the
     noncentrality ||alpha||^2 / v, which overflows where variance is subnormal.
+    A sum beyond the float range is inf, above every finite threshold.
     """
     half = variance / 2
-    if np.ndim(energy) == 0 and energy == 0:
-        return half * rng.chisquare(2 * k, size)
-    shifted = rng.normal(np.sqrt(energy), math.sqrt(half), size)
-    return shifted * shifted + half * rng.chisquare(2 * k - 1, size)
+    with np.errstate(over="ignore"):
+        if np.ndim(energy) == 0 and energy == 0:
+            return half * rng.chisquare(2 * k, size)
+        shifted = rng.normal(np.sqrt(energy), math.sqrt(half), size)
+        return shifted * shifted + half * rng.chisquare(2 * k - 1, size)
 
 
 def sample_photon_counts(
@@ -342,13 +344,14 @@ def _phi(x: float) -> float:
 def analytic_error_bounds(
     k: int, delta: float, pair_energy: float, channel: ChannelModel
 ) -> tuple[float, float]:
-    """(lambda1_log, lambda2_log): -k Lambda (NaN at N = 0, where Lambda
-    diverges) and, for a pair at ||Delta||^2 = ``pair_energy``, the Chernoff
-    bound on ln P(S_k <= k(N+delta)) at the paper's s = ln(N+1)/(N+delta),
-    capped at 0: -||Delta||^2 Theta + k ln((N+1)/(N+1-N r)), r = e^{-s},
+    """(lambda1_log, lambda2_log): -k Lambda and, for a pair at
+    ||Delta||^2 = ``pair_energy``, the Chernoff bound on ln P(S_k <= k(N+delta))
+    at the paper's s = ln(N+1)/(N+delta), capped at 0:
+    -||Delta||^2 Theta + k ln((N+1)/(N+1-N r)), r = e^{-s},
     Theta = (1 - r)/(N+1-N r).  The paper drops the second term; the exact
     tail then lies above its bound at 356 of 672 grid points with k up to
-    1024, and above this one at none."""
+    1024, and above this one at none.  At N = 0 no count exceeds the
+    threshold, Lambda diverges and lambda1_log is -inf, the exact tail's log."""
     _check_delta(delta)
     if not 0 <= pair_energy < math.inf:
         raise ValueError(f"pair energy must be finite and >= 0, got {pair_energy}")
@@ -358,7 +361,7 @@ def analytic_error_bounds(
     theta = -m / (1 - N * m)
     lambda2_log = min(0.0, -pair_energy * theta + k * (math.log1p(N) - math.log1p(-N * m)))
     if N == 0:
-        return math.nan, lambda2_log
+        return -math.inf, lambda2_log
     return -k * lambda_exponent(delta, channel), lambda2_log
 
 

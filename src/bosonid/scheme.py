@@ -6,12 +6,14 @@ is built by packing the ball of radius sqrt(k E) in R^{2k} at separation
 the detector error bounds live with the count law, in `photonstats`.  All
 cardinalities are handled in log domain.  The near-k log k scaling
 rho^2 = gamma ln k needs no helper of its own: at that rho the achievable log
-cardinality is k ln k - k ln ln k + k ln(E/(4 gamma)).
+cardinality is k ln k - k ln ln k + k ln(E/(4 gamma)).  Signatures are complex
+(M, k) views of the (M, 2k) (re, im) rows that the packing and the files hold.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,8 +71,8 @@ class SignatureSet:
 def _check_rho(k: int, energy: float, rho: float) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not 0 < energy < math.inf:
-        raise ValueError(f"E must be finite and > 0, got {energy}")
+    if not (0 < energy and k * energy < math.inf):
+        raise ValueError(f"E must be > 0 and k E finite, got E={energy} at k={k}")
     if not 0 < rho < math.inf:
         raise ValueError(f"rho must be finite and > 0, got {rho}")
     if 2 * rho > math.sqrt(k * energy):
@@ -91,8 +93,7 @@ def build_code(
         separation=2 * rho,
         rejection_budget=rejection_budget,
     )
-    points = geometry.greedy_packing(spec, rng)
-    sigs = points[:, 0::2] + 1j * points[:, 1::2]
+    sigs = geometry.greedy_packing(spec, rng).view(complex)  # zero-copy (M, k)
     return SignatureSet(k=k, energy_budget=energy, rho=rho, signatures=sigs)
 
 
@@ -110,8 +111,8 @@ def converse_users_log(
     The bound (1 + 4 sqrt(kE)/sqrt((2N+1) ln(1/(4 delta_k))))^{2k} is only
     meaningful for delta_k < 1/4, where the inner log is positive.
     """
-    if k < 1 or not 0 < energy < math.inf:
-        raise ValueError(f"k >= 1 and finite E > 0 required, got k={k}, E={energy}")
+    if k < 1 or not (0 < energy and k * energy < math.inf):
+        raise ValueError(f"k >= 1, E > 0 and k E finite required, got k={k}, E={energy}")
     if not (0 < delta_k < 0.25):
         raise ValueError(
             f"delta_k={delta_k} outside (0, 1/4): the converse bound's inner "
@@ -126,16 +127,13 @@ def save_signature_set(path, code: SignatureSet) -> None:
     """Text file: a ``# signature-set k=.. energy_budget=.. rho=.. M=..
     min_distance=..`` header line, then one signature per row as interleaved
     real and imaginary parts."""
-    pts = np.empty((len(code), 2 * code.k))
-    pts[:, 0::2] = code.signatures.real
-    pts[:, 1::2] = code.signatures.imag
     with open(path, "w") as fh:
         fh.write(
             f"# signature-set k={code.k} energy_budget={code.energy_budget:.12g} "
             f"rho={code.rho:.12g} M={len(code)} min_distance={code.min_distance:.12g}\n"
         )
-        for row in pts:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+        rows = np.ascontiguousarray(code.signatures, dtype=complex).view(float)
+        np.savetxt(fh, rows, fmt="%.17g")
 
 
 def _header_field(fields: dict, key: str, kind):
@@ -158,8 +156,6 @@ def _read_signature_set(fh) -> SignatureSet:
         if not eq:
             raise ValueError(f"header token {tok!r} is not key=value")
         fields[key] = value
-    rows = [[float(x) for x in line.split()] for line in fh
-            if line.strip() and not line.startswith("#")]
     k = _header_field(fields, "k", int)
     energy = _header_field(fields, "energy_budget", float)
     rho = _header_field(fields, "rho", float)
@@ -168,14 +164,16 @@ def _read_signature_set(fh) -> SignatureSet:
     for key, value in (("energy_budget", energy), ("rho", rho)):
         if not 0 < value < math.inf:
             raise ValueError(f"header field {key}={value} must be finite and > 0")
+    with warnings.catch_warnings():  # a header with no rows is an empty code
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        rows = np.loadtxt(fh, ndmin=2)  # skips "#" comment lines
+    if rows.size == 0:
+        rows = rows.reshape(0, 2 * k)
     if "M" in fields and _header_field(fields, "M", int) != len(rows):
         raise ValueError(f"header field M={fields['M']} but the file has {len(rows)} rows")
-    for row in rows:
-        if len(row) != 2 * k:
-            raise ValueError(f"row width {len(row)} != 2k = {2 * k}")
-    arr = np.array(rows).reshape(-1, 2 * k)
-    code = SignatureSet(k=k, energy_budget=energy, rho=rho,
-                        signatures=arr[:, 0::2] + 1j * arr[:, 1::2])
+    if rows.shape[1] != 2 * k:
+        raise ValueError(f"row width {rows.shape[1]} != 2k = {2 * k}")
+    code = SignatureSet(k=k, energy_budget=energy, rho=rho, signatures=rows.view(complex))
     top = code.energies().max() if len(code) else 0.0
     if top > k * energy * (1 + 1e-9):  # beyond rounding
         raise ValueError(f"a row has energy {top:.12g} > k E = {k * energy:.12g}")
@@ -183,9 +181,9 @@ def _read_signature_set(fh) -> SignatureSet:
 
 
 def load_signature_set(path) -> SignatureSet:
-    """Read a :func:`save_signature_set` file.  Comment lines after the
-    header are skipped, such as the ``# dim=..`` line older files carry.  A
-    malformed file raises ValueError naming it."""
+    """Read a :func:`save_signature_set` file.  ``#`` comments after the
+    header are skipped wherever they appear, such as the ``# dim=..`` line
+    older files carry.  A malformed file raises ValueError naming it."""
     with open(path) as fh:
         try:
             return _read_signature_set(fh)

@@ -135,18 +135,22 @@ class TestGreedyPacking:
 def pack_from(batches, separation, pack=geo.greedy_packing):
     """Pack hand-made candidates: each batch is padded to a full draw by copies
     of the very first candidate, which also fill every later draw; the first
-    candidate is accepted, so every copy of it is rejected."""
+    candidate is accepted, so every copy of it is rejected.  Draws from other
+    streams, such as the screen's pivots, are left as they are."""
     first = batches[0][:1]
     draws = iter(batches)
+    rng, uniform_ball = np.random.default_rng(0), geo.sample_uniform_ball
 
-    def sampler(dim, radius, rng, size):
+    def sampler(dim, radius, stream, size):
+        if stream is not rng:
+            return uniform_ball(dim, radius, stream, size)
         rows = next(draws, first)
         return np.vstack([rows, np.repeat(first, size - len(rows), axis=0)])
 
     spec = geo.PackingSpec(dim=first.shape[1], radius=1.0, separation=separation,
                            rejection_budget=10_000)
     with mock.patch.object(geo, "sample_uniform_ball", sampler):
-        return pack(spec, np.random.default_rng(0))
+        return pack(spec, rng)
 
 
 class TestWitnessScreen:

@@ -71,7 +71,8 @@ class TestAchievableUsersLog:
             scheme.achievable_users_log(1, 1.0, 0.51)
 
     @pytest.mark.parametrize("energy,rho", [
-        (math.nan, 1.0), (math.inf, 1.0), (4.0, math.nan), (4.0, math.inf), (4.0, 0.0)])
+        (math.nan, 1.0), (math.inf, 1.0), (4.0, math.nan), (4.0, math.inf), (4.0, 0.0),
+        (1e308, 1.0)])  # 8 * 1e308 overflows
     def test_rejects_non_finite(self, energy, rho):
         with pytest.raises(ValueError):
             scheme.achievable_users_log(8, energy, rho)
@@ -153,8 +154,8 @@ class TestConverseUsersLog:
         vals = [scheme.converse_users_log(4, 4.0, dk, ch) for dk in (0.2, 0.1, 0.01, 1e-4)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("energy", [math.nan, math.inf, 0.0])
-    def test_rejects_non_finite_energy(self, energy):
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, 0.0, 1e308])
+    def test_rejects_non_finite_energy(self, energy):  # 4 * 1e308 overflows
         with pytest.raises(ValueError):
             scheme.converse_users_log(4, energy, 0.1, ChannelModel(1.0))
 
@@ -254,8 +255,46 @@ class TestSerialization:
     def test_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "code.txt"
         path.write_text("# signature-set k=1 energy_budget=4 rho=1\n0 0\n1 2 3\n")
-        with pytest.raises(ValueError, match="row width 3 != 2k = 2"):
+        with pytest.raises(ValueError, match="number of columns changed") as info:
             scheme.load_signature_set(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("rows", ["0 0 0\n1 1 1\n", "0\n1\n"], ids=["three", "one"])
+    def test_rejects_rows_of_wrong_width(self, tmp_path, rows):
+        # two rows of 3 values hold 6 = 3 * 2k numbers: the width is still wrong
+        path = tmp_path / "code.txt"
+        path.write_text(f"# signature-set k=1 energy_budget=4 rho=1\n{rows}")
+        width = len(rows.split("\n")[0].split())
+        with pytest.raises(ValueError, match=f"row width {width} != 2k = 2"):
+            scheme.load_signature_set(path)
+
+    def test_save_of_load_is_byte_identical(self, tmp_path):
+        # a file with the older "# dim=.." line comes back without that line only
+        code = scheme.build_code(3, 2.0, 0.6, np.random.default_rng(5), rejection_budget=5000)
+        new, old, again = tmp_path / "new.txt", tmp_path / "old.txt", tmp_path / "again.txt"
+        scheme.save_signature_set(new, code)
+        header, *rows = new.read_text().splitlines(keepends=True)
+        old.write_text(header + "# dim=6 radius=2.44948974278 separation=1.2\n" + "".join(rows))
+        for path in (new, old):
+            scheme.save_signature_set(again, scheme.load_signature_set(path))
+            assert again.read_bytes() == new.read_bytes()
+
+    def test_header_without_rows_is_empty_code(self, tmp_path, recwarn):
+        path = tmp_path / "code.txt"
+        path.write_text("# signature-set k=2 energy_budget=4 rho=1 M=0 min_distance=inf\n")
+        code = scheme.load_signature_set(path)
+        assert code.signatures.shape == (0, 2) and code.signatures.dtype == complex
+        assert len(recwarn) == 0
+
+    def test_negative_zero_keeps_its_sign(self, tmp_path):
+        path, again = tmp_path / "code.txt", tmp_path / "again.txt"
+        path.write_text("# signature-set k=1 energy_budget=4 rho=1 M=2 min_distance=2\n"
+                        "-0 -0\n2 0\n")
+        code = scheme.load_signature_set(path)
+        assert math.copysign(1, code.signatures[0, 0].real) == -1
+        assert math.copysign(1, code.signatures[0, 0].imag) == -1
+        scheme.save_signature_set(again, code)
+        assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("header,rows,message", [
         ("k=1 energy_budget=4 rho=1 foo", "0 0\n", "header token 'foo' is not key=value"),
