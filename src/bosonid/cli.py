@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, fockspace, geometry, montecarlo, photonstats, scheme
+from . import __version__, fockspace, montecarlo, photonstats, scheme
 from .photonstats import ChannelModel, DetectorSpec
 
 EXIT_OK = 0
@@ -233,7 +233,7 @@ def _verify_checks():
             fockspace.displaced_thermal_density(beta, ch, 60),
         )
         dev = max(dev, abs(num - fockspace.fidelity_displaced_thermal([alpha], [beta], ch)))
-    checks.append(("fidelity_closed_form", dev, 1e-4))
+    checks.append(("fidelity_closed_form", dev, 1e-10))
 
     # Fuchs-van de Graaf chain: (1 - sqrt(F))^2 <= T^2 <= 1 - F.
     dev = 0.0

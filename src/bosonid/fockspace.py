@@ -3,20 +3,22 @@
 Everything here is dense cutoff x cutoff linear algebra and serves only as an
 independent check of the closed-form statistics used elsewhere: density
 matrices, displacement operators, Uhlmann fidelity, overlaps, and trace
-distance.
+distance.  One builder makes every state: D(alpha) thermal D(alpha)^dagger,
+whose alpha = 0 case is the thermal state.  alpha^n is carried as a log
+magnitude and a unit phase, so the matrices stay finite at any cutoff.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln, pdtrc
+from scipy.special import eval_genlaguerre, gammaln, pdtrc, xlogy
 
 from .photonstats import ChannelModel
 
 __all__ = [
-    "thermal_density",
     "coherent_state_vector",
     "displacement_matrix",
     "displaced_thermal_density",
@@ -30,31 +32,26 @@ _PSD_TOL = -1e-8
 _DISPLACEMENT_DEFICIT_LIMIT = 1e-6
 
 
-def thermal_density(channel: ChannelModel, cutoff: int) -> np.ndarray:
-    """Thermal state diag(N^n / (N+1)^{n+1}), n < cutoff."""
+def _power_split(amplitude: complex, cutoff: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(|alpha|^2, n ln|alpha|, (alpha/|alpha|)^n) for n < cutoff.
+
+    alpha^n is kept as a log magnitude and a unit phase so that it cannot
+    overflow before the factorials scale it.  At alpha = 0 the log magnitude
+    is 0 at n = 0 (0^0 = 1) and -inf beyond, and the phase is 1.
+    """
+    alpha = complex(amplitude)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    N = channel.n_thermal
-    if N == 0:
-        diag = np.zeros(cutoff)
-        diag[0] = 1.0
-    else:
-        ns = np.arange(cutoff)
-        diag = np.exp(ns * math.log(N / (N + 1)) - math.log(N + 1))
-    return np.diag(diag).astype(complex)
+    ns = np.arange(cutoff)
+    return abs(alpha) ** 2, xlogy(ns, abs(alpha)), np.exp(1j * cmath.phase(alpha) * ns)
 
 
 def coherent_state_vector(alpha: complex, cutoff: int) -> np.ndarray:
     """Number-basis coefficients of |alpha>, truncated at ``cutoff``."""
-    alpha = complex(alpha)
-    if alpha == 0:
-        vec = np.zeros(cutoff, dtype=complex)
-        vec[0] = 1.0
-        return vec
-    ns = np.arange(cutoff)
-    n2 = abs(alpha) ** 2
-    log_mod = -n2 / 2 + ns * math.log(abs(alpha)) - 0.5 * gammaln(ns + 1)
-    return np.exp(log_mod) * np.exp(1j * ns * np.angle(alpha))
+    n2, log_pow, phase = _power_split(alpha, cutoff)
+    return np.exp(log_pow - n2 / 2 - 0.5 * gammaln(np.arange(cutoff) + 1)) * phase
 
 
 def displacement_matrix(amplitude: complex, cutoff: int) -> np.ndarray:
@@ -63,10 +60,7 @@ def displacement_matrix(amplitude: complex, cutoff: int) -> np.ndarray:
     Amplitudes too large for the cutoff are rejected: those where the
     coherent-state mass of D(alpha)|0> beyond it (a Poisson tail) exceeds 1e-6.
     """
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    alpha = complex(amplitude)
-    n2 = abs(alpha) ** 2
+    n2, log_pow, phase = _power_split(amplitude, cutoff)
     deficit = float(pdtrc(cutoff - 1, n2))
     if deficit > _DISPLACEMENT_DEFICIT_LIMIT:
         raise ValueError(f"|alpha|^2 = {n2:g} too large for cutoff {cutoff}: "
@@ -77,17 +71,19 @@ def displacement_matrix(amplitude: complex, cutoff: int) -> np.ndarray:
     low, high = np.minimum(row, col), np.maximum(row, col)
     gap = high - low
     lg = gammaln(np.arange(cutoff) + 1)
-    scale = np.exp(0.5 * (lg[low] - lg[high]) - n2 / 2)
-    phase = np.where(row >= col, alpha, -alpha.conjugate()) ** gap
-    return scale * phase * eval_genlaguerre(low, gap, n2)
+    scale = np.exp(0.5 * (lg[low] - lg[high]) - n2 / 2 + log_pow[gap])
+    above = (-1.0) ** np.arange(cutoff) * phase.conj()
+    return scale * np.where(row >= col, phase[gap], above[gap]) * eval_genlaguerre(low, gap, n2)
 
 
 def displaced_thermal_density(
     amplitude: complex, channel: ChannelModel, cutoff: int
 ) -> np.ndarray:
-    """D(alpha) . thermal . D(alpha)^dagger."""
+    """D(alpha) . diag(N^n / (N+1)^{n+1}) . D(alpha)^dagger; the thermal state at alpha = 0."""
     disp = displacement_matrix(amplitude, cutoff)
-    return disp @ thermal_density(channel, cutoff) @ disp.conj().T
+    N = channel.n_thermal
+    weights = (N / (N + 1)) ** np.arange(cutoff) / (N + 1)
+    return (disp * weights) @ disp.conj().T
 
 
 def _distance_sq(alpha, beta) -> tuple[float, int]:

@@ -110,7 +110,7 @@ def test_criterion_4_fidelity_closed_form():
         closed = math.exp(-abs(alpha - beta) ** 2 / (2 * noise + 1))
         worst = max(worst, abs(numeric - closed))
     elapsed = time.perf_counter() - start
-    report(4, "numeric fidelity matches closed form", worst < 1e-4 and elapsed < 30.0)
+    report(4, "numeric fidelity matches closed form", worst < 1e-10 and elapsed < 30.0)
 
 
 def test_criterion_5_packing_cardinality():

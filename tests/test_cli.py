@@ -410,12 +410,14 @@ class TestHeterodyne:
 
 class TestColdStart:
     def test_import_leaves_out_scipy_spatial_and_linalg(self):
-        # geometry needs numpy alone; scipy.special loads neither
+        # geometry needs numpy alone and scipy.special loads none of these;
+        # chernoff_upper_exponent imports scipy.optimize only when called
         src = str(Path(cli.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = ("import sys, bosonid.cli; "
-                "print([m for m in ('scipy.spatial', 'scipy.linalg') if m in sys.modules])")
+                "print([m for m in ('scipy.spatial', 'scipy.linalg', 'scipy.optimize') "
+                "if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out == "[]\n"

@@ -14,28 +14,38 @@ amplitudes = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infini
 
 
 class TestThermalDensity:
+    # the thermal state is the displaced one at alpha = 0, where D(0) = I exactly
     def test_vacuum(self):
-        mat = fs.thermal_density(ChannelModel(0.0), 4)
+        mat = fs.displaced_thermal_density(0.0, ChannelModel(0.0), 4)
         assert np.allclose(mat, np.diag([1, 0, 0, 0]))
 
     def test_geometric_entries(self):
-        mat = fs.thermal_density(ChannelModel(1.0), 2)
+        mat = fs.displaced_thermal_density(0.0, ChannelModel(1.0), 2)
         assert np.allclose(np.diag(mat).real, [0.5, 0.25])
 
     def test_trace_at_large_cutoff(self):
-        mat = fs.thermal_density(ChannelModel(1.0), 60)
+        mat = fs.displaced_thermal_density(0.0, ChannelModel(1.0), 60)
         assert np.trace(mat).real >= 1 - 1e-18
 
 
 class TestDisplacementMatrix:
     def test_zero_displacement_is_identity(self):
-        mat = fs.displacement_matrix(0.0, 12)
-        assert np.allclose(mat, np.eye(12))
+        for cutoff in (1, 12, 60):
+            assert np.array_equal(fs.displacement_matrix(0, cutoff), np.eye(cutoff))
 
     def test_column_zero_is_coherent_state(self):
-        mat = fs.displacement_matrix(1.0, 40)
-        expected = fs.coherent_state_vector(1.0, 40)
-        assert np.max(np.abs(mat[:, 0] - expected)) < 1e-12
+        for alpha, cutoff in ((1.0, 40), (3.0, 700)):
+            mat = fs.displacement_matrix(alpha, cutoff)
+            expected = fs.coherent_state_vector(alpha, cutoff)
+            assert np.max(np.abs(mat[:, 0] - expected)) < 1e-12
+
+    def test_large_cutoff_stays_finite(self):
+        # |alpha|^699 = 3^699 exceeds the largest double; every warning fails
+        # a test, so an overflow before the factorials scale it would too
+        mat = fs.displacement_matrix(3.0, 700)
+        assert np.all(np.isfinite(mat))
+        prod = mat @ mat.conj().T
+        assert np.max(np.abs(prod[:500, :500] - np.eye(500))) < 1e-11
 
     def test_inverse_product_on_interior_block(self):
         # truncation degrades the rows near the cutoff; the interior block
@@ -63,12 +73,29 @@ class TestDisplacementMatrix:
             fs.displacement_matrix(6.0, 20)
 
 
+@pytest.mark.parametrize("build", [fs.coherent_state_vector, fs.displacement_matrix])
+@pytest.mark.parametrize(
+    "amplitude,cutoff",
+    [(math.nan, 10), (math.inf, 10), (complex(1.0, math.nan), 10), (1.0, 0), (1.0, -3)],
+)
+def test_fock_builders_reject_invalid_input(build, amplitude, cutoff):
+    with pytest.raises(ValueError):
+        build(amplitude, cutoff)
+
+
 class TestDisplacedThermal:
     def test_zero_amplitude_is_thermal(self):
         ch = ChannelModel(1.0)
         a = fs.displaced_thermal_density(0.0, ch, 40)
-        b = fs.thermal_density(ch, 40)
+        b = np.diag(0.5 ** np.arange(1, 41))  # N^n / (N+1)^{n+1} at N = 1
         assert np.max(np.abs(a - b)) < 1e-14
+
+    def test_zero_amplitude_vacuum_noise_is_vacuum_projector(self):
+        for cutoff in (1, 4, 60):
+            vacuum = np.zeros((cutoff, cutoff))
+            vacuum[0, 0] = 1.0
+            mat = fs.displaced_thermal_density(0.0, ChannelModel(0.0), cutoff)
+            assert np.array_equal(mat, vacuum)
 
     def test_vacuum_noise_gives_coherent_projector(self):
         mat = fs.displaced_thermal_density(1.2, ChannelModel(0.0), 50)
@@ -141,7 +168,7 @@ class TestFidelity:
             fs.displaced_thermal_density(0.0, ch, 60),
             fs.displaced_thermal_density(1.0, ch, 60),
         )
-        assert f == pytest.approx(math.exp(-0.5), abs=1e-4)
+        assert f == pytest.approx(math.exp(-0.5), abs=1e-10)
 
     def test_symmetry_and_range(self):
         ch = ChannelModel(1.0)
@@ -161,7 +188,7 @@ class TestFidelity:
             fs.displaced_thermal_density(0.0, ch, 60),
             fs.displaced_thermal_density(1.0, ch, 60),
         )
-        assert per_mode**2 == pytest.approx(closed, abs=1e-4)
+        assert per_mode**2 == pytest.approx(closed, abs=1e-10)
 
     def test_rejects_non_psd(self):
         bad = np.diag([1.0, -0.5]).astype(complex)
