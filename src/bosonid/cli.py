@@ -179,8 +179,8 @@ def cmd_heterodyne(args) -> int:
     channel = ChannelModel(args.noise)
     code = _load_or_build_code(args)
     sigma2 = channel.n_thermal + 1  # shot noise plus thermal extension
-    tau = args.tau if args.tau is not None else code.k * sigma2 * (1 + args.delta)
-    spec = montecarlo.HeterodyneSpec(noise_variance=sigma2, threshold=tau)
+    spec = montecarlo.HeterodyneSpec(noise_variance=sigma2,
+                                     threshold=code.k * sigma2 * (1 + args.delta))
     sim = montecarlo.heterodyne_simulate(
         code.k, code.closest_pair[0], spec, args.trials, args.seed)
     ana = montecarlo.heterodyne_analytic(code.k, spec, code.min_distance)
@@ -310,11 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="worst_pair", dest="pair_strategy")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("heterodyne", help="heterodyne ball-test baseline")
+    p = sub.add_parser("heterodyne", help="heterodyne ball-test baseline: accept within "
+                       "squared radius k (N + 1) (1 + delta)")
     _add_flags(p, "k", "energy", "noise", "delta", "rho", "seed", "trials", "code",
                "out", "format")
-    p.add_argument("--tau", type=float, default=None,
-                   help="heterodyne acceptance radius squared (default k sigma^2 (1 + delta))")
     p.set_defaults(func=cmd_heterodyne)
 
     p = sub.add_parser("verify", help="run the exact-oracle verification suite")

@@ -40,12 +40,16 @@ def _power_split(amplitude: complex, cutoff: int) -> tuple[float, np.ndarray, np
     is 0 at n = 0 (0^0 = 1) and -inf beyond, and the phase is 1.
     """
     alpha = complex(amplitude)
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"amplitude must be finite, got {amplitude}")
+    try:  # a float power raises OverflowError past the largest float
+        n2 = abs(alpha) ** 2
+    except OverflowError:
+        n2 = math.inf
+    if not n2 < math.inf:
+        raise ValueError(f"|amplitude|^2 must be finite, got amplitude {amplitude}")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     ns = np.arange(cutoff)
-    return abs(alpha) ** 2, xlogy(ns, abs(alpha)), np.exp(1j * cmath.phase(alpha) * ns)
+    return n2, xlogy(ns, abs(alpha)), np.exp(1j * cmath.phase(alpha) * ns)
 
 
 def coherent_state_vector(alpha: complex, cutoff: int) -> np.ndarray:

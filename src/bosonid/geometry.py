@@ -10,15 +10,17 @@ A candidate is rejected as soon as one accepted point lies within the
 separation: a witness.  The packing finds witnesses cheaply and leaves every
 other decision to the exact distance test.  The accepted points are filed in
 the Voronoi cells of a fixed set of pivots, drawn from a seed of their own
-(so the caller's stream is untouched).  Each candidate is compared, by one
-matrix product per cell, with the points of its nearest pivot's cell, then
-with those of its second-nearest.  A screened squared distance below
-separation^2 minus a rigorous float-error slack is a real witness.  The few
-candidates without one are compared with every accepted point, by one
-matrix product; those within the slack of separation^2 get the exact
-distance, `_distances`, also used for the points accepted within a batch.
-So each candidate is accepted or rejected exactly as by `_distances` to all
-accepted points, and the accepted set is the same point for point.
+(so the caller's stream is untouched): one array of rows per cell.  Each
+batch's accepted points are filed once, after the batch, and every point is
+refiled only when M changes the number of pivots.  Each candidate is
+compared, by one matrix product per cell, with the points of its nearest
+pivot's cell, then with those of its second-nearest.  A screened squared
+distance below separation^2 minus a rigorous float-error slack is a real
+witness.  The few candidates without one are compared with every accepted
+point, by one matrix product; those within the slack of separation^2 get the
+exact distance, `_distances`, also used for the points accepted within a
+batch.  So each candidate is accepted or rejected exactly as by `_distances`
+to all accepted points, and the accepted set is the same point for point.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ def greedy_packing(spec: PackingSpec, rng: np.random.Generator) -> np.ndarray:
     while consecutive < spec.rejection_budget:
         cands = sample_uniform_ball(spec.dim, spec.radius, rng, _BATCH)
         mind = screen.min_distance(cands)
+        taken = []
         start = 0
         while start < _BATCH:
             ok = np.nonzero(mind[start:] >= spec.separation)[0]
@@ -105,12 +108,13 @@ def greedy_packing(spec: PackingSpec, rng: np.random.Generator) -> np.ndarray:
                 consecutive = spec.rejection_budget
                 break
             new = cands[start + j]
-            screen.add(new)
+            taken.append(start + j)
             consecutive = 0
             start += j + 1
             if start < _BATCH:
                 mind[start:] = np.minimum(mind[start:], _distances(cands[start:], new))
-    return screen.accepted()
+        screen.extend(cands[taken])
+    return screen.points
 
 
 class _WitnessScreen:
@@ -123,48 +127,29 @@ class _WitnessScreen:
         self.pivot_rows = _augmented_rows(pivots)
         self.sep2 = separation**2
         self.points = np.empty((0, dim))
-        self.pending: list[np.ndarray] = []  # added since the last _file
         self.rows = np.empty((0, dim + 2))  # (-2 a, 1, |a|^2) per accepted point
-        self.max_sq = 0.0
-        self.n_pivots = 0
-        self.cells = np.empty(0, dtype=int)  # pivot of each filed point
-        self.cell_rows = self.rows  # rows grouped by cell
-        self.cell_bounds = [0]
+        self.cells: list[np.ndarray] = []  # the rows filed under each pivot
 
-    def add(self, point: np.ndarray) -> None:
-        self.pending.append(point)
-
-    def accepted(self) -> np.ndarray:
-        self._file()
-        return self.points
-
-    def _file(self) -> None:
-        """Take in the points added since the last call and file them under
-        their nearest pivot; refile all of them when M changes the pivot count."""
-        if self.pending:
-            new = np.array(self.pending)
-            self.pending = []
-            rows = _augmented_rows(new)
-            self.points = np.vstack([self.points, new])
-            self.rows = np.vstack([self.rows, rows])
-            self.max_sq = max(self.max_sq, float(rows[:, -1].max()))
-        m = len(self.points)
-        p = _pivot_count(m)
-        start = len(self.cells) if p == self.n_pivots else 0
-        if p == 0 or start == m:
+    def extend(self, points) -> None:
+        """Take in one batch's accepted points and file them under their
+        nearest pivot; refile every point when M changes the pivot count."""
+        if not len(points):
             return
-        d2 = self.pivot_rows[:p] @ _augmented_cols(self.points[start:])
-        self.cells = np.concatenate([self.cells[:start], np.argmin(d2, axis=0)])
-        self.n_pivots = p
-        order = np.argsort(self.cells, kind="stable")
-        self.cell_rows = self.rows[order]
-        self.cell_bounds = np.searchsorted(self.cells[order], np.arange(p + 1)).tolist()
+        start = len(self.points)
+        self.points = np.vstack([self.points, points])
+        self.rows = np.vstack([self.rows, _augmented_rows(self.points[start:])])
+        p = _pivot_count(len(self.points))
+        if p != len(self.cells):
+            start, self.cells = 0, [self.rows[:0]] * p
+        if p:
+            cell = np.argmin(self.pivot_rows[:p] @ _augmented_cols(self.points[start:]), axis=0)
+            new = self.rows[start:]
+            self.cells = [np.vstack([rows, new[cell == q]]) for q, rows in enumerate(self.cells)]
 
     def min_distance(self, cands: np.ndarray) -> np.ndarray:
         """Per candidate, a value that is >= separation exactly where its
         `_distances` distance to the nearest accepted point is."""
         n, dim = cands.shape
-        self._file()
         if not len(self.points):
             return np.full(n, math.inf)
         cols = _augmented_cols(cands)
@@ -174,12 +159,12 @@ class _WitnessScreen:
         # is over four times their sum, so a screened value below sep^2 -
         # slack is an exact distance below sep, and one above sep^2 + slack an
         # exact distance above it.
-        slack = _rounding_slack(dim, float(cols[-2].max()) + self.max_sq)
+        slack = _rounding_slack(dim, float(cols[-2].max()) + float(self.rows[:, -1].max()))
         low, high = self.sep2 - slack, self.sep2 + slack
         mind = np.full(n, -math.inf)  # below separation: a witness rejects it
         todo = np.arange(n)
-        if self.n_pivots:
-            d2 = self.pivot_rows[: self.n_pivots] @ cols
+        if self.cells:
+            d2 = self.pivot_rows[: len(self.cells)] @ cols
             for _ in range(2):  # the cell of the nearest pivot, then the second-nearest
                 nearest = d2 == d2.min(axis=0)
                 keep = ~self._cell_witness(nearest, cols, low)
@@ -199,15 +184,14 @@ class _WitnessScreen:
         n = cols.shape[1]
         # flat indices p n + i of (pivot, candidate), grouped by pivot
         flat = np.flatnonzero(nearest)
-        bounds = np.searchsorted(flat, np.arange(self.n_pivots + 1) * n).tolist()
+        bounds = np.searchsorted(flat, np.arange(len(self.cells) + 1) * n).tolist()
         idx = flat % n
         grouped = cols[:, idx]
         witness = np.zeros(len(idx), dtype=bool)
-        for p in range(self.n_pivots):
+        for p, rows in enumerate(self.cells):
             b0, b1 = bounds[p], bounds[p + 1]
-            a0, a1 = self.cell_bounds[p], self.cell_bounds[p + 1]
-            if b1 > b0 and a1 > a0:
-                s = self.cell_rows[a0:a1] @ grouped[:, b0:b1]
+            if b1 > b0 and len(rows):
+                s = rows @ grouped[:, b0:b1]
                 np.less(s.min(axis=0), low, out=witness[b0:b1])
         hit = np.zeros(n, dtype=bool)
         hit[idx[witness]] = True

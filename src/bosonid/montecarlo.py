@@ -41,6 +41,7 @@ from scipy.special import chndtr, gammaincc, ndtri
 from .photonstats import (
     ChannelModel,
     DetectorSpec,
+    _check_law,
     log_tail_probability,
     sample_intensity,
     sample_photon_counts,
@@ -183,6 +184,9 @@ def estimate_lambda2(
     function (rng, n) -> n energies such as `sampled_pairs` returns, called on
     each block's stream before its counts are drawn.
     """
+    if not callable(energy):
+        _check_law(detector.k, energy)
+
     def count(rng, n):
         energies = energy(rng, n) if callable(energy) else energy
         counts = sample_photon_counts(detector.k, energies, channel, rng, n)
@@ -220,6 +224,7 @@ def heterodyne_simulate(
     ||w||^2 = s chi^2(2k) and ||Delta + w||^2 = (sqrt(s) Z + ||Delta||)^2
     + s chi^2(2k-1), with s = noise_variance / 2 per real quadrature.
     """
+    _check_law(k, energy)
     var = spec.noise_variance
 
     def count(rng, n):
@@ -244,8 +249,8 @@ def heterodyne_analytic(k: int, spec: HeterodyneSpec, distance: float) -> dict:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if distance < 0:
-        raise ValueError("distance must be >= 0")
+    if not 0 <= distance < math.inf:
+        raise ValueError(f"distance must be finite and >= 0, got {distance}")
     x = 2 * spec.threshold / spec.noise_variance
     nc = 2 * distance**2 / spec.noise_variance
     return {"lambda1": float(gammaincc(k, x / 2)), "lambda2": float(chndtr(x, 2 * k, nc))}

@@ -311,6 +311,7 @@ class TestFiniteInputs:
         ["bounds", "--k", "8", "--rho", "1", "--delta", "nan"],
         ["simulate", "--code", "CODE", "--trials", "100", "--delta", "nan"],
         ["heterodyne", "--code", "CODE", "--trials", "100", "--noise", "inf"],
+        ["heterodyne", "--code", "CODE", "--trials", "10", "--delta", "nan"],
         ["bounds", "--k", "8", "--rho", "1", "--energy", "nan"],
         ["bounds", "--k", "8", "--rho", "1", "--energy", "inf"],
         ["bounds", "--k", "8", "--rho", "nan"],
@@ -373,7 +374,8 @@ class TestFiniteInputs:
         assert captured.out == ""
 
     def test_threshold_beyond_count_range(self, tmp_path):
-        # k = 3, delta = 2e6: the detector threshold is above 2^22 counts
+        # k = 3, delta = 2e6: a threshold of 6e6 + 3 counts, far above the
+        # bulk of either law, so the exact tails print 0 and 1
         code = scheme.SignatureSet(k=3, energy_budget=4.0, rho=1.0,
                                    signatures=np.array([[0, 0, 0], [2, 1j, 0]], dtype=complex))
         scheme.save_signature_set(tmp_path / "code.txt", code)
@@ -506,7 +508,7 @@ def command_lines(draw):
     else:
         argv += ["--code", "CODE", "--seed", str(draw(st.integers(-2, 9))),
                  "--trials", str(draw(st.integers(1, 1000)))]
-        for name in ["noise", "delta"] + (["tau"] if command == "heterodyne" else []):
+        for name in ("noise", "delta"):
             if draw(st.booleans()):
                 argv += flag(name, draw(VALUES))
         if command == "simulate" and draw(st.booleans()):

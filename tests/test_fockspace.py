@@ -76,7 +76,8 @@ class TestDisplacementMatrix:
 @pytest.mark.parametrize("build", [fs.coherent_state_vector, fs.displacement_matrix])
 @pytest.mark.parametrize(
     "amplitude,cutoff",
-    [(math.nan, 10), (math.inf, 10), (complex(1.0, math.nan), 10), (1.0, 0), (1.0, -3)],
+    [(math.nan, 10), (math.inf, 10), (complex(1.0, math.nan), 10), (1.0, 0), (1.0, -3),
+     (1e200, 10)],  # |alpha|^2 beyond the largest float
 )
 def test_fock_builders_reject_invalid_input(build, amplitude, cutoff):
     with pytest.raises(ValueError):

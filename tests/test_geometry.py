@@ -177,6 +177,40 @@ class TestWitnessScreen:
         self.assert_matches_reference(geo.PackingSpec(dim, radius, separation, budget),
                                       range(1, 4))
 
+    def test_cells_filed_once_per_batch(self):
+        # the M = 2629 points of a 32-pivot packing, taken in by batches that
+        # pass 4 -> 8 -> 16 -> 32 pivots, are filed as when taken in at once
+        spec = geo.PackingSpec(6, 3.0, 1.0, 100)
+        points = geo.greedy_packing(spec, np.random.default_rng(1))
+        whole = geo._WitnessScreen(spec.dim, spec.radius, spec.separation)
+        whole.extend(points)
+        screen = geo._WitnessScreen(spec.dim, spec.radius, spec.separation)
+        counts = []
+        for batch in np.split(points, [40, 90, 120, 200, 400, 700, 1500, 2200, 2400]):
+            screen.extend(batch)
+            counts.append(len(screen.cells))
+            before = self.state(screen)
+            screen.extend([])
+            after = self.state(screen)
+            assert all(np.array_equal(a, b) for a, b in zip(before, after, strict=True))
+        assert counts == [0, 4, 4, 8, 8, 16, 16, 32, 32, 32]
+        assert np.array_equal(screen.points, points)
+        assert [self.row_set(c) for c in screen.cells] == [self.row_set(c) for c in whole.cells]
+        # every accepted row sits in exactly one cell, under a nearest pivot
+        assert self.row_set(np.vstack(screen.cells)) == self.row_set(screen.rows)
+        pivots = -screen.pivot_rows[:32, :spec.dim] / 2
+        for p, rows in enumerate(screen.cells):
+            to_pivots = cdist(-rows[:, :spec.dim] / 2, pivots)
+            assert np.all(to_pivots[:, p] <= to_pivots.min(axis=1) * (1 + 1e-12))
+
+    @staticmethod
+    def state(screen):
+        return [screen.points.copy(), screen.rows.copy(), *(c.copy() for c in screen.cells)]
+
+    @staticmethod
+    def row_set(rows):
+        return sorted(map(tuple, rows))
+
     @staticmethod
     def assert_matches_reference(spec, seeds):
         for seed in seeds:

@@ -314,6 +314,20 @@ class TestHeterodyne:
             mc.HeterodyneSpec(noise_variance=0.5, threshold=1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("name,call", [
+    ("energy", lambda e: mc.heterodyne_simulate(
+        2, e, mc.HeterodyneSpec(noise_variance=2.0, threshold=4.0), 1000, 1)),
+    ("distance", lambda d: mc.heterodyne_analytic(
+        2, mc.HeterodyneSpec(noise_variance=2.0, threshold=4.0), d)),
+    ("energy", lambda e: mc.estimate_lambda2(
+        e, ChannelModel(1.0), DetectorSpec.make(1.0, 2, ChannelModel(1.0)), 1000, 1)),
+], ids=["heterodyne_simulate", "heterodyne_analytic", "estimate_lambda2"])
+def test_monte_carlo_rejects_bad_energy(name, call, value):
+    with pytest.raises(ValueError, match=name):
+        call(value)
+
+
 class TestWilsonInterval:
     def test_contains_point(self):
         lo, hi = mc.wilson_interval(50, 1000)
