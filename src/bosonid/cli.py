@@ -179,8 +179,11 @@ def cmd_heterodyne(args) -> int:
     channel = ChannelModel(args.noise)
     code = _load_or_build_code(args)
     sigma2 = channel.n_thermal + 1  # shot noise plus thermal extension
-    spec = montecarlo.HeterodyneSpec(noise_variance=sigma2,
-                                     threshold=code.k * sigma2 * (1 + args.delta))
+    threshold = code.k * sigma2 * (1 + args.delta)
+    if not 0 <= threshold < math.inf:
+        raise ValueError("--delta: the heterodyne threshold k (N + 1) (1 + delta) must be "
+                         f"finite and >= 0, that is delta >= -1; got delta = {args.delta}")
+    spec = montecarlo.HeterodyneSpec(noise_variance=sigma2, threshold=threshold)
     sim = montecarlo.heterodyne_simulate(
         code.k, code.closest_pair[0], spec, args.trials, args.seed)
     ana = montecarlo.heterodyne_analytic(code.k, spec, code.min_distance)

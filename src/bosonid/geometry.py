@@ -9,18 +9,18 @@ rejection budget runs out.
 A candidate is rejected as soon as one accepted point lies within the
 separation: a witness.  The packing finds witnesses cheaply and leaves every
 other decision to the exact distance test.  The accepted points are filed in
-the Voronoi cells of a fixed set of pivots, drawn from a seed of their own
-(so the caller's stream is untouched): one array of rows per cell.  Each
-batch's accepted points are filed once, after the batch, and every point is
-refiled only when M changes the number of pivots.  Each candidate is
-compared, by one matrix product per cell, with the points of its nearest
-pivot's cell, then with those of its second-nearest.  A screened squared
-distance below separation^2 minus a rigorous float-error slack is a real
-witness.  The few candidates without one are compared with every accepted
-point, by one matrix product; those within the slack of separation^2 get the
-exact distance, `_distances`, also used for the points accepted within a
-batch.  So each candidate is accepted or rejected exactly as by `_distances`
-to all accepted points, and the accepted set is the same point for point.
+the Voronoi cells of pivots, the first few accepted points (one at first, more
+as M grows): one array of rows per cell.  Each batch's accepted points are
+filed once, after the batch, and every point is refiled only when M changes
+the number of pivots.  Each candidate is compared, by one matrix product per
+cell, with the points of its nearest pivot's cell, then with those of its
+second-nearest.  A screened squared distance below separation^2 minus a
+rigorous float-error slack is a real witness.  The few candidates without one
+are compared with every accepted point, by one matrix product; those within
+the slack of separation^2 get the exact distance, `_distances`, also used for
+the points accepted within a batch.  So each candidate is accepted or rejected
+exactly as by `_distances` to all accepted points, and the accepted set is the
+same point for point; the pivots only decide which cell is scanned first.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ __all__ = [
 DEFAULT_REJECTION_BUDGET = 100_000
 _BATCH = 4096  # candidates per draw of the packing
 _MAX_PIVOTS = 32  # pivots of the packing's witness screen, at most
-_PIVOT_SEED = 20260  # the pivots' own stream
-_CELL_MIN = 64  # accepted points below which one product against all is cheaper
 # multiply-adds up to which OpenBLAS runs a matrix product on one thread (65536 x 4)
 _SERIAL_PRODUCT = 1 << 18
 # The screens' partial sums of |a|^2 + |b|^2 - 2 a.b are at most (|a| + |b|)^2,
@@ -91,15 +89,15 @@ def greedy_packing(spec: PackingSpec, rng: np.random.Generator) -> np.ndarray:
     have a point within the separation, and it hands every other one to that
     exact comparison, so the accepted points are those of a plain scan.
     """
-    screen = _WitnessScreen(spec.dim, spec.radius, spec.separation)
+    screen = _WitnessScreen(spec.dim, spec.separation)
     consecutive = 0
     while consecutive < spec.rejection_budget:
         cands = sample_uniform_ball(spec.dim, spec.radius, rng, _BATCH)
-        mind = screen.min_distance(cands)
+        clear = screen.clear(cands)
         taken = []
         start = 0
         while start < _BATCH:
-            ok = np.nonzero(mind[start:] >= spec.separation)[0]
+            ok = np.flatnonzero(clear[start:])
             if ok.size == 0:
                 consecutive += _BATCH - start
                 break
@@ -112,7 +110,7 @@ def greedy_packing(spec: PackingSpec, rng: np.random.Generator) -> np.ndarray:
             consecutive = 0
             start += j + 1
             if start < _BATCH:
-                mind[start:] = np.minimum(mind[start:], _distances(cands[start:], new))
+                clear[start:] &= _distances(cands[start:], new) >= spec.separation
         screen.extend(cands[taken])
     return screen.points
 
@@ -121,11 +119,8 @@ class _WitnessScreen:
     """The accepted points, filed under their nearest pivot, and the screen
     that tells which candidates lie at distance >= separation from them all."""
 
-    def __init__(self, dim: int, radius: float, separation: float):
-        # pivots uniform in the ball, from a stream of their own
-        pivots = sample_uniform_ball(dim, radius, np.random.default_rng(_PIVOT_SEED), _MAX_PIVOTS)
-        self.pivot_rows = _augmented_rows(pivots)
-        self.sep2 = separation**2
+    def __init__(self, dim: int, separation: float):
+        self.separation = separation
         self.points = np.empty((0, dim))
         self.rows = np.empty((0, dim + 2))  # (-2 a, 1, |a|^2) per accepted point
         self.cells: list[np.ndarray] = []  # the rows filed under each pivot
@@ -141,17 +136,16 @@ class _WitnessScreen:
         p = _pivot_count(len(self.points))
         if p != len(self.cells):
             start, self.cells = 0, [self.rows[:0]] * p
-        if p:
-            cell = np.argmin(self.pivot_rows[:p] @ _augmented_cols(self.points[start:]), axis=0)
-            new = self.rows[start:]
-            self.cells = [np.vstack([rows, new[cell == q]]) for q, rows in enumerate(self.cells)]
+        cell = np.argmin(self.rows[:p] @ _augmented_cols(self.points[start:]), axis=0)
+        new = self.rows[start:]
+        self.cells = [np.vstack([rows, new[cell == q]]) for q, rows in enumerate(self.cells)]
 
-    def min_distance(self, cands: np.ndarray) -> np.ndarray:
-        """Per candidate, a value that is >= separation exactly where its
-        `_distances` distance to the nearest accepted point is."""
+    def clear(self, cands: np.ndarray) -> np.ndarray:
+        """True exactly where a candidate's `_distances` distance to every
+        accepted point is >= separation."""
         n, dim = cands.shape
         if not len(self.points):
-            return np.full(n, math.inf)
+            return np.ones(n, dtype=bool)
         cols = _augmented_cols(cands)
         # To first order, the screened |c|^2 + |a|^2 - 2 c.a is within
         # (1.5 dim + 2) eps (|c|^2 + |a|^2) of |c - a|^2, and the square of
@@ -160,23 +154,21 @@ class _WitnessScreen:
         # slack is an exact distance below sep, and one above sep^2 + slack an
         # exact distance above it.
         slack = _rounding_slack(dim, float(cols[-2].max()) + float(self.rows[:, -1].max()))
-        low, high = self.sep2 - slack, self.sep2 + slack
-        mind = np.full(n, -math.inf)  # below separation: a witness rejects it
+        low, high = self.separation**2 - slack, self.separation**2 + slack
         todo = np.arange(n)
-        if self.cells:
-            d2 = self.pivot_rows[: len(self.cells)] @ cols
-            for _ in range(2):  # the cell of the nearest pivot, then the second-nearest
-                nearest = d2 == d2.min(axis=0)
-                keep = ~self._cell_witness(nearest, cols, low)
-                todo, cols, d2 = todo[keep], cols[:, keep], d2[:, keep]
-                d2[nearest[:, keep]] = math.inf
-        if todo.size:
-            smin = (self.rows @ cols).min(axis=0)
-            mind[todo[smin > high]] = math.inf
-            near = todo[(smin >= low) & (smin <= high)]
-            for i in near:
-                mind[i] = _distances(self.points, cands[i]).min()
-        return mind
+        d2 = self.rows[: len(self.cells)] @ cols
+        # the cell of the nearest pivot, then the second-nearest
+        for _ in range(min(2, len(self.cells))):
+            nearest = d2 == d2.min(axis=0)
+            keep = ~self._cell_witness(nearest, cols, low)
+            todo, cols, d2 = todo[keep], cols[:, keep], d2[:, keep]
+            d2[nearest[:, keep]] = math.inf
+        clear = np.zeros(n, dtype=bool)  # False where a cell held a witness
+        smin = (self.rows @ cols).min(axis=0)
+        clear[todo[smin > high]] = True
+        for i in todo[(smin >= low) & (smin <= high)]:
+            clear[i] = _distances(self.points, cands[i]).min() >= self.separation
+        return clear
 
     def _cell_witness(self, nearest: np.ndarray, cols: np.ndarray, low: float) -> np.ndarray:
         """Which columns have an accepted point at screened squared distance
@@ -204,14 +196,12 @@ def _distances(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _pivot_count(m: int) -> int:
-    """Pivots for m accepted points: none below _CELL_MIN, else the power of
-    two nearest sqrt(m / 4), at most _MAX_PIVOTS.  A cell pass costs a fixed
-    amount per cell plus m / pivots per candidate, least near pivots ~ sqrt(m);
-    the factor 1/4 and the cap are the fastest found on 6-, 8- and
+    """Pivots for m >= 1 accepted points: the power of two nearest
+    sqrt(m / 4), at least 1 and at most _MAX_PIVOTS.  A cell pass costs a
+    fixed amount per cell plus m / pivots per candidate, least near pivots
+    ~ sqrt(m); the factor 1/4 and the cap are the fastest found on 6-, 8- and
     16-dimensional packs of 250 to 4000 points."""
-    if m < _CELL_MIN:
-        return 0
-    return min(_MAX_PIVOTS, 2 ** round(math.log2(m / 4) / 2))
+    return min(_MAX_PIVOTS, 2 ** max(0, round(math.log2(m / 4) / 2)))
 
 
 def _rounding_slack(dim: int, scale: float) -> float:

@@ -119,7 +119,7 @@ def converse_users_log(
             "logarithm must be positive (its stated range (0, 1/2) is vacuous "
             "for delta_k >= 1/4)"
         )
-    denom = math.sqrt((2 * channel.n_thermal + 1) * math.log(1 / (4 * delta_k)))
+    denom = math.sqrt((2 * channel.n_thermal + 1) * -math.log(4 * delta_k))
     return 2 * k * math.log1p(4 * math.sqrt(k * energy) / denom)
 
 

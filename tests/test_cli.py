@@ -304,6 +304,9 @@ class TestFiniteInputs:
         ("bounds", "--k", "2,8", "--rho", "1"): "--delta-k",
         ("pack", "--k", "2", "--rho", "1", "--seed", "-1"): "--seed",
         ("simulate", "--code", "CODE", "--trials", "10", "--seed", "-1"): "--seed",
+        ("heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--delta", "inf"): "--delta",
+        ("heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--delta", "-3"): "--delta",
+        ("heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--delta", "1e308"): "--delta",
     }
 
     @pytest.mark.parametrize("argv", [
@@ -340,6 +343,10 @@ class TestFiniteInputs:
         ["pack", "--k", "2", "--rho", "1", "--seed", "-1"],
         ["simulate", "--code", "CODE", "--trials", "10", "--seed", "-1"],
         ["bounds", "--k", "8", "--rho", "1", "--energy", "1e308"],  # k E overflows
+        # the threshold k (N + 1) (1 + delta) is infinite, negative, overflows
+        ["heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--delta", "inf"],
+        ["heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--delta", "-3"],
+        ["heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--delta", "1e308"],
     ])
     def test_rejected_with_error_line(self, tmp_path, capsys, argv):
         named = self.NAMED_FLAG.get(tuple(argv))

@@ -135,28 +135,24 @@ class TestGreedyPacking:
 def pack_from(batches, separation, pack=geo.greedy_packing):
     """Pack hand-made candidates: each batch is padded to a full draw by copies
     of the very first candidate, which also fill every later draw; the first
-    candidate is accepted, so every copy of it is rejected.  Draws from other
-    streams, such as the screen's pivots, are left as they are."""
+    candidate is accepted, so every copy of it is rejected."""
     first = batches[0][:1]
     draws = iter(batches)
-    rng, uniform_ball = np.random.default_rng(0), geo.sample_uniform_ball
 
-    def sampler(dim, radius, stream, size):
-        if stream is not rng:
-            return uniform_ball(dim, radius, stream, size)
+    def sampler(dim, radius, rng, size):
         rows = next(draws, first)
         return np.vstack([rows, np.repeat(first, size - len(rows), axis=0)])
 
     spec = geo.PackingSpec(dim=first.shape[1], radius=1.0, separation=separation,
                            rejection_budget=10_000)
     with mock.patch.object(geo, "sample_uniform_ball", sampler):
-        return pack(spec, rng)
+        return pack(spec, np.random.default_rng(0))
 
 
 class TestWitnessScreen:
     """The screened packing accepts exactly the points of the cdist packing."""
 
-    # M = 10-13 (no cells), 276-329, 145-178 and 137-225 points
+    # M = 10-13 (1 to 2 pivots), 276-329, 145-178 and 137-225 points
     @pytest.mark.parametrize("dim,radius,separation,budget", [
         (2, 2.0, 1.0, 20_000),
         (6, math.sqrt(6.0), 1.2, 60),
@@ -182,9 +178,9 @@ class TestWitnessScreen:
         # pass 4 -> 8 -> 16 -> 32 pivots, are filed as when taken in at once
         spec = geo.PackingSpec(6, 3.0, 1.0, 100)
         points = geo.greedy_packing(spec, np.random.default_rng(1))
-        whole = geo._WitnessScreen(spec.dim, spec.radius, spec.separation)
+        whole = geo._WitnessScreen(spec.dim, spec.separation)
         whole.extend(points)
-        screen = geo._WitnessScreen(spec.dim, spec.radius, spec.separation)
+        screen = geo._WitnessScreen(spec.dim, spec.separation)
         counts = []
         for batch in np.split(points, [40, 90, 120, 200, 400, 700, 1500, 2200, 2400]):
             screen.extend(batch)
@@ -193,15 +189,49 @@ class TestWitnessScreen:
             screen.extend([])
             after = self.state(screen)
             assert all(np.array_equal(a, b) for a, b in zip(before, after, strict=True))
-        assert counts == [0, 4, 4, 8, 8, 16, 16, 32, 32, 32]
+        assert counts == [4, 4, 4, 8, 8, 16, 16, 32, 32, 32]
         assert np.array_equal(screen.points, points)
         assert [self.row_set(c) for c in screen.cells] == [self.row_set(c) for c in whole.cells]
-        # every accepted row sits in exactly one cell, under a nearest pivot
+        # every accepted row sits in exactly one cell, under a nearest pivot:
+        # the pivots are the first accepted points
         assert self.row_set(np.vstack(screen.cells)) == self.row_set(screen.rows)
-        pivots = -screen.pivot_rows[:32, :spec.dim] / 2
+        pivots = screen.points[:len(screen.cells)]
         for p, rows in enumerate(screen.cells):
             to_pivots = cdist(-rows[:, :spec.dim] / 2, pivots)
             assert np.all(to_pivots[:, p] <= to_pivots.min(axis=1) * (1 + 1e-12))
+
+    def test_clear_matches_brute_force(self):
+        # A 6-D packing, on a grid of 2^-10 and set in the hyperplane x6 = 0
+        # of R^7, is taken in from 1 point to past the 32-pivot count.  The
+        # candidates (a, s) lie at exactly s from their point a and farther
+        # from every other, and the midpoints of two pivots, lifted off the
+        # plane, are at equal distance from both.
+        sep = 1.0
+        packing = geo.greedy_packing(geo.PackingSpec(6, 3.0, sep, 100), np.random.default_rng(1))
+        points = np.hstack([np.round(packing * 2**10) / 2**10, np.zeros((len(packing), 1))])
+        rng = np.random.default_rng(2)
+        screen = geo._WitnessScreen(7, sep)
+        counts = []
+        for batch in np.split(points, [1, 2, 3, 7, 15, 40, 63, 64, 65, 150, 500, 1100, 2100]):
+            screen.extend(batch)
+            counts.append(len(screen.cells))
+            accepted, pivots = screen.points, screen.points[:len(screen.cells)]
+            near = accepted[rng.integers(len(accepted), size=8)]
+            edge = np.vstack([np.hstack([near[:, :6], np.full((8, 1), s)])
+                              for s in (sep, -sep, np.nextafter(sep, 0), -np.nextafter(sep, 0))])
+            a, b = pivots[:-1], pivots[1:]
+            lift = np.sqrt(np.maximum(0.0, sep**2 - np.sum((b - a) ** 2, axis=1) / 4))
+            mid = np.vstack([(a + b) / 2, (a + b) / 2 + lift[:, None] * np.eye(7)[6]])
+            cands = np.vstack([geo.sample_uniform_ball(7, 3.0, rng, 400), edge, mid])
+            brute = np.array([geo._distances(accepted, c) for c in cands])
+            dist = brute.min(axis=1)
+            inside = np.nextafter(sep, 0)
+            assert np.array_equal(dist[400:432], np.repeat([sep, sep, inside, inside], 8))
+            pair = np.arange(len(a))
+            rows, cols = 432 + np.r_[pair, len(a) + pair], np.r_[pair, pair]
+            assert np.array_equal(brute[rows, cols], brute[rows, cols + 1])
+            assert np.array_equal(screen.clear(cands), dist >= sep)
+        assert counts == [1, 1, 1, 1, 2, 4, 4, 4, 4, 8, 8, 16, 32, 32]
 
     @staticmethod
     def state(screen):

@@ -1,6 +1,7 @@
 """Every public function, every field of a public type and every default of a
 public function of bosonid has a use outside the tests: code only tests reach
-belongs in the tests.  And the Monte Carlo layer does not depend on codes."""
+belongs in the tests.  The Monte Carlo layer does not depend on codes, and the
+scipy floor in pyproject.toml has every scipy.special name src/ imports."""
 
 import ast
 import dataclasses
@@ -88,3 +89,22 @@ def test_montecarlo_does_not_import_scheme():
             module = ".".join(["bosonid"] * bool(node.level) + [node.module] * bool(node.module))
             imported += [module, *(f"{module}.{alias.name}" for alias in node.names)]
     assert not [name for name in imported if name.split(".")[:2] == ["bosonid", "scheme"]]
+
+
+def test_scipy_floor_has_the_special_functions_imported():
+    """No ``scipy.special`` name imported under src/ was added to scipy after
+    the ``scipy>=`` floor in pyproject.toml, by its ``versionadded`` note.
+    The floor is read by a regex: tomllib needs Python 3.11."""
+    def version(text):
+        return (*map(int, text.split(".")), 0, 0)[:3]
+
+    floor = re.search(r'"scipy>=([\d.]+)"', (ROOT / "pyproject.toml").read_text()).group(1)
+    special = importlib.import_module("scipy.special")
+    names = sorted({alias.name for text in SOURCES for node in ast.walk(ast.parse(text))
+                    if isinstance(node, ast.ImportFrom) and node.module == "scipy.special"
+                    for alias in node.names})
+    assert names
+    newer = [f"{name} ({added})" for name in names
+             for added in re.findall(r"versionadded::\s*([\d.]+)", getattr(special, name).__doc__)
+             if version(added) > version(floor)]
+    assert not newer, f"scipy>={floor} lacks {newer}"

@@ -154,6 +154,19 @@ class TestConverseUsersLog:
         vals = [scheme.converse_users_log(4, 4.0, dk, ch) for dk in (0.2, 0.1, 0.01, 1e-4)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_subnormal_delta_k(self):
+        # 1 / (4 delta_k) overflows below delta_k ~ 1.1e-309; ln(4 delta_k) does not
+        ch = ChannelModel(1.0)
+        vals = []
+        for dk in (1e-300, 2e-309, 1e-309, 1e-320, 5e-324):
+            got = scheme.converse_users_log(8, 4.0, dk, ch)
+            with mp.workdps(40):
+                inner = mp.sqrt(3 * mp.log(1 / (4 * mp.mpf(dk))))
+                want = 16 * mp.log1p(4 * mp.sqrt(32) / inner)
+            assert got == pytest.approx(float(want), rel=1e-13, abs=0), dk
+            vals.append(got)
+        assert all(a >= b for a, b in zip(vals, vals[1:]))
+
     @pytest.mark.parametrize("energy", [math.nan, math.inf, 0.0, 1e308])
     def test_rejects_non_finite_energy(self, energy):  # 4 * 1e308 overflows
         with pytest.raises(ValueError):
