@@ -131,7 +131,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    code = _load_or_build_code(args)
+    code, _ = _load_or_build_code(args)
     if args.out:
         scheme.save_signature_set(args.out, code)
     print(f"M={len(code)}")
@@ -140,14 +140,18 @@ def cmd_pack(args) -> int:
     return EXIT_OK
 
 
-def _load_or_build_code(args) -> scheme.SignatureSet:
-    """The --code file if one is given, else a code packed at --rho from --seed."""
+def _load_or_build_code(args, prepare=lambda k: None):
+    """(code, prepare(k)): the --code file if one is given, else a code packed
+    at --rho from --seed.  prepare runs on the code's k before any packing, so
+    the checks in it fail before the packing's cost, not after."""
     if getattr(args, "code", None):
-        return scheme.load_signature_set(args.code)
+        code = scheme.load_signature_set(args.code)
+        return code, prepare(code.k)
     if args.rho is None:
         raise ValueError("--rho is required to build a code")
+    prepared = prepare(args.k)
     rng = np.random.default_rng(args.seed)
-    return scheme.build_code(args.k, args.energy, args.rho, rng)
+    return scheme.build_code(args.k, args.energy, args.rho, rng), prepared
 
 
 def _mc_row(name, est, **exact) -> dict:
@@ -160,8 +164,13 @@ def _mc_row(name, est, **exact) -> dict:
 
 def cmd_simulate(args) -> int:
     channel = ChannelModel(args.noise)
-    code = _load_or_build_code(args)
-    detector = DetectorSpec.make(args.delta, code.k, channel)
+
+    def make_detector(k):
+        if not 0 < args.delta < math.inf:
+            raise ValueError(f"--delta must be finite and > 0, got {args.delta}")
+        return DetectorSpec.make(args.delta, k, channel)
+
+    code, detector = _load_or_build_code(args, make_detector)
     d2, i, j = code.closest_pair
     pairs = d2 if args.pair_strategy == "worst_pair" else montecarlo.sampled_pairs(code.signatures)
     est1 = montecarlo.estimate_lambda1(channel, detector, args.trials, args.seed)
@@ -177,13 +186,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_heterodyne(args) -> int:
     channel = ChannelModel(args.noise)
-    code = _load_or_build_code(args)
     sigma2 = channel.n_thermal + 1  # shot noise plus thermal extension
-    threshold = code.k * sigma2 * (1 + args.delta)
-    if not 0 <= threshold < math.inf:
-        raise ValueError("--delta: the heterodyne threshold k (N + 1) (1 + delta) must be "
-                         f"finite and >= 0, that is delta >= -1; got delta = {args.delta}")
-    spec = montecarlo.HeterodyneSpec(noise_variance=sigma2, threshold=threshold)
+
+    def make_spec(k):
+        threshold = k * sigma2 * (1 + args.delta)
+        if not 0 <= threshold < math.inf:
+            raise ValueError("--delta: the heterodyne threshold k (N + 1) (1 + delta) must be "
+                             f"finite and >= 0, that is delta >= -1; got delta = {args.delta}")
+        return montecarlo.HeterodyneSpec(noise_variance=sigma2, threshold=threshold)
+
+    code, spec = _load_or_build_code(args, make_spec)
     sim = montecarlo.heterodyne_simulate(
         code.k, code.closest_pair[0], spec, args.trials, args.seed)
     ana = montecarlo.heterodyne_analytic(code.k, spec, code.min_distance)
@@ -333,11 +345,17 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        if getattr(args, "trials", 1) < 1:
+            raise ValueError(f"--trials must be >= 1, got {args.trials}")
         if args.func in (cmd_pack, cmd_simulate, cmd_heterodyne):
             ks = _parse_k_list(args.k)
             if len(ks) != 1:
                 raise ValueError("this command takes a single --k value")
             args.k = ks[0]
+            # checked even where --code leaves them unused
+            for flag, value in (("--energy", args.energy), ("--rho", args.rho)):
+                if value is not None and not 0 < value < math.inf:
+                    raise ValueError(f"{flag} must be finite and > 0, got {value}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -85,32 +85,26 @@ def greedy_packing(spec: PackingSpec, rng: np.random.Generator) -> np.ndarray:
     Uniform candidates, drawn in batches of 4096, are accepted when at
     `_distances` >= separation from every accepted point (exact comparison, no
     slack); stops after ``rejection_budget`` consecutive rejections.  The
-    pivot-cell witness screen (module docstring) only rejects candidates that
-    have a point within the separation, and it hands every other one to that
-    exact comparison, so the accepted points are those of a plain scan.
+    pivot-cell witness screen (module docstring) clears each batch: it only
+    rejects candidates that have a point within the separation.  One ascending
+    pass over the cleared candidates accepts each one still clear and clears
+    the rest of the batch against it, so the accepted points are a plain scan's.
     """
     screen = _WitnessScreen(spec.dim, spec.separation)
     consecutive = 0
     while consecutive < spec.rejection_budget:
         cands = sample_uniform_ball(spec.dim, spec.radius, rng, _BATCH)
         clear = screen.clear(cands)
-        taken = []
-        start = 0
-        while start < _BATCH:
-            ok = np.flatnonzero(clear[start:])
-            if ok.size == 0:
-                consecutive += _BATCH - start
+        taken, last = [], -1
+        for i in np.flatnonzero(clear).tolist():
+            # consecutive + i - last - 1 rejections in a row come before i
+            if consecutive + i - last - 1 >= spec.rejection_budget:
                 break
-            j = int(ok[0])
-            if consecutive + j >= spec.rejection_budget:
-                consecutive = spec.rejection_budget
-                break
-            new = cands[start + j]
-            taken.append(start + j)
-            consecutive = 0
-            start += j + 1
-            if start < _BATCH:
-                clear[start:] &= _distances(cands[start:], new) >= spec.separation
+            if clear[i]:
+                taken.append(i)
+                consecutive, last = 0, i
+                clear[i + 1:] &= _distances(cands[i + 1:], cands[i]) >= spec.separation
+        consecutive += _BATCH - 1 - last
         screen.extend(cands[taken])
     return screen.points
 
@@ -142,10 +136,8 @@ class _WitnessScreen:
 
     def clear(self, cands: np.ndarray) -> np.ndarray:
         """True exactly where a candidate's `_distances` distance to every
-        accepted point is >= separation."""
+        accepted point is >= separation; with none accepted, every candidate."""
         n, dim = cands.shape
-        if not len(self.points):
-            return np.ones(n, dtype=bool)
         cols = _augmented_cols(cands)
         # To first order, the screened |c|^2 + |a|^2 - 2 c.a is within
         # (1.5 dim + 2) eps (|c|^2 + |a|^2) of |c - a|^2, and the square of
@@ -153,7 +145,7 @@ class _WitnessScreen:
         # is over four times their sum, so a screened value below sep^2 -
         # slack is an exact distance below sep, and one above sep^2 + slack an
         # exact distance above it.
-        slack = _rounding_slack(dim, float(cols[-2].max()) + float(self.rows[:, -1].max()))
+        slack = _rounding_slack(dim, float(cols[-2].max() + self.rows[:, -1].max(initial=0.0)))
         low, high = self.separation**2 - slack, self.separation**2 + slack
         todo = np.arange(n)
         d2 = self.rows[: len(self.cells)] @ cols
@@ -164,7 +156,7 @@ class _WitnessScreen:
             todo, cols, d2 = todo[keep], cols[:, keep], d2[:, keep]
             d2[nearest[:, keep]] = math.inf
         clear = np.zeros(n, dtype=bool)  # False where a cell held a witness
-        smin = (self.rows @ cols).min(axis=0)
+        smin = (self.rows @ cols).min(axis=0, initial=math.inf)
         clear[todo[smin > high]] = True
         for i in todo[(smin >= low) & (smin <= high)]:
             clear[i] = _distances(self.points, cands[i]).min() >= self.separation

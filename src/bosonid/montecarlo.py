@@ -143,13 +143,11 @@ def estimate_lambda1(
     """First-kind error rate: total thermal count exceeds k(N+delta).
 
     By unitary invariance the event is identical for every signature, so the
-    code enters only through k.
+    code enters only through k.  It is the complement of the second-kind
+    event at zero energy, counted on the same draws.
     """
-    def count(rng, n):
-        counts = sample_photon_counts(detector.k, 0.0, channel, rng, n)
-        return np.count_nonzero(counts > detector.threshold)
-
-    return McEstimate(int(_successes(trials, seed, count)), trials)
+    below = estimate_lambda2(0.0, channel, detector, trials, seed)
+    return McEstimate(trials - below.successes, trials)
 
 
 def sampled_pairs(signatures):

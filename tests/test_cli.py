@@ -307,6 +307,8 @@ class TestFiniteInputs:
         ("heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--delta", "inf"): "--delta",
         ("heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--delta", "-3"): "--delta",
         ("heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--delta", "1e308"): "--delta",
+        ("simulate", "--code", "CODE", "--trials", "10", "--energy", "nan"): "--energy",
+        ("heterodyne", "--code", "CODE", "--trials", "10", "--rho", "-5"): "--rho",
     }
 
     @pytest.mark.parametrize("argv", [
@@ -347,6 +349,9 @@ class TestFiniteInputs:
         ["heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--delta", "inf"],
         ["heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--delta", "-3"],
         ["heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--delta", "1e308"],
+        # range-checked though --code leaves them unused
+        ["simulate", "--code", "CODE", "--trials", "10", "--energy", "nan"],
+        ["heterodyne", "--code", "CODE", "--trials", "10", "--rho", "-5"],
     ])
     def test_rejected_with_error_line(self, tmp_path, capsys, argv):
         named = self.NAMED_FLAG.get(tuple(argv))
@@ -371,6 +376,23 @@ class TestFiniteInputs:
         bad = [a for a in argv if a.endswith(".txt") and not a.endswith("code.txt")]
         assert all(path in captured.err for path in bad)  # a bad file is named
         assert named is None or named in captured.err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["simulate", "--trials", "10", "--delta", "nan"], "--delta"),
+        (["heterodyne", "--trials", "10", "--delta", "-3"], "--delta"),
+        (["simulate", "--trials", "0"], "--trials"),
+        (["heterodyne", "--trials", "-3"], "--trials"),
+    ])
+    def test_rejected_before_packing(self, capsys, monkeypatch, argv, flag):
+        def build_code(*args, **kwargs):
+            pytest.fail("packed before rejecting the input")
+
+        monkeypatch.setattr(scheme, "build_code", build_code)
+        assert run([*argv, "--k", "4", "--rho", "1"]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and flag in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
     def test_unwritable_out_rejected_with_error_line(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "code.txt"

@@ -152,12 +152,18 @@ def pack_from(batches, separation, pack=geo.greedy_packing):
 class TestWitnessScreen:
     """The screened packing accepts exactly the points of the cdist packing."""
 
-    # M = 10-13 (1 to 2 pivots), 276-329, 145-178 and 137-225 points
+    # M = 10-13 (1 to 2 pivots), 276-329, 145-178 and 137-225 points; then
+    # budgets of 1, _BATCH - 1, _BATCH and _BATCH + 1 (M = 1-13), which stop
+    # the packing within a batch and at or past its end
     @pytest.mark.parametrize("dim,radius,separation,budget", [
         (2, 2.0, 1.0, 20_000),
         (6, math.sqrt(6.0), 1.2, 60),
         (8, 4.0, 3.0, 1000),
         (16, math.sqrt(32.0), 5.2, 50),
+        (2, 2.0, 1.0, 1),
+        (2, 2.0, 1.0, 4095),
+        (2, 2.0, 1.0, 4096),
+        (2, 2.0, 1.0, 4097),
     ])
     def test_matches_reference(self, dim, radius, separation, budget):
         self.assert_matches_reference(geo.PackingSpec(dim, radius, separation, budget),
@@ -211,6 +217,7 @@ class TestWitnessScreen:
         points = np.hstack([np.round(packing * 2**10) / 2**10, np.zeros((len(packing), 1))])
         rng = np.random.default_rng(2)
         screen = geo._WitnessScreen(7, sep)
+        assert screen.clear(points).all()  # M = 0: nothing to be near
         counts = []
         for batch in np.split(points, [1, 2, 3, 7, 15, 40, 63, 64, 65, 150, 500, 1100, 2100]):
             screen.extend(batch)
