@@ -17,10 +17,13 @@ cell, with the points of its nearest pivot's cell, then with those of its
 second-nearest.  A screened squared distance below separation^2 minus a
 rigorous float-error slack is a real witness.  The few candidates without one
 are compared with every accepted point, by one matrix product; those within
-the slack of separation^2 get the exact distance, `_distances`, also used for
-the points accepted within a batch.  So each candidate is accepted or rejected
-exactly as by `_distances` to all accepted points, and the accepted set is the
-same point for point; the pivots only decide which cell is scanned first.
+the slack of separation^2 get the exact distance, `_distances`.  Within a
+batch, the candidates still clear are an index array: its first is accepted,
+and only the rest of the array is measured against it by `_distances`, so the
+pass does work in proportion to the candidates still clear, not to the batch.
+Each candidate is accepted or rejected exactly as by `_distances` to all
+accepted points, and the accepted set is the same point for point; the pivots
+only decide which cell is scanned first.
 """
 
 from __future__ import annotations
@@ -62,8 +65,10 @@ class PackingSpec:
         if not 0 < self.radius <= MAX_NORM:
             raise ValueError(f"radius must be > 0 and at most {MAX_NORM:.6g}, "
                              f"got {self.radius}")
-        if not 0 < self.separation < math.inf:
-            raise ValueError(f"separation must be finite and > 0, got {self.separation}")
+        # a separation above the diameter 2 radius <= 2 MAX_NORM gives one point
+        if not 0 < self.separation <= 2 * MAX_NORM:
+            raise ValueError(f"separation must be > 0 and at most {2 * MAX_NORM:.6g}, "
+                             f"got {self.separation}")
         if self.rejection_budget < 1:
             raise ValueError("rejection_budget must be >= 1")
 
@@ -86,24 +91,26 @@ def greedy_packing(spec: PackingSpec, rng: np.random.Generator) -> np.ndarray:
     `_distances` >= separation from every accepted point (exact comparison, no
     slack); stops after ``rejection_budget`` consecutive rejections.  The
     pivot-cell witness screen (module docstring) clears each batch: it only
-    rejects candidates that have a point within the separation.  One ascending
-    pass over the cleared candidates accepts each one still clear and clears
-    the rest of the batch against it, so the accepted points are a plain scan's.
+    rejects candidates that have a point within the separation.  The pass then
+    keeps the indices of the candidates still clear: it accepts the first and
+    keeps those of the rest at `_distances` >= separation from it, until none
+    is left or the budget runs out.  A candidate dropped from the indices is
+    never tested against the budget; where the test would fire at it, it fires
+    at the next one still clear, or the batch's closing count reaches the
+    budget.  So the accepted points are a plain scan's.
     """
     screen = _WitnessScreen(spec.dim, spec.separation)
     consecutive = 0
     while consecutive < spec.rejection_budget:
         cands = sample_uniform_ball(spec.dim, spec.radius, rng, _BATCH)
-        clear = screen.clear(cands)
+        idx = np.flatnonzero(screen.clear(cands))  # the candidates still clear
         taken, last = [], -1
-        for i in np.flatnonzero(clear).tolist():
-            # consecutive + i - last - 1 rejections in a row come before i
-            if consecutive + i - last - 1 >= spec.rejection_budget:
-                break
-            if clear[i]:
-                taken.append(i)
-                consecutive, last = 0, i
-                clear[i + 1:] &= _distances(cands[i + 1:], cands[i]) >= spec.separation
+        # consecutive + i - last - 1 rejections in a row come before i
+        while len(idx) and consecutive + int(idx[0]) - last - 1 < spec.rejection_budget:
+            i = int(idx[0])
+            taken.append(i)
+            consecutive, last = 0, i
+            idx = idx[1:][_distances(cands[idx[1:]], cands[i]) >= spec.separation]
         consecutive += _BATCH - 1 - last
         screen.extend(cands[taken])
     return screen.points

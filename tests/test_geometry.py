@@ -1,3 +1,4 @@
+import hashlib
 import math
 from unittest import mock
 
@@ -102,6 +103,19 @@ class TestGreedyPacking:
     def test_spec_rejects_non_finite(self, radius, separation):
         with pytest.raises(ValueError):
             geo.PackingSpec(dim=2, radius=radius, separation=separation)
+
+    @pytest.mark.parametrize("separation", [1e200, 2 * geo.MAX_NORM * (1 + 1e-15)])
+    def test_spec_rejects_separation_past_diameter_bound(self, separation):
+        # separation^2 would overflow in the screen
+        with pytest.raises(ValueError, match="separation"):
+            geo.PackingSpec(dim=2, radius=1.0, separation=separation)
+
+    def test_separation_at_bound_packs_one_point(self):
+        # above the diameter 2 radius every packing is one point; under
+        # filterwarnings = error no overflow in the screen goes unnoticed
+        spec = geo.PackingSpec(dim=2, radius=1.0, separation=2 * geo.MAX_NORM,
+                               rejection_budget=50)
+        assert geo.greedy_packing(spec, np.random.default_rng(0)).shape == (1, 2)
 
     @pytest.mark.parametrize("radius", [1e154, 2 * geo.MAX_NORM])
     def test_spec_rejects_overflowing_radius(self, radius):
@@ -250,10 +264,13 @@ class TestWitnessScreen:
 
     @staticmethod
     def assert_matches_reference(spec, seeds):
+        # the same points, and the generator left where the reference leaves it
         for seed in seeds:
-            got = geo.greedy_packing(spec, np.random.default_rng(seed))
-            want = reference_greedy_packing(spec, np.random.default_rng(seed))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = geo.greedy_packing(spec, rng)
+            want = reference_greedy_packing(spec, ref_rng)
             assert np.array_equal(got, want), (spec.dim, seed)
+            assert rng.random() == ref_rng.random(), (spec.dim, seed)
 
     @staticmethod
     def axis_candidates(sep):
@@ -302,6 +319,43 @@ class TestWitnessScreen:
         got = pack_from(batches, 1.0)
         assert np.array_equal(got, np.vstack([lattice, outside]))
         assert np.array_equal(got, pack_from(batches, 1.0, reference_greedy_packing))
+
+
+class TestGoldenPackings:
+    """Packings pinned by the sha256 of their bytes.  The streams of
+    `np.random.default_rng` are not fixed across numpy versions (NEP 19):
+    these digests hold for numpy 2.4.6."""
+
+    @pytest.mark.parametrize("spec,seed,m,digest", [
+        (geo.PackingSpec(8, 4.0, 3.0), 1, 251,
+         "fad85c82096f677dca75a380906749963b967d3e5831f3f05bb075ec4768391f"),
+        (geo.PackingSpec(8, 4.0, 3.0), 2, 249,
+         "0b2308fbabc9ac7923d597f29f09687bab519068e27b02594b46edb8a0c4ec9b"),
+        (geo.PackingSpec(8, 4.0, 3.0), 3, 268,
+         "dd936dbad9426778677d62bef2324cf7ce223128b3a65ba31af674c7929ad193"),
+        (geo.PackingSpec(16, math.sqrt(32.0), 5.2, 5000), 1, 472,
+         "4f9f28761b8b9a862bed4d46d5f9e128b0c10199b0e0e08fb27890178d4a78b2"),
+    ])
+    def test_digest(self, spec, seed, m, digest):
+        points = geo.greedy_packing(spec, np.random.default_rng(seed))
+        assert points.shape == (m, spec.dim)
+        assert hashlib.sha256(points.tobytes()).hexdigest() == digest
+
+    def test_exact_distance_rows(self, monkeypatch):
+        # the pass within a batch measures only the candidates still clear:
+        # 248985 rows reach `_distances` here, where measuring the whole rest
+        # of the batch after each acceptance takes 1286559
+        rows = []
+        distances = geo._distances
+
+        def spy(a, c):
+            rows.append(len(a))
+            return distances(a, c)
+
+        monkeypatch.setattr(geo, "_distances", spy)
+        spec = geo.PackingSpec(16, math.sqrt(32.0), 5.2, 5000)
+        assert len(geo.greedy_packing(spec, np.random.default_rng(1))) == 472
+        assert sum(rows) == 248_985 < 300_000
 
 
 class TestMinPairwiseDistance:
