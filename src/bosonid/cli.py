@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -356,7 +357,13 @@ def main(argv=None) -> int:
             for flag, value in (("--energy", args.energy), ("--rho", args.rho)):
                 if value is not None and not 0 < value < math.inf:
                     raise ValueError(f"{flag} must be finite and > 0, got {value}")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
+        return status
+    except BrokenPipeError:  # the reader of stdout left early, as `head -1` does
+        # the interpreter flushes stdout again at exit: that write goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -14,7 +14,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln, pdtrc, xlogy
 
 from .photonstats import ChannelModel
 
@@ -39,6 +38,8 @@ def _power_split(amplitude: complex, cutoff: int) -> tuple[float, np.ndarray, np
     overflow before the factorials scale it.  At alpha = 0 the log magnitude
     is 0 at n = 0 (0^0 = 1) and -inf beyond, and the phase is 1.
     """
+    from scipy.special import xlogy
+
     alpha = complex(amplitude)
     try:  # a float power raises OverflowError past the largest float
         n2 = abs(alpha) ** 2
@@ -54,6 +55,8 @@ def _power_split(amplitude: complex, cutoff: int) -> tuple[float, np.ndarray, np
 
 def coherent_state_vector(alpha: complex, cutoff: int) -> np.ndarray:
     """Number-basis coefficients of |alpha>, truncated at ``cutoff``."""
+    from scipy.special import gammaln
+
     n2, log_pow, phase = _power_split(alpha, cutoff)
     return np.exp(log_pow - n2 / 2 - 0.5 * gammaln(np.arange(cutoff) + 1)) * phase
 
@@ -64,6 +67,8 @@ def displacement_matrix(amplitude: complex, cutoff: int) -> np.ndarray:
     Amplitudes too large for the cutoff are rejected: those where the
     coherent-state mass of D(alpha)|0> beyond it (a Poisson tail) exceeds 1e-6.
     """
+    from scipy.special import eval_genlaguerre, gammaln, pdtrc
+
     n2, log_pow, phase = _power_split(amplitude, cutoff)
     deficit = float(pdtrc(cutoff - 1, n2))
     if deficit > _DISPLACEMENT_DEFICIT_LIMIT:

@@ -265,7 +265,7 @@ def closest_pair(points) -> tuple[float, int, int]:
     while lo < m - 1:
         hi = min(m, lo + max(1, _SERIAL_PRODUCT // (rows.shape[1] * (m - lo))))
         s = np.matmul(rows[lo:hi], cols[:, lo:])
-        s[np.tril_indices(hi - lo)] = math.inf  # keep j > i only
+        s[:, : hi - lo][np.tri(hi - lo, dtype=bool)] = math.inf  # keep j > i only
         floor = min(floor, float(s.min()))
         near = s <= floor + slack
         if near.any():

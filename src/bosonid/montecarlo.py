@@ -36,7 +36,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chndtr, gammaincc, ndtri
 
 from .photonstats import (
     ChannelModel,
@@ -63,7 +62,8 @@ __all__ = [
 DEFAULT_CHUNKS = 8
 _BLOCK = 1 << 16  # trials drawn at once within a chunk
 _GATHER = 1 << 16  # signature entries gathered at once for per-trial pair energies
-_WILSON_Z = ndtri(1 - (1 - 0.997) / 2)  # two-sided 99.7% normal quantile
+# two-sided 99.7% normal quantile, scipy.special.ndtri(1 - (1 - 0.997) / 2)
+_WILSON_Z = 2.9677379253417717
 # threads that run the chunks: one per CPU this process may use
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
     os.cpu_count() or 1)
@@ -245,6 +245,8 @@ def heterodyne_analytic(k: int, spec: HeterodyneSpec, distance: float) -> dict:
     of freedom; ||Delta + w||^2 is noncentral with noncentrality
     2 distance^2 / noise_variance.
     """
+    from scipy.special import chndtr, gammaincc
+
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 0 <= distance < math.inf:

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincc, betaln, gammaln, logsumexp
 
 __all__ = [
     "ChannelModel",
@@ -111,6 +110,8 @@ def _log_poisson(j, lam: float) -> np.ndarray:
     """ln Poi(j; lam) for integers j >= 0 and lam > 0; from j = 16 on, where
     j ln lam - lam - ln j! cancels terms of size j ln j, as (Loader 2000)
     -j phi(lam/j) - ln(2 pi j)/2 - s(j), phi(u) = u - 1 - ln u, s in _STIRLING."""
+    from scipy.special import gammaln
+
     j = np.asarray(j, float)
     out = j * math.log(lam) - lam - gammaln(j + 1)
     large = j >= 16
@@ -132,6 +133,8 @@ def _log_nb_tail(a, b, n_thermal: float, upper: bool) -> np.ndarray:
     x < (a+1)/(a+b+2), else for I_{1-x}(b, a) = 1 - I_x(a, b), where it
     converges in tens of terms and is never near 1, so its complement is precise.
     """
+    from scipy.special import betainc, betaincc
+
     N, a, b = n_thermal, np.asarray(a, float), np.asarray(b, float)
     x, y, log_x = 1 / (N + 1), N / (N + 1), -math.log1p(N)
     log_y = -math.log1p(1 / N) if N >= 1 else math.log(N) - math.log1p(N)
@@ -169,6 +172,8 @@ def _log_nb_tail(a, b, n_thermal: float, upper: bool) -> np.ndarray:
 def _log_beta(a, b):
     """ln B(a, b) for integers a, b >= 1; as ln (s-1)! - sum_{i<s} ln(l+i) where
     the smaller, s, is below 40 and `betaln` cancels terms of size l ln l."""
+    from scipy.special import betaln, gammaln
+
     s, l = np.minimum(a, b), np.maximum(a, b)
     i = np.arange(_SMALL_PARAM)
     rising = np.where(i < s[:, None], np.log(l[:, None] + i), 0).sum(axis=1)
@@ -180,6 +185,8 @@ def _log_window_sum(log_term, lo: int, hi: float, peak_hi: int) -> float:
     summand that peaks at or below peak_hi: grids of 65 points narrow in on
     the peak, then a window around it doubles until the terms past each open
     end, falling at least geometrically, sum below 1e-17 of the largest."""
+    from scipy.special import logsumexp
+
     first, last = lo, peak_hi
     while last - first > 64:
         grid = np.linspace(first, last, 65).round().astype(np.int64)
@@ -244,6 +251,8 @@ def photon_pmf_array(nmax: int, energy: float, channel: ChannelModel) -> np.ndar
     lam = e/(N+1), summed in logs from one ln n! table, so no N or energy
     over- or underflows it; at lam = 0 it is geometric, at N = 0 Poisson.
     """
+    from scipy.special import gammaln
+
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     _check_law(1, energy)

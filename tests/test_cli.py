@@ -439,19 +439,67 @@ class TestHeterodyne:
             assert float(row["wilson_low"]) <= float(row["analytic"]) <= float(row["wilson_high"])
 
 
+def child_env(**overrides):
+    """The environment of a child interpreter that imports bosonid from src/;
+    a variable set to None is removed."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **overrides}
+    return {key: value for key, value in env.items() if value is not None}
+
+
 class TestColdStart:
-    def test_import_leaves_out_scipy_spatial_and_linalg(self):
-        # geometry needs numpy alone and scipy.special loads none of these;
-        # chernoff_upper_exponent imports scipy.optimize only when called
-        src = str(Path(cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = ("import sys, bosonid.cli; "
-                "print([m for m in ('scipy.spatial', 'scipy.linalg', 'scipy.optimize') "
-                "if m in sys.modules])")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        assert out == "[]\n"
+    """Importing bosonid loads numpy alone: scipy.special loads where a tail or
+    a Fock matrix is computed, and scipy.optimize where a Chernoff exponent is
+    optimized numerically."""
+
+    @staticmethod
+    def scipy_modules(statement):
+        """The scipy modules loaded after ``statement`` in a fresh interpreter."""
+        code = (f"{statement}\nimport sys\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                             capture_output=True, text=True, check=True).stdout
+        return out.splitlines()[-1]
+
+    @pytest.mark.parametrize("statement", [
+        "import bosonid",
+        "import bosonid.cli",
+        "from bosonid import cli; cli.main(['--version'])",
+        "from bosonid import cli; cli.main(['pack', '--k', '2', '--rho', '1'])",
+    ], ids=["import", "import_cli", "version", "pack"])
+    def test_leaves_out_scipy(self, statement):
+        assert self.scipy_modules(statement) == "[]"
+
+    def test_bounds_loads_scipy_special(self):
+        loaded = self.scipy_modules(
+            "from bosonid import cli; cli.main(['bounds', '--k', '8', '--gamma', '1.1'])")
+        assert "'scipy.special'" in loaded
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+    def test_reader_gone_is_not_an_error(self, unbuffered):
+        # the read end closes before the child writes, so its write fails with
+        # EPIPE: at once if unbuffered, else at main's flush
+        child = subprocess.Popen(
+            [sys.executable, "-m", "bosonid.cli", "pack", "--k", "2", "--rho", "1"],
+            env=child_env(PYTHONUNBUFFERED=unbuffered),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == cli.EXIT_OK
+        assert err == b""
+
+    @pytest.mark.parametrize("argv", [
+        ["pack", "--k", "2", "--rho", "1", "--out", "{tmp}"],
+        ["bounds", "--k", "8", "--rho", "1", "--out", "{tmp}/missing/x.csv"],
+        ["simulate", "--code", "{tmp}/missing.txt", "--trials", "10"],
+    ], ids=["out_is_a_directory", "out_in_no_directory", "code_missing"])
+    def test_file_errors_stay_validation_errors(self, capsys, tmp_path, argv):
+        assert run([arg.format(tmp=tmp_path) for arg in argv]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestVerify:

@@ -410,17 +410,33 @@ class TestClosestPairScreen:
         pts = np.array([[1.0 + 2.0j, -0.5j], [0.25, 3.0]])
         assert geo.closest_pair(pts) == brute_closest_pair(pts)
 
+    @staticmethod
+    def row_minima(pts):
+        """The closest pair as the least (d2, i, j) over each row's closest
+        later partner, the lowest index first among ties."""
+        rows = []
+        for i in range(len(pts) - 1):
+            d2 = np.sum(np.abs(pts[i + 1 :] - pts[i]) ** 2, axis=1)
+            j = int(np.argmin(d2))
+            rows.append((float(d2[j]), i, i + 1 + j))
+        return min(rows)
+
     @pytest.mark.parametrize("offset", [0.0, 1.0e6])
     def test_lattice_ties_across_blocks(self, offset):
         # 600 lattice points, 7 blocks, hundreds of pairs tied at the spacing
         z = np.random.default_rng(1).integers(-3, 4, size=(2000, 6))
         pts = np.unique(z, axis=0)[:600] * 1.7 + offset
-        rows = []  # the closest partner of each row, lowest index first
-        for i in range(len(pts) - 1):
-            d2 = np.sum(np.abs(pts[i + 1 :] - pts[i]) ** 2, axis=1)
-            j = int(np.argmin(d2))
-            rows.append((float(d2[j]), i, i + 1 + j))
-        assert geo.closest_pair(pts) == min(rows)
+        assert geo.closest_pair(pts) == self.row_minima(pts)
+
+    def test_code_shaped_blocks(self, monkeypatch):
+        # M = 2500 signatures of k = 4 modes, on a coarse lattice so that pairs
+        # tie: over a hundred blocks, the first of 10 rows, each masking its
+        # own lower triangle
+        grid = np.round(2 * np.random.default_rng(2).normal(size=(2500, 4, 2)))
+        pts = grid[..., 0] + 1j * grid[..., 1]
+        result, sizes = TestSerialProduct.products(monkeypatch, geo.closest_pair, pts)
+        assert len(sizes) > 100
+        assert result == self.row_minima(pts)
 
 
 class TestSerialProduct:

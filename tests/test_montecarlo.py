@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import chndtr
+from scipy.special import chndtr, ndtri
 from scipy.stats import binom, chi2, ncx2
 
 from bosonid import montecarlo as mc
@@ -329,6 +329,11 @@ def test_monte_carlo_rejects_bad_energy(name, call, value):
 
 
 class TestWilsonInterval:
+    def test_z_is_scipys_quantile(self):
+        # a literal, so that importing montecarlo loads no scipy; exactly
+        # scipy's value, so that the Wilson columns stay byte for byte
+        assert mc._WILSON_Z == float(ndtri(1 - (1 - 0.997) / 2))
+
     def test_contains_point(self):
         lo, hi = mc.wilson_interval(50, 1000)
         assert lo < 0.05 < hi

@@ -1,7 +1,8 @@
 """Every public function, every field of a public type and every default of a
 public function of bosonid has a use outside the tests: code only tests reach
-belongs in the tests.  The Monte Carlo layer does not depend on codes, and the
-scipy floor in pyproject.toml has every scipy.special name src/ imports."""
+belongs in the tests.  The Monte Carlo layer does not depend on codes, no
+module imports scipy on import, and the scipy floor in pyproject.toml has every
+scipy.special name src/ imports."""
 
 import ast
 import dataclasses
@@ -89,6 +90,25 @@ def test_montecarlo_does_not_import_scheme():
             module = ".".join(["bosonid"] * bool(node.level) + [node.module] * bool(node.module))
             imported += [module, *(f"{module}.{alias.name}" for alias in node.names)]
     assert not [name for name in imported if name.split(".")[:2] == ["bosonid", "scheme"]]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "bosonid").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_level_scipy_import(path):
+    """Importing bosonid loads numpy alone: scipy is imported inside the
+    functions that call it, so commands that compute no tail and no Fock
+    matrix (`pack`, `--help`) start without it."""
+    imported, stack = [], list(ast.parse(path.read_text()).body)
+    while stack:  # every statement that runs on import: all but function bodies
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.append(node.module)
+        stack.extend(ast.iter_child_nodes(node))
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
 
 def test_scipy_floor_has_the_special_functions_imported():
