@@ -219,15 +219,18 @@ def _verify_checks():
                                - photonstats.lambda_exponent(d, ch)))
     checks.append(("chernoff_equals_lambda", dev, 1e-9))
 
-    # pmf matches the Fock-space diagonal.
+    # The lower tails at k = 1 and 2 match partial sums of the Fock-space
+    # diagonal and of its self-convolution, the count of two copies of the mode.
     dev = 0.0
     for alpha, n in ((1.0, 0.5), (0.7 + 0.4j, 1.0), (1.4j, 0.3)):
         ch = ChannelModel(n)
-        rho = fockspace.displaced_thermal_density(alpha, ch, 60)
-        diag = np.diag(rho).real
-        pmf = photonstats.photon_pmf_array(20, abs(alpha) ** 2, ch)
-        dev = max(dev, float(np.max(np.abs(diag[:21] - pmf))))
-    checks.append(("pmf_matches_fock_diagonal", dev, 1e-9))
+        diag = np.diag(fockspace.displaced_thermal_density(alpha, ch, 60)).real
+        for k, pmf in ((1, diag), (2, np.convolve(diag, diag))):
+            cdf = np.cumsum(pmf)
+            for t in (1, 6):
+                tail = photonstats.log_tail_probability(k, k * abs(alpha) ** 2, ch, t, upper=False)
+                dev = max(dev, abs(math.exp(tail) - float(cdf[t])))
+    checks.append(("tail_matches_fock_diagonal", dev, 1e-12))
 
     # Closed-form coherent overlap matches <beta| S_N(alpha) |beta>.
     dev = 0.0

@@ -18,12 +18,12 @@ success probability 1/(N+1) (the noncentral negative binomial; Helstrom,
 Quantum Detection and Estimation Theory, ch. 5), and its tails are Poisson
 mixtures of regularized incomplete betas (DLMF 8.17).
 
-This module provides the single-mode pmf, an exact sampler (one Poisson count
-of the summed P-function intensity, which is drawn in law as a scaled
-noncentral chi-square after rotating alpha onto one quadrature), the tails of
-S_k in log domain, and the detector error bounds: the upper-tail exponent
-Lambda, with a numerically optimized Chernoff exponent as its oracle, and the
-lower-tail Chernoff bound at a pair's energy ||Delta||^2.
+This module provides an exact sampler (one Poisson count of the summed
+P-function intensity, which is drawn in law as a scaled noncentral chi-square
+after rotating alpha onto one quadrature), the tails of S_k in log domain, and
+the detector error bounds: the upper-tail exponent Lambda, with a numerically
+optimized Chernoff exponent as its oracle, and the lower-tail Chernoff bound at
+a pair's energy ||Delta||^2.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import numpy as np
 __all__ = [
     "ChannelModel",
     "DetectorSpec",
-    "photon_pmf_array",
     "sample_intensity",
     "sample_photon_counts",
     "log_tail_probability",
@@ -115,6 +114,8 @@ def _log_poisson(j, lam: float) -> np.ndarray:
     j = np.asarray(j, float)
     out = j * math.log(lam) - lam - gammaln(j + 1)
     large = j >= 16
+    if not large.any():
+        return out
     big = j[large]
     u = lam / big
     stirling = sum(c / big ** (2 * i + 1) for i, c in enumerate(_STIRLING))
@@ -185,8 +186,6 @@ def _log_window_sum(log_term, lo: int, hi: float, peak_hi: int) -> float:
     summand that peaks at or below peak_hi: grids of 65 points narrow in on
     the peak, then a window around it doubles until the terms past each open
     end, falling at least geometrically, sum below 1e-17 of the largest."""
-    from scipy.special import logsumexp
-
     first, last = lo, peak_hi
     while last - first > 64:
         grid = np.linspace(first, last, 65).round().astype(np.int64)
@@ -206,8 +205,21 @@ def _log_window_sum(log_term, lo: int, hi: float, peak_hi: int) -> float:
         top = terms.max()
         if ((start == lo or rest_negligible(terms[0], terms[1], top))
                 and (stop == hi or rest_negligible(terms[-1], terms[-2], top))):
-            return float(logsumexp(terms))
+            return _log_sum_exp(terms, top)
         width *= 2
+
+
+def _log_sum_exp(terms: np.ndarray, top: float) -> float:
+    """ln sum exp(terms) for ``top`` = terms.max(), computed as
+    `scipy.special.logsumexp` computes it, to the bit, without its array-API
+    overhead: the m terms equal to top apart, ln(1 + s/m) + ln m + top with
+    s the sum of exp(term - top) over the rest, each left in its place."""
+    if top == -math.inf:  # no mass: top - top would be NaN
+        return -math.inf
+    at_top = terms == top
+    m = float(np.count_nonzero(at_top))
+    s = np.exp(np.where(at_top, -math.inf, terms) - top).sum()
+    return float(np.log1p(s / m) + np.log(m) + top)
 
 
 def log_tail_probability(
@@ -241,38 +253,6 @@ def log_tail_probability(
         return -math.inf
     peak_hi = t + 1 if upper else min(t, math.ceil(lam))
     return min(_log_window_sum(log_term, lo, hi, max(lo, min(hi, peak_hi))), 0.0)
-
-
-def photon_pmf_array(nmax: int, energy: float, channel: ChannelModel) -> np.ndarray:
-    """pmf p(n | energy, N) for n = 0..nmax: the k = 1 count law.
-
-    With S_1 = J + NB(1+J) (module docstring), p(n) is the mixture
-    sum_{j<=n} Poi(j; lam) C(n, j) (N+1)^{-1-j} (N/(N+1))^{n-j},
-    lam = e/(N+1), summed in logs from one ln n! table, so no N or energy
-    over- or underflows it; at lam = 0 it is geometric, at N = 0 Poisson.
-    """
-    from scipy.special import gammaln
-
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
-    _check_law(1, energy)
-    N = channel.n_thermal
-    lam = energy / (N + 1)
-    n = np.arange(nmax + 1)
-    if N == 0:  # the count is J
-        return np.exp(_log_poisson(n, lam)) if lam > 0 else (n == 0).astype(float)
-    log_c = -math.log1p(1 / N) if N >= 1 else math.log(N) - math.log1p(N)
-    log_geo = n * log_c - math.log1p(N)  # ln P(NB(1) = n)
-    if lam == 0:
-        return np.exp(log_geo)
-    log_fact = gammaln(n + 1.0)  # the one ln n! table
-    gap = n - n[:, None]  # n - j in row j
-    log_nb = np.where(gap >= 0, (log_geo - log_fact)[np.maximum(gap, 0)], -math.inf)
-    # ln Poi(j; lam) - ln j! - j ln(N+1) in row j
-    log_j = n * (math.log(lam) - math.log1p(N)) - lam - 2 * log_fact
-    terms = log_j[:, None] + log_fact + log_nb
-    top = terms.max(axis=0)  # finite: the j = 0 term is
-    return np.exp(top + np.log(np.exp(terms - top).sum(axis=0)))
 
 
 def sample_intensity(

@@ -64,7 +64,9 @@ def test_criterion_2_exact_tail_below_exponential_bound():
         for noise in NOISE_GRID:
             ch = ChannelModel(noise)
             rate = ps.lambda_exponent(delta, ch)
-            single, pmf = ps.photon_pmf_array(nmax, 0.0, ch), np.ones(1)
+            # the thermal single-mode law, geometric: (N+1)^-1 (N/(N+1))^n
+            single = (noise / (noise + 1)) ** np.arange(nmax + 1) / (noise + 1)
+            pmf = np.ones(1)
             for k in range(1, 17):
                 pmf = np.convolve(pmf, single)[: nmax + 1]
                 idx = math.ceil(k * (noise + delta) - 1e-12)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bosonid import cli, geometry, scheme
+from bosonid import cli, geometry, photonstats, scheme
 
 
 def run(argv):
@@ -508,6 +508,25 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") == 5
+        assert "\nPASS tail_matches_fock_diagonal max_dev=" in out
+        assert "pmf" not in out
+
+    def test_tail_check_reaches_the_production_tail(self, monkeypatch):
+        # the Fock-space check runs the tail every exact column uses, at k = 1
+        # and 2, to 1e-12; the second count law is gone
+        ks = []
+        tail = photonstats.log_tail_probability
+
+        def spy(k, *args, **kwargs):
+            ks.append(k)
+            return tail(k, *args, **kwargs)
+
+        monkeypatch.setattr(photonstats, "log_tail_probability", spy)
+        checks = {name: (dev, tol) for name, dev, tol in cli._verify_checks()}
+        assert set(ks) == {1, 2}
+        dev, tol = checks["tail_matches_fock_diagonal"]
+        assert tol == 1e-12 and dev <= tol
+        assert not hasattr(photonstats, "photon_pmf_array")
 
 
 class TestUsageErrors:

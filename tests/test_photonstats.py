@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -15,10 +16,12 @@ from bosonid.photonstats import ChannelModel
 
 def convolution_pmf(energies, channel, nmax):
     """Independent oracle: the total count of modes carrying ``energies``, by
-    convolving the single-mode pmfs on {0, ..., nmax}."""
-    total = ps.photon_pmf_array(nmax, energies[0], channel)
-    for e in energies[1:]:
-        total = np.convolve(total, ps.photon_pmf_array(nmax, e, channel))[: nmax + 1]
+    convolving the single-mode pmfs on {0, ..., nmax}, each the differences
+    of its k = 1 lower tails."""
+    total = np.ones(1)
+    for e in energies:
+        single = np.diff(lower_tails(1, e, channel, nmax), prepend=0.0)
+        total = np.convolve(total, single)[: nmax + 1]
     return total
 
 
@@ -26,6 +29,21 @@ def lower_tails(k, energy, channel, nmax):
     """P(S_k <= n) for n = 0..nmax from the closed-form tails."""
     return np.exp([ps.log_tail_probability(k, energy, channel, n, upper=False)
                    for n in range(nmax + 1)])
+
+
+def tail_pmf(k, energy, channel, nmax):
+    """P(S_k = n) for n = 0..nmax as differences of the closed-form tails: of
+    the lower tails while P(S_k <= n) <= 1/2, of the upper tails beyond, so
+    that a pmf far below 1 is the difference of two tails of about its size."""
+    lower = lower_tails(k, energy, channel, nmax)
+    upper = np.exp([ps.log_tail_probability(k, energy, channel, n, upper=True)
+                    for n in range(-1, nmax + 1)])
+    return np.where(lower <= 0.5, np.diff(lower, prepend=0.0), -np.diff(upper))
+
+
+def geometric_pmf(n_thermal, nmax):
+    """The zero-energy single-mode law: (N+1)^-1 (N/(N+1))^n, n = 0..nmax."""
+    return (n_thermal / (n_thermal + 1)) ** np.arange(nmax + 1) / (n_thermal + 1)
 
 
 def pgf(z, energy, channel, k):
@@ -52,58 +70,58 @@ def single_mode_pmf(n, energy, n_thermal):
 
 
 class TestLaguerre:
-    """The Laguerre form of the single-mode law, through `photon_pmf_array`."""
+    """The Laguerre form of the single-mode law, through the closed-form tails."""
 
     def test_degree_zero(self):
         # L_0 = 1
-        got = ps.photon_pmf_array(0, 3.7, ChannelModel(0.5))[0]
+        got = tail_pmf(1, 3.7, ChannelModel(0.5), 0)[0]
         assert got == pytest.approx(math.exp(-3.7 / 1.5) / 1.5, rel=1e-12)
 
     def test_degree_one(self):
         # L_1(x) = 1 - x at x = -e/(N(N+1)) = -1
-        got = ps.photon_pmf_array(1, 2.0, ChannelModel(1.0))[1]
+        got = tail_pmf(1, 2.0, ChannelModel(1.0), 1)[1]
         assert got == pytest.approx(0.25 * math.exp(-1.0) * 2.0, rel=1e-12)
 
     def test_degree_five_matches_series(self):
-        got = ps.photon_pmf_array(5, 0.8, ChannelModel(1.0))[5]
+        got = tail_pmf(1, 0.8, ChannelModel(1.0), 5)[5]
         assert got == pytest.approx(single_mode_pmf(5, 0.8, 1.0), rel=1e-12)
 
     @given(st.integers(0, 25), st.floats(0, 20), st.floats(0.05, 5))
     def test_matches_series(self, n, energy, n_thermal):
-        got = ps.photon_pmf_array(n, energy, ChannelModel(n_thermal))[n]
+        got = tail_pmf(1, energy, ChannelModel(n_thermal), n)[n]
         assert got == pytest.approx(single_mode_pmf(n, energy, n_thermal), rel=1e-9, abs=1e-9)
 
-    def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            ps.photon_pmf_array(-1, 0.0, ChannelModel(1.0))
+    @pytest.mark.parametrize("energy,n_thermal", [(0.0, 1.0), (2.0, 0.5), (2.0, 0.0)])
+    def test_negative_threshold_has_no_mass(self, energy, n_thermal):
+        # P(S <= -1) = 0 and P(S > -1) = 1: the degree -1 term of the law is 0
+        ch = ChannelModel(n_thermal)
+        assert ps.log_tail_probability(1, energy, ch, -1, upper=False) == -math.inf
+        assert ps.log_tail_probability(1, energy, ch, -1, upper=True) == 0.0
 
 
 class TestPmf:
+    """The single-mode pmf, as differences of the closed-form tails."""
+
     def test_zero_energy_is_geometric(self):
-        ch = ChannelModel(1.0)
-        assert ps.photon_pmf_array(0, 0, ch)[0] == pytest.approx(0.5)
-        for n in range(8):
-            assert ps.photon_pmf_array(n, 0, ch)[n] == pytest.approx(0.5 * 0.5**n)
+        assert tail_pmf(1, 0, ChannelModel(1.0), 7) == pytest.approx(0.5 * 0.5 ** np.arange(8))
 
     def test_matches_fock_diagonal(self):
         ch = ChannelModel(0.5)
         rho = fockspace.displaced_thermal_density(math.sqrt(2.0), ch, 60)
-        assert ps.photon_pmf_array(3, 2.0, ch)[3] == pytest.approx(
-            rho[3, 3].real, abs=1e-10
-        )
+        assert tail_pmf(1, 2.0, ch, 3)[3] == pytest.approx(rho[3, 3].real, abs=1e-10)
 
     def test_vacuum_channel_is_poisson(self):
         ch = ChannelModel(0.0)
-        assert ps.photon_pmf_array(2, 3.0, ch)[2] == pytest.approx(math.exp(-3) * 9 / 2)
+        assert tail_pmf(1, 3.0, ch, 2)[2] == pytest.approx(math.exp(-3) * 9 / 2)
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
-            ps.photon_pmf_array(0, -1.0, ChannelModel(1.0))
+            ps.log_tail_probability(1, -1.0, ChannelModel(1.0), 0, upper=False)
 
     @pytest.mark.parametrize("n_thermal", [5e-324, 1e-310])
     def test_subnormal_noise_is_poisson(self, n_thermal):
         # -e/(N(N+1)) overflows: the law is Poisson(e) to float precision
-        pmf = ps.photon_pmf_array(5, 1.0, ChannelModel(n_thermal))
+        pmf = tail_pmf(1, 1.0, ChannelModel(n_thermal), 5)
         poisson = [math.exp(-1) / math.factorial(n) for n in range(6)]
         assert pmf == pytest.approx(poisson, rel=1e-14)
 
@@ -112,7 +130,7 @@ class TestPmf:
     def test_subnormal_noise_and_energy(self, energy, n_thermal):
         # the Laguerre recurrence overflowed here: x = -e/(N(N+1)) is huge or
         # not representable; its values are taken in mpmath
-        pmf = ps.photon_pmf_array(5, energy, ChannelModel(n_thermal))
+        pmf = tail_pmf(1, energy, ChannelModel(n_thermal), 5)
         with mp.workdps(50):
             N, e = mp.mpf(n_thermal), mp.mpf(energy)
             x = -e / (N * (N + 1))
@@ -124,13 +142,17 @@ class TestPmf:
     @pytest.mark.parametrize("energy", [0.0, 1.0, 10.0, 50.0])
     @pytest.mark.parametrize("n_thermal", [0.1, 1.0, 5.0])
     def test_normalization(self, energy, n_thermal):
-        pmf = ps.photon_pmf_array(600, energy, ChannelModel(n_thermal))
-        assert 1 - 1e-10 <= pmf.sum() <= 1 + 1e-12
+        # the pmf on 0..600 sums to P(S <= 600)
+        total = math.exp(ps.log_tail_probability(1, energy, ChannelModel(n_thermal), 600,
+                                                 upper=False))
+        assert 1 - 1e-10 <= total <= 1 + 1e-12
 
     @pytest.mark.parametrize("energy,n_thermal", [(0.0, 1.0), (3.0, 0.5), (20.0, 2.0)])
     def test_mean_identity(self, energy, n_thermal):
-        pmf = ps.photon_pmf_array(600, energy, ChannelModel(n_thermal))
-        mean = np.arange(pmf.size) @ pmf
+        # E[S] = sum_{n >= 0} P(S > n), to n = 599 as the pmf to 600 was
+        ch = ChannelModel(n_thermal)
+        mean = sum(math.exp(ps.log_tail_probability(1, energy, ch, n, upper=True))
+                   for n in range(600))
         assert mean == pytest.approx(n_thermal + energy, abs=1e-8)
 
 
@@ -154,16 +176,19 @@ class TestMgf:
         series = pmf @ z ** np.arange(pmf.size)
         assert pgf(z, 3.0, ch, 2) == pytest.approx(series, abs=1e-8)
 
+    @pytest.fixture(scope="class")
+    def pmf_800(self):
+        return tail_pmf(1, 2.0, ChannelModel(1.0), 800)
+
     @pytest.mark.parametrize("z", [0.0, 0.4, 1.0, 1.5, 1.8])
-    def test_matches_pmf_series_grid(self, z):
+    def test_matches_pmf_series_grid(self, z, pmf_800):
         # z up to 0.9 (N+1)/N at N = 1; terms summed in log space
-        ch = ChannelModel(1.0)
-        pmf = ps.photon_pmf_array(800, 2.0, ch)
+        pmf = pmf_800
         if z == 0:
             series = pmf[0]
         else:
             series = np.exp(np.log(pmf) + np.arange(pmf.size) * math.log(z)).sum()
-        assert pgf(z, 2.0, ch, 1) == pytest.approx(series, rel=1e-8)
+        assert pgf(z, 2.0, ChannelModel(1.0), 1) == pytest.approx(series, rel=1e-8)
 
 
 class TestSampler:
@@ -176,7 +201,7 @@ class TestSampler:
         ch = ChannelModel(1.0)
         rng = np.random.default_rng(42)
         draws = ps.sample_photon_counts(1, 0.0, ch, rng, 1_000_000)
-        pmf = ps.photon_pmf_array(80, 0.0, ch)
+        pmf = geometric_pmf(1.0, 80)
         counts = np.bincount(draws, minlength=pmf.size)[: pmf.size]
         tv = 0.5 * np.abs(counts / draws.size - pmf).sum()
         assert tv < 0.01
@@ -185,7 +210,7 @@ class TestSampler:
         # k = 1 with energy: the chi-square of the rotated sum has 1 degree of freedom
         ch = ChannelModel(1.0)
         draws = ps.sample_photon_counts(1, 2.5, ch, np.random.default_rng(5), 200_000)
-        pmf = ps.photon_pmf_array(80, 2.5, ch)
+        pmf = np.diff(lower_tails(1, 2.5, ch, 80), prepend=0.0)
         counts = np.bincount(draws, minlength=pmf.size)[: pmf.size]
         assert 0.5 * np.abs(counts / draws.size - pmf).sum() < 0.01
 
@@ -259,7 +284,7 @@ class TestExactTotalPmf:
 
     def test_two_modes_are_self_convolution(self):
         ch = ChannelModel(1.0)
-        one = ps.photon_pmf_array(128, 0.0, ch)
+        one = geometric_pmf(1.0, 128)
         conv = np.cumsum(np.convolve(one, one)[:129])
         assert np.max(np.abs(lower_tails(2, 0.0, ch, 128) - conv)) < 1e-14
 
@@ -315,6 +340,54 @@ class TestExactTotalPmf:
         # the threshold is past 2^22 counts, the bulk of the law is not
         ch = ChannelModel(1.0)
         assert ps.log_tail_probability(3, 5.0, ch, 6e6, upper=False) == pytest.approx(0, abs=1e-15)
+
+    def test_window_of_zero_terms_is_minus_inf(self):
+        # at N = 0 the upper tail sums Poisson terms from j = 41 on, all -inf
+        # where lam / j underflows; their sum is -inf, not -inf - (-inf) = NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ps.log_tail_probability(2, 5e-324, ChannelModel(0.0), 40, upper=True)
+        assert got == -math.inf
+
+
+class TestLogSumExp:
+    """The window sum is `scipy.special.logsumexp`'s algorithm, to the bit."""
+
+    @staticmethod
+    def arrays():
+        rng = np.random.default_rng(2026)
+        for size in (1, 2, 7, 8, 9, 30, 129, 700):
+            a = rng.normal(-40, 30, size)
+            yield a  # one maximum
+            tied = a.copy()
+            tied[rng.choice(size, min(size, max(2, size // 3)), replace=False)] = a.max()
+            yield tied
+            holes = a.copy()
+            holes[rng.random(size) < 0.3] = -math.inf
+            yield holes
+            yield np.full(size, -math.inf)
+
+    def test_matches_scipy(self):
+        from scipy.special import logsumexp
+
+        for a in self.arrays():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = ps._log_sum_exp(a, a.max())
+            assert repr(got) == repr(float(logsumexp(a)))
+
+
+class TestGoldenTails:
+    """Tails pinned by the sha256 of their reprs over a (k, N, E, delta, tail)
+    grid.  Special functions and numpy's summation may round differently in
+    other versions: this digest holds for numpy 2.4.6 and scipy 1.17.1."""
+
+    def test_digest(self):
+        values = [ps.log_tail_probability(k, per_mode * k, ChannelModel(n), k * (n + d), upper)
+                  for k in (1, 2, 8, 64, 1024, 4096) for n in (0.0, 0.1, 1.0, 4.0)
+                  for per_mode in (0.0, 0.3, 4.0) for d in (0.1, 1.0) for upper in (False, True)]
+        digest = hashlib.sha256(repr(values).encode()).hexdigest()
+        assert digest == "6bc46b580fddf3e0f69eb21b00ec133d4e79e00bad49ddc865139f6b3de54ba1"
 
 
 class TestFiniteInputs:
