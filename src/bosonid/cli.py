@@ -107,11 +107,12 @@ def cmd_bounds(args) -> int:
         log_lower = scheme.achievable_users_log(k, args.energy, rho)
         log_upper = scheme.converse_users_log(k, args.energy, delta_k, channel)
         l1, l2 = photonstats.analytic_error_bounds(k, args.delta, 4 * rho**2, channel)
-        try:  # -inf at N = 0, where the count is 0
-            l1_exact = photonstats.log_tail_probability(
-                k, 0.0, channel, k * (channel.n_thermal + args.delta), upper=True)
+        try:
+            threshold = DetectorSpec.make(args.delta, k, channel).threshold
         except ValueError:  # a threshold beyond 2^53 counts, which floats do not resolve
             l1_exact = math.nan
+        else:  # -inf at N = 0, where the count is 0
+            l1_exact = photonstats.log_tail_probability(k, 0.0, channel, threshold, upper=True)
         rows.append(
             {
                 "k": k,
@@ -220,39 +221,49 @@ def _verify_checks():
     checks.append(("chernoff_equals_lambda", dev, 1e-9))
 
     # The lower tails at k = 1 and 2 match partial sums of the Fock-space
-    # diagonal and of its self-convolution, the count of two copies of the mode.
+    # diagonal of one state and of its convolution with the next state's: at
+    # one N the law of the two modes' summed count depends only on their
+    # summed energy.
     dev = 0.0
-    for alpha, n in ((1.0, 0.5), (0.7 + 0.4j, 1.0), (1.4j, 0.3)):
-        ch = ChannelModel(n)
-        diag = np.diag(fockspace.displaced_thermal_density(alpha, ch, 60)).real
-        for k, pmf in ((1, diag), (2, np.convolve(diag, diag))):
+    ch = ChannelModel(0.5)
+    alphas = (1.0, 0.7 + 0.4j, 1.4j)
+    diags = [np.diag(fockspace.displaced_thermal_density(a, ch, 60)).real for a in alphas]
+    for i, alpha in enumerate(alphas):
+        j = (i + 1) % len(alphas)
+        pair_energy = abs(alpha) ** 2 + abs(alphas[j]) ** 2
+        for k, pmf, energy in ((1, diags[i], abs(alpha) ** 2),
+                               (2, np.convolve(diags[i], diags[j]), pair_energy)):
             cdf = np.cumsum(pmf)
-            for t in (1, 6):
-                tail = photonstats.log_tail_probability(k, k * abs(alpha) ** 2, ch, t, upper=False)
+            for t in (0, 1, 6):
+                tail = photonstats.log_tail_probability(k, energy, ch, t, upper=False)
                 dev = max(dev, abs(math.exp(tail) - float(cdf[t])))
     checks.append(("tail_matches_fock_diagonal", dev, 1e-12))
 
-    # Closed-form coherent overlap matches <beta| S_N(alpha) |beta>.
+    # <beta| S_N(alpha) |beta> = P(S_1 = 0) at energy |alpha - beta|^2: the
+    # displacement covariance that leaves lambda2 a function of ||Delta||^2.
     dev = 0.0
     for alpha, beta, n in ((0.5, 1.5, 1.0), (1.0 + 0.5j, -0.2 + 0.1j, 0.5)):
         ch = ChannelModel(n)
         rho = fockspace.displaced_thermal_density(alpha, ch, 60)
         vec = fockspace.coherent_state_vector(beta, 60)
         numeric = float((vec.conj() @ rho @ vec).real)
-        exact = fockspace.overlap_closed_form([alpha], [beta], ch)
-        dev = max(dev, abs(numeric - exact))
-    checks.append(("overlap_closed_form", dev, 1e-8))
+        tail = photonstats.log_tail_probability(1, abs(alpha - beta) ** 2, ch, 0, upper=False)
+        dev = max(dev, abs(numeric - math.exp(tail)))
+    checks.append(("overlap_matches_zero_count_tail", dev, 1e-12))
 
-    # Uhlmann fidelity matches exp(-d^2 / (2N+1)).
+    # The converse counts signatures d0 apart, where the fidelity of two
+    # displaced thermal states, exp(-d0^2 / (2N+1)), is 4 delta_k.  At k = 1
+    # and E = 1, logM_upper = 2 ln(1 + 4 / d0) gives d0 back.
     dev = 0.0
-    for alpha, beta, n in ((0.0, 1.0, 0.5), (0.5, -0.8 + 0.6j, 1.0)):
+    for delta_k, n in ((0.1, 1.0), (0.01, 0.5)):
         ch = ChannelModel(n)
+        d0 = 4 / math.expm1(scheme.converse_users_log(1, 1.0, delta_k, ch) / 2)
         num = fockspace.fidelity_numeric(
-            fockspace.displaced_thermal_density(alpha, ch, 60),
-            fockspace.displaced_thermal_density(beta, ch, 60),
+            fockspace.displaced_thermal_density(0.0, ch, 60),
+            fockspace.displaced_thermal_density(d0, ch, 60),
         )
-        dev = max(dev, abs(num - fockspace.fidelity_displaced_thermal([alpha], [beta], ch)))
-    checks.append(("fidelity_closed_form", dev, 1e-10))
+        dev = max(dev, abs(num - 4 * delta_k))
+    checks.append(("converse_distance_matches_fock_fidelity", dev, 1e-10))
 
     # Fuchs-van de Graaf chain: (1 - sqrt(F))^2 <= T^2 <= 1 - F.
     dev = 0.0

@@ -1,11 +1,13 @@
 """Truncated Fock-basis oracle for displaced thermal states.
 
 Everything here is dense cutoff x cutoff linear algebra and serves only as an
-independent check of the closed-form statistics used elsewhere: density
-matrices, displacement operators, Uhlmann fidelity, overlaps, and trace
-distance.  One builder makes every state: D(alpha) thermal D(alpha)^dagger,
-whose alpha = 0 case is the thermal state.  alpha^n is carried as a log
-magnitude and a unit phase, so the matrices stay finite at any cutoff.
+independent check of the formulas used elsewhere: coherent-state vectors,
+displacement operators, density matrices, Uhlmann fidelity and trace
+distance.  It holds no closed form of its own, and of bosonid it imports only
+ChannelModel, so a check never compares a formula with itself.  One builder
+makes every state: D(alpha) thermal D(alpha)^dagger, whose alpha = 0 case is
+the thermal state.  alpha^n is carried as a log magnitude and a unit phase, so
+the matrices stay finite at any cutoff.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ __all__ = [
     "coherent_state_vector",
     "displacement_matrix",
     "displaced_thermal_density",
-    "overlap_closed_form",
     "fidelity_numeric",
-    "fidelity_displaced_thermal",
     "trace_distance_numeric",
 ]
 
@@ -95,23 +95,6 @@ def displaced_thermal_density(
     return (disp * weights) @ disp.conj().T
 
 
-def _distance_sq(alpha, beta) -> tuple[float, int]:
-    """(||alpha - beta||^2, k) of two amplitude vectors of equal length k."""
-    a = np.asarray(alpha, dtype=complex).ravel()
-    b = np.asarray(beta, dtype=complex).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(np.abs(a - b) ** 2)), a.size
-
-
-def overlap_closed_form(alpha, beta, channel: ChannelModel) -> float:
-    """Exact coherent overlap tr(S_N^k(alpha) |beta><beta|)
-    = (N+1)^{-k} exp(-||alpha-beta||^2 / (N+1))."""
-    d2, k = _distance_sq(alpha, beta)
-    N = channel.n_thermal
-    return math.exp(-d2 / (N + 1)) / (N + 1) ** k
-
-
 def _as_density(mat) -> np.ndarray:
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -145,12 +128,6 @@ def fidelity_numeric(rho, sigma) -> float:
     if vals.min() < _PSD_TOL:
         raise ValueError(f"inner matrix not PSD: min eigenvalue {vals.min():.3g}")
     return float(np.sum(np.sqrt(np.clip(vals, 0.0, None))) ** 2)
-
-
-def fidelity_displaced_thermal(alpha, beta, channel: ChannelModel) -> float:
-    """Closed-form fidelity exp(-||alpha-beta||^2 / (2N+1)) of two displaced thermal states."""
-    d2, _ = _distance_sq(alpha, beta)
-    return math.exp(-d2 / (2 * channel.n_thermal + 1))
 
 
 def trace_distance_numeric(rho, sigma) -> float:

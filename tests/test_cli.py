@@ -505,28 +505,59 @@ class TestClosedStdout:
 class TestVerify:
     def test_oracle_suite_passes(self, capsys):
         assert run(["verify"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") == 5
-        assert "\nPASS tail_matches_fock_diagonal max_dev=" in out
-        assert "pmf" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [["PASS", name] for name in (
+            "chernoff_equals_lambda", "tail_matches_fock_diagonal",
+            "overlap_matches_zero_count_tail", "converse_distance_matches_fock_fidelity",
+            "fuchs_van_de_graaf_chain")]
+
+    @staticmethod
+    def spy_tails(monkeypatch):
+        """Run the checks with log_tail_probability recording each call's
+        (k, energy, N, threshold); return the checks by name and the calls."""
+        calls = []
+        tail = photonstats.log_tail_probability
+
+        def spy(k, energy, channel, threshold, upper):
+            calls.append((k, energy, channel.n_thermal, threshold))
+            return tail(k, energy, channel, threshold, upper)
+
+        monkeypatch.setattr(photonstats, "log_tail_probability", spy)
+        return {name: (dev, tol) for name, dev, tol in cli._verify_checks()}, calls
 
     def test_tail_check_reaches_the_production_tail(self, monkeypatch):
         # the Fock-space check runs the tail every exact column uses, at k = 1
         # and 2, to 1e-12; the second count law is gone
-        ks = []
-        tail = photonstats.log_tail_probability
-
-        def spy(k, *args, **kwargs):
-            ks.append(k)
-            return tail(k, *args, **kwargs)
-
-        monkeypatch.setattr(photonstats, "log_tail_probability", spy)
-        checks = {name: (dev, tol) for name, dev, tol in cli._verify_checks()}
-        assert set(ks) == {1, 2}
+        checks, calls = self.spy_tails(monkeypatch)
+        assert {k for k, *_ in calls} == {1, 2}
         dev, tol = checks["tail_matches_fock_diagonal"]
         assert tol == 1e-12 and dev <= tol
         assert not hasattr(photonstats, "photon_pmf_array")
+        # k = 2 convolves two different states: no pair energy is twice a single one
+        singles = {energy for k, energy, *_ in calls if k == 1}
+        assert not {energy for k, energy, *_ in calls if k == 2} & {2 * e for e in singles}
+
+    def test_checks_reach_the_converse_and_the_zero_count_tail(self, monkeypatch):
+        # the overlap check asks for P(S_1 = 0) at |alpha - beta|^2, an (energy,
+        # N) the diagonal check (|alpha|^2 at every threshold) never uses; the
+        # converse check reads d0 back from the bound that `bounds` prints
+        converse_ks = []
+        converse = scheme.converse_users_log
+
+        def spy(k, *args):
+            converse_ks.append(k)
+            return converse(k, *args)
+
+        monkeypatch.setattr(scheme, "converse_users_log", spy)
+        checks, calls = self.spy_tails(monkeypatch)
+        assert converse_ks == [1, 1]
+        zero_count = {(energy, n) for k, energy, n, t in calls if k == 1 and t == 0}
+        diagonal = {(energy, n) for k, energy, n, t in calls if k == 1 and t > 0}
+        assert len(zero_count - diagonal) == 2
+        for name, tol in (("overlap_matches_zero_count_tail", 1e-12),
+                          ("converse_distance_matches_fock_fidelity", 1e-10)):
+            dev, check_tol = checks[name]
+            assert check_tol == tol and dev <= tol
 
 
 class TestUsageErrors:

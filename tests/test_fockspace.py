@@ -111,13 +111,18 @@ class TestDisplacedThermal:
         assert np.max(np.abs(np.diag(mat).real[:31] - pmf)) < 1e-9
 
 
+def log_zero_count(k, energy, channel):
+    """ln P(S_k = 0) at total energy ``energy``: the production tail at t = 0."""
+    return ps.log_tail_probability(k, energy, channel, 0, upper=False)
+
+
 class TestOverlap:
+    # <beta| S_N(alpha) |beta> is P(S_1 = 0) at energy |alpha - beta|^2
     def test_pure_self_overlap(self):
-        res = fs.overlap_closed_form([1.0], [1.0], ChannelModel(0.0))
-        assert res == 1.0
+        assert math.exp(log_zero_count(1, 0.0, ChannelModel(0.0))) == 1.0
 
     def test_thermal_self_overlap(self):
-        res = fs.overlap_closed_form([0.7], [0.7], ChannelModel(1.0))
+        res = math.exp(log_zero_count(1, 0.0, ChannelModel(1.0)))
         assert res == pytest.approx(0.5)
 
     def test_matches_fock_numeric(self):
@@ -126,13 +131,9 @@ class TestOverlap:
         rho = fs.displaced_thermal_density(alpha, ch, 60)
         vec = fs.coherent_state_vector(beta, 60)
         numeric = float((vec.conj() @ rho @ vec).real)
-        res = fs.overlap_closed_form([alpha], [beta], ch)
+        res = math.exp(log_zero_count(1, abs(alpha - beta) ** 2, ch))
         assert res == pytest.approx(0.5 * math.exp(-1))
         assert numeric == pytest.approx(res, abs=1e-8)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            fs.overlap_closed_form([1.0], [1.0, 0.0], ChannelModel(1.0))
 
     @given(
         st.lists(amplitudes, min_size=1, max_size=4),
@@ -140,14 +141,13 @@ class TestOverlap:
     )
     @settings(max_examples=50, deadline=None)
     def test_exact_below_bound_with_exact_ratio(self, alphas, n_thermal):
+        # ln P(S_k = 0) = -k ln(N+1) - ||alpha - beta||^2 / (N+1), ||alpha - beta||^2 = 0.09 k
         ch = ChannelModel(n_thermal)
         betas = [a + 0.3 for a in alphas]
-        res = fs.overlap_closed_form(alphas, betas, ch)
-        bound = math.exp(-0.09 * len(alphas) / (n_thermal + 1))  # ||alpha - beta||^2 = 0.09 k
-        assert res <= bound
-        assert res / bound == pytest.approx(
-            (n_thermal + 1) ** -len(alphas), rel=1e-12
-        )
+        res = log_zero_count(len(alphas), sum(abs(a - b) ** 2 for a, b in zip(alphas, betas)), ch)
+        log_bound = -0.09 * len(alphas) / (n_thermal + 1)
+        assert res <= log_bound
+        assert res == pytest.approx(log_bound - len(alphas) * math.log(n_thermal + 1), rel=1e-12)
 
 
 class TestFidelity:
@@ -182,10 +182,10 @@ class TestFidelity:
         assert 0 <= f12 <= 1 + 1e-10
 
     def test_product_structure_two_modes(self):
-        # F of a two-mode product equals the product of per-mode fidelities
+        # F of a two-mode product equals the product of per-mode fidelities,
+        # exp(-||alpha - beta||^2 / (2N+1)) at alpha = (0, 0), beta = (1, 1)
         ch = ChannelModel(1.0)
-        closed = fs.fidelity_displaced_thermal([0.0, 0.0], [1.0, 1.0], ch)
-        assert closed == pytest.approx(math.exp(-2 / 3))
+        closed = math.exp(-2 / 3)
         per_mode = fs.fidelity_numeric(
             fs.displaced_thermal_density(0.0, ch, 60),
             fs.displaced_thermal_density(1.0, ch, 60),

@@ -1,8 +1,9 @@
 """Every public function, every field of a public type and every default of a
 public function of bosonid has a use outside the tests: code only tests reach
-belongs in the tests.  The Monte Carlo layer does not depend on codes, no
-module imports scipy on import, and the scipy floor in pyproject.toml has every
-scipy.special name src/ imports."""
+belongs in the tests.  The Monte Carlo layer does not depend on codes, the
+Fock-space oracle imports only the channel, no module imports scipy on import,
+and the scipy floor in pyproject.toml has every scipy.special name src/
+imports."""
 
 import ast
 import dataclasses
@@ -78,18 +79,31 @@ def test_public_defaults_are_set(module):
     assert not unset, f"{module.__name__}.__all__ names defaults nothing sets: {unset}"
 
 
-def test_montecarlo_does_not_import_scheme():
-    """The estimators take the count law's parameters, k and ||Delta||^2, not
-    a code: `montecarlo` reads nothing of `scheme`."""
-    tree = ast.parse((ROOT / "src" / "bosonid" / "montecarlo.py").read_text())
+def bosonid_imports(module):
+    """Dotted names of what a module of bosonid imports from bosonid, such as
+    ``bosonid.photonstats.ChannelModel``; relative imports are from bosonid."""
+    tree = ast.parse((ROOT / "src" / "bosonid" / f"{module}.py").read_text())
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):  # relative imports are from bosonid
-            module = ".".join(["bosonid"] * bool(node.level) + [node.module] * bool(node.module))
-            imported += [module, *(f"{module}.{alias.name}" for alias in node.names)]
-    assert not [name for name in imported if name.split(".")[:2] == ["bosonid", "scheme"]]
+        elif isinstance(node, ast.ImportFrom):
+            parent = ".".join(["bosonid"] * bool(node.level) + [node.module] * bool(node.module))
+            imported += [f"{parent}.{alias.name}" for alias in node.names]
+    return [name for name in imported if name.split(".")[0] == "bosonid"]
+
+
+def test_montecarlo_does_not_import_scheme():
+    """The estimators take the count law's parameters, k and ||Delta||^2, not
+    a code: `montecarlo` reads nothing of `scheme`."""
+    assert not [name for name in bosonid_imports("montecarlo")
+                if name.split(".")[:2] == ["bosonid", "scheme"]]
+
+
+def test_fockspace_imports_only_the_channel():
+    """The Fock-space oracle builds its states from the channel alone: none of
+    the formulas it checks reaches it through an import."""
+    assert bosonid_imports("fockspace") == ["bosonid.photonstats.ChannelModel"]
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "bosonid").glob("*.py")),
