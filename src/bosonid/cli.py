@@ -175,13 +175,12 @@ def cmd_simulate(args) -> int:
     code, detector = _load_or_build_code(args, make_detector)
     d2, i, j = code.closest_pair
     pairs = d2 if args.pair_strategy == "worst_pair" else montecarlo.sampled_pairs(code.signatures)
-    est1 = montecarlo.estimate_lambda1(channel, detector, args.trials, args.seed)
-    est2 = montecarlo.estimate_lambda2(pairs, channel, detector, args.trials, args.seed)
+    est = montecarlo.estimate_errors(pairs, channel, detector, args.trials, args.seed)
     exact1 = montecarlo.exact_lambda1(channel, detector)
     exact2 = montecarlo.exact_lambda2(code.signatures[j] - code.signatures[i], channel, detector)
     bound1_log, bound2_log = photonstats.analytic_error_bounds(code.k, args.delta, d2, channel)
-    rows = [_mc_row("lambda1", est1, exact=exact1, bound_log=bound1_log),
-            _mc_row("lambda2", est2, exact=exact2, bound_log=bound2_log)]
+    rows = [_mc_row("lambda1", est["lambda1"], exact=exact1, bound_log=bound1_log),
+            _mc_row("lambda2", est["lambda2"], exact=exact2, bound_log=bound2_log)]
     _write_table(rows, _meta(args), args.out, args.format)
     return EXIT_OK
 

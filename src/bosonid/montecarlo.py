@@ -12,12 +12,16 @@ baseline (ball test on the induced Gaussian channel) is included with its
 closed-form chi-square error probabilities.
 
 Every event depends on a trial only through a sum of squared Gaussians: the
-summed P-function intensity of the k modes, or the heterodyne norm
-||Delta + w||^2.  Both are drawn in law by `photonstats.sample_intensity`, a
-scaled noncentral chi-square taken as one normal and one chi-square per
-trial, and the photon counts by `photonstats.sample_photon_counts` as one
-Poisson count of that intensity.  Trials are split into `DEFAULT_CHUNKS`
-chunks, each drawn from its own stream seeded by (master seed, chunk index).
+summed P-function intensity I of the k modes, or the heterodyne norm
+||Delta + w||^2.  `_intensities` draws it at zero energy and at the pair's
+energy from one normal and one chi-square per trial.  The photon count is
+not drawn: by the Poisson-gamma duality (Devroye, Non-Uniform Random Variate
+Generation, 1986, ch. X) a Poisson(I) count is at most t exactly when the
+(t+1)-th arrival of a unit-rate process, a Gamma(t+1) time, comes after I.
+So one gamma draw per trial decides both error events, and an intensity
+beyond any Poisson sampler's range simply leaves no count at or below t.
+Trials are split into `DEFAULT_CHUNKS` chunks, each drawn from its own
+stream seeded by (master seed, chunk index).
 The chunks run at the same time, on one thread per CPU the process may use
 (at most DEFAULT_CHUNKS); numpy's samplers and ufuncs release the GIL while
 they fill large arrays.  Each chunk draws in blocks of at most `_BLOCK`
@@ -42,15 +46,12 @@ from .photonstats import (
     DetectorSpec,
     _check_law,
     log_tail_probability,
-    sample_intensity,
-    sample_photon_counts,
 )
 
 __all__ = [
     "McEstimate",
     "HeterodyneSpec",
-    "estimate_lambda1",
-    "estimate_lambda2",
+    "estimate_errors",
     "exact_lambda1",
     "exact_lambda2",
     "sampled_pairs",
@@ -137,19 +138,6 @@ def _successes(trials: int, seed: int, count):
         return sum(pool.map(chunk, range(DEFAULT_CHUNKS)))
 
 
-def estimate_lambda1(
-    channel: ChannelModel, detector: DetectorSpec, trials: int, seed: int
-) -> McEstimate:
-    """First-kind error rate: total thermal count exceeds k(N+delta).
-
-    By unitary invariance the event is identical for every signature, so the
-    code enters only through k.  It is the complement of the second-kind
-    event at zero energy, counted on the same draws.
-    """
-    below = estimate_lambda2(0.0, channel, detector, trials, seed)
-    return McEstimate(trials - below.successes, trials)
-
-
 def sampled_pairs(signatures):
     """(rng, n) -> ||Delta||^2 of n ordered pairs (send, recv), recv != send,
     drawn uniformly from the rows of an (M, k) signature array."""
@@ -171,26 +159,56 @@ def sampled_pairs(signatures):
     return energies
 
 
-def estimate_lambda2(
-    energy, channel: ChannelModel, detector: DetectorSpec, trials: int, seed: int
-) -> McEstimate:
-    """Second-kind (false-accept) error rate of the threshold detector.
+def _intensities(k: int, energy, variance: float, rng: np.random.Generator, n: int):
+    """(I_0, I_E): sum_t |gamma_t|^2 over k modes with gamma_t ~ CN(alpha_t,
+    variance), drawn in law at ||alpha||^2 = 0 and at ``energy``, a scalar or
+    one value per trial, from the same n normals Z and chi^2(2k-1) draws X.
 
-    The event for a pair depends only on ||Delta||^2, Delta = alpha_m' -
-    alpha_m: displaced thermal counts of that total energy are at most
-    k(N+delta).  ``energy`` is that float (the worst pair's, say), or a
-    function (rng, n) -> n energies such as `sampled_pairs` returns, called on
-    each block's stream before its counts are drawn.
+    The 2k real quadratures are independent normals of variance v = variance/2
+    about those of alpha.  Their law is invariant under rotations of R^{2k},
+    and a rotation that takes alpha onto the first axis keeps the norm, so
+    the sum is (sqrt(v) Z + ||alpha||)^2 + v X in law: I_0 = v (Z^2 + X) and
+    I_E = I_0 + E + 2 sqrt(v E) Z, which is exactly E where v is 0.  A sum
+    beyond the float range is inf, or NaN in I_E, and every comparison the
+    callers make reads either as above the threshold.
+    """
+    v = variance / 2
+    z = rng.normal(size=n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        i0 = v * (z * z + rng.chisquare(2 * k - 1, n))
+        return i0, i0 + energy + 2 * math.sqrt(v) * np.sqrt(energy) * z
+
+
+def estimate_errors(
+    energy, channel: ChannelModel, detector: DetectorSpec, trials: int, seed: int
+) -> dict:
+    """Both error rates of the threshold detector, on the same draws.
+
+    Returns {"lambda1": ..., "lambda2": ...} as McEstimates.  lambda1 is the
+    first-kind rate, the total thermal count above k(N+delta); by unitary
+    invariance it is the same for every signature.  lambda2 is the
+    second-kind (false-accept) rate: the count of a pair's displaced thermal
+    state at most k(N+delta).  It depends only on ||Delta||^2, Delta =
+    alpha_m' - alpha_m, and ``energy`` is that float (the worst pair's, say),
+    or a function (rng, n) -> n energies such as `sampled_pairs` returns,
+    called first on each block's stream.  A trial draws (I_0, I_E) and one
+    Gamma(t+1) arrival time, t = floor(k(N+delta)): the count exceeds t iff
+    the arrival comes before the intensity.
     """
     if not callable(energy):
         _check_law(detector.k, energy)
+    t = math.floor(detector.threshold)
 
     def count(rng, n):
         energies = energy(rng, n) if callable(energy) else energy
-        counts = sample_photon_counts(detector.k, energies, channel, rng, n)
-        return np.count_nonzero(counts <= detector.threshold)
+        i0, ie = _intensities(detector.k, energies, channel.n_thermal, rng, n)
+        arrival = rng.standard_gamma(t + 1, n)
+        # < and >= rather than <= and >, equal in law, keep a zero
+        # intensity's count at 0 also where a drawn arrival rounds to 0.0
+        return np.array([np.count_nonzero(arrival < i0), np.count_nonzero(arrival >= ie)])
 
-    return McEstimate(int(_successes(trials, seed, count)), trials)
+    succ1, succ2 = _successes(trials, seed, count).tolist()
+    return {"lambda1": McEstimate(succ1, trials), "lambda2": McEstimate(succ2, trials)}
 
 
 def exact_lambda1(channel: ChannelModel, detector: DetectorSpec) -> float:
@@ -217,19 +235,15 @@ def heterodyne_simulate(
     Returns {"lambda1": ..., "lambda2_worst": ...} as McEstimates; lambda1 is
     the event ||w||^2 > threshold, lambda2 the event ||Delta + w||^2 <=
     threshold at ``energy`` = ||Delta||^2, the worst pair's.  With
-    w_t ~ CN(0, noise_variance), both norms are drawn in law by
-    `photonstats.sample_intensity`:
-    ||w||^2 = s chi^2(2k) and ||Delta + w||^2 = (sqrt(s) Z + ||Delta||)^2
-    + s chi^2(2k-1), with s = noise_variance / 2 per real quadrature.
+    w_t ~ CN(0, noise_variance), the two norms are `_intensities`' (I_0, I_E),
+    both from one normal and one chi-square per trial.
     """
     _check_law(k, energy)
-    var = spec.noise_variance
 
     def count(rng, n):
-        norm1 = sample_intensity(k, 0.0, var, rng, n)
-        succ1 = np.count_nonzero(norm1 > spec.threshold)
-        norm2 = sample_intensity(k, energy, var, rng, n)
-        return np.array([succ1, np.count_nonzero(norm2 <= spec.threshold)])
+        norm1, norm2 = _intensities(k, energy, spec.noise_variance, rng, n)
+        return np.array([np.count_nonzero(norm1 > spec.threshold),
+                         np.count_nonzero(norm2 <= spec.threshold)])
 
     succ1, succ2 = _successes(trials, seed, count).tolist()
     return {
@@ -243,7 +257,12 @@ def heterodyne_analytic(k: int, spec: HeterodyneSpec, distance: float) -> dict:
 
     ||w||^2 scaled by 2/noise_variance is central chi-square with 2k degrees
     of freedom; ||Delta + w||^2 is noncentral with noncentrality
-    2 distance^2 / noise_variance.
+    2 distance^2 / noise_variance.  Where scipy's noncentral tail is NaN (from
+    a noncentrality of about 1e19 on, and from 1e15 with the threshold near
+    it), lambda2 is 0.0 if its upper bound is: ||Delta + w||^2 <= tau needs w's component
+    along Delta, N(0, noise_variance/2), at or below sqrt(tau) - distance, so
+    lambda2 <= erfc((distance - sqrt(tau)) / sqrt(noise_variance)) / 2.
+    Elsewhere a NaN raises ValueError.
     """
     from scipy.special import chndtr, gammaincc
 
@@ -253,4 +272,11 @@ def heterodyne_analytic(k: int, spec: HeterodyneSpec, distance: float) -> dict:
         raise ValueError(f"distance must be finite and >= 0, got {distance}")
     x = 2 * spec.threshold / spec.noise_variance
     nc = 2 * distance**2 / spec.noise_variance
-    return {"lambda1": float(gammaincc(k, x / 2)), "lambda2": float(chndtr(x, 2 * k, nc))}
+    lambda2 = float(chndtr(x, 2 * k, nc))
+    if math.isnan(lambda2):
+        shortfall = (distance - math.sqrt(spec.threshold)) / math.sqrt(spec.noise_variance)
+        if math.erfc(shortfall) / 2 != 0.0:
+            raise ValueError(f"the noncentral chi-square tail at noncentrality {nc:.6g} and "
+                             f"threshold {x:.6g} is out of scipy's range")
+        lambda2 = 0.0
+    return {"lambda1": float(gammaincc(k, x / 2)), "lambda2": lambda2}

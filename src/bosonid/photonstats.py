@@ -18,12 +18,11 @@ success probability 1/(N+1) (the noncentral negative binomial; Helstrom,
 Quantum Detection and Estimation Theory, ch. 5), and its tails are Poisson
 mixtures of regularized incomplete betas (DLMF 8.17).
 
-This module provides an exact sampler (one Poisson count of the summed
-P-function intensity, which is drawn in law as a scaled noncentral chi-square
-after rotating alpha onto one quadrature), the tails of S_k in log domain, and
-the detector error bounds: the upper-tail exponent Lambda, with a numerically
-optimized Chernoff exponent as its oracle, and the lower-tail Chernoff bound at
-a pair's energy ||Delta||^2.
+This module provides the tails of S_k in log domain, the law's one
+implementation (`montecarlo` samples the threshold events, not the count),
+and the detector error bounds: the upper-tail exponent Lambda, with a
+numerically optimized Chernoff exponent as its oracle, and the lower-tail
+Chernoff bound at a pair's energy ||Delta||^2.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ import numpy as np
 __all__ = [
     "ChannelModel",
     "DetectorSpec",
-    "sample_intensity",
-    "sample_photon_counts",
     "log_tail_probability",
     "lambda_exponent",
     "analytic_error_bounds",
@@ -253,52 +250,6 @@ def log_tail_probability(
         return -math.inf
     peak_hi = t + 1 if upper else min(t, math.ceil(lam))
     return min(_log_window_sum(log_term, lo, hi, max(lo, min(hi, peak_hi))), 0.0)
-
-
-def sample_intensity(
-    k: int, energy, variance: float, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """sum_t |gamma_t|^2 over k modes with gamma_t ~ CN(alpha_t, variance), one
-    value per trial, drawn in law from ``energy`` = ||alpha||^2.
-
-    ``energy`` is a scalar shared by ``size`` trials or one value per trial.
-    The 2k real quadratures are independent normals of variance v = variance/2
-    about the quadratures of alpha.  That law is invariant under rotations of
-    R^{2k}, and a rotation that takes alpha onto the first axis keeps the
-    norm, so the sum is exactly (sqrt(v) Z + ||alpha||)^2 + v chi^2(2k-1) in
-    law, and v chi^2(2k) at zero energy: O(1) draws per trial whatever k.
-    This is numpy's own noncentral chi-square construction, written in the
-    units of the sum; `rng.noncentral_chisquare` itself would need the
-    noncentrality ||alpha||^2 / v, which overflows where variance is subnormal.
-    A sum beyond the float range is inf, above every finite threshold.
-    """
-    half = variance / 2
-    with np.errstate(over="ignore"):
-        if np.ndim(energy) == 0 and energy == 0:
-            return half * rng.chisquare(2 * k, size)
-        shifted = rng.normal(np.sqrt(energy), math.sqrt(half), size)
-        return shifted * shifted + half * rng.chisquare(2 * k - 1, size)
-
-
-def sample_photon_counts(
-    k: int, energy, channel: ChannelModel, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Total photon counts of k displaced thermal modes, one per trial.
-
-    ``energy`` is the total signal energy ||alpha||^2, a scalar shared by
-    ``size`` trials or one value per trial; the count law depends on the
-    amplitudes only through it.  Each mode's Gaussian P-function draws
-    gamma_t ~ CN(alpha_t, N), and photodetection then draws one
-    n ~ Poisson(sum_t |gamma_t|^2) per trial, since independent Poisson counts
-    sum to a Poisson count of the summed intensity.  The summed intensity
-    itself is drawn exactly in law by `sample_intensity`, so this is still
-    the P-function-then-photodetection process, at O(1) draws per trial.
-    At N = 0 the count is directly Poisson(||alpha||^2).
-    """
-    N = channel.n_thermal
-    if N == 0:
-        return rng.poisson(energy, size)
-    return rng.poisson(sample_intensity(k, energy, N, rng, size))
 
 
 def lambda_exponent(delta: float, channel: ChannelModel) -> float:

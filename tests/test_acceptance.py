@@ -131,12 +131,11 @@ def test_criterion_6_monte_carlo_matches_exact():
     ok = True
     for k in (2, 4, 8, 16):
         det = DetectorSpec.make(1.0, k, ch)  # the pair 0, (1, ..., 1): ||Delta||^2 = k
-        est1 = mc.estimate_lambda1(ch, det, trials, 1000 + k)
+        est = mc.estimate_errors(float(k), ch, det, trials, 1000 + k)
         lo, hi = binomial_interval(trials, mc.exact_lambda1(ch, det))
-        ok = ok and lo <= est1.successes <= hi
-        est2 = mc.estimate_lambda2(float(k), ch, det, trials, 2000 + k)
+        ok = ok and lo <= est["lambda1"].successes <= hi
         lo, hi = binomial_interval(trials, mc.exact_lambda2(np.ones(k), ch, det))
-        ok = ok and lo <= est2.successes <= hi
+        ok = ok and lo <= est["lambda2"].successes <= hi
     elapsed = time.perf_counter() - start
     report(6, "Monte Carlo inside exact-binomial intervals", ok and elapsed < 120.0)
 

@@ -46,6 +46,13 @@ def four_point_code(path):
     return path
 
 
+def huge_distance_code(path):
+    """k = 1 code of two signatures 5e18 apart."""
+    scheme.save_signature_set(path, scheme.SignatureSet(
+        k=1, energy_budget=2.5e37, rho=1.0, signatures=np.array([[0], [5e18]], dtype=complex)))
+    return path
+
+
 def read_csv(path):
     meta, rows = {}, []
     header = None
@@ -253,6 +260,18 @@ class TestSimulate:
         assert got == pytest.approx(mp_exact(4, noise, 1.0, 2.0), rel=1e-11, abs=0)
 
 
+    @pytest.mark.parametrize("noise", ["1", "0"])
+    def test_huge_pair_energy(self, tmp_path, noise):
+        # ||Delta||^2 = 2.5e37: an intensity no Poisson sampler takes, and
+        # simply no count at or below the threshold
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--code", str(huge_distance_code(tmp_path / "code.txt")),
+                    "--noise", noise, "--trials", "1000", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        lam2 = [r for r in rows if r["quantity"] == "lambda2"][0]
+        assert float(lam2["point"]) == 0.0 and float(lam2["exact"]) == 0.0
+
+
 class TestClosestPairScans:
     @staticmethod
     def count_scans(monkeypatch, argv):
@@ -437,6 +456,16 @@ class TestHeterodyne:
         _, rows = read_csv(out)
         for row in rows:
             assert float(row["wilson_low"]) <= float(row["analytic"]) <= float(row["wilson_high"])
+
+
+    def test_huge_distance_prints_no_nan(self, tmp_path):
+        # noncentrality 2.5e37, where scipy's chndtr is NaN
+        out = tmp_path / "het.csv"
+        assert run(["heterodyne", "--code", str(huge_distance_code(tmp_path / "code.txt")),
+                    "--trials", "1000", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [float(r["analytic"]) for r in rows][1] == 0.0
+        assert not any(math.isnan(float(r[c])) for r in rows for c in r if c != "quantity")
 
 
 def child_env(**overrides):

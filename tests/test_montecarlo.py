@@ -14,6 +14,7 @@ from scipy.stats import binom, chi2, ncx2
 from bosonid import montecarlo as mc
 from bosonid import photonstats as ps
 from bosonid.photonstats import ChannelModel, DetectorSpec
+from test_photonstats import reference_counts
 
 # four k = 2 signatures at squared distances 1, 2.25, 4, 4.25, 4.25 and 5
 FOUR_POINTS = np.array([[0, 0], [1, 0], [0, 2j], [1.5, 1 + 1j]], dtype=complex)
@@ -116,28 +117,28 @@ class TestEstimateLambda1:
     def test_vacuum_channel_never_errs(self):
         ch = ChannelModel(0.0)
         det = DetectorSpec.make(0.5, 4, ch)
-        est = mc.estimate_lambda1(ch, det, 10_000, 0)
-        assert est.point == 0.0
+        est = mc.estimate_errors(3.0, ch, det, 10_000, 0)
+        assert est["lambda1"].point == 0.0
 
     def test_matches_exact_oracle(self):
         ch = ChannelModel(1.0)
         det = DetectorSpec.make(1.0, 8, ch)
-        est = mc.estimate_lambda1(ch, det, 100_000, 21)
+        est = mc.estimate_errors(0.0, ch, det, 100_000, 21)["lambda1"]
         exact = mc.exact_lambda1(ch, det)
         assert exact_binomial_ok(est.successes, est.trials, exact)
 
     def test_below_analytic_bound(self):
         ch = ChannelModel(1.0)
         det = DetectorSpec.make(1.0, 8, ch)
-        est = mc.estimate_lambda1(ch, det, 100_000, 3)
+        est = mc.estimate_errors(0.0, ch, det, 100_000, 3)["lambda1"]
         bound = math.exp(-8 * ps.lambda_exponent(1.0, ch))
         assert est.point <= bound + 3 * est.stderr
 
     def test_reproducible(self):
         ch = ChannelModel(0.7)
         det = DetectorSpec.make(1.0, 4, ch)
-        a = mc.estimate_lambda1(ch, det, 20_000, 99)
-        b = mc.estimate_lambda1(ch, det, 20_000, 99)
+        a = mc.estimate_errors(2.0, ch, det, 20_000, 99)
+        b = mc.estimate_errors(2.0, ch, det, 20_000, 99)
         assert a == b
 
 
@@ -201,7 +202,7 @@ class TestEstimateLambda2:
     def test_matches_exact_oracle(self):
         ch = ChannelModel(1.0)
         det = DetectorSpec.make(1.0, 4, ch)
-        est = mc.estimate_lambda2(8.0, ch, det, 100_000, 12)
+        est = mc.estimate_errors(8.0, ch, det, 100_000, 12)["lambda2"]
         exact = mc.exact_lambda2(np.full(4, math.sqrt(2)), ch, det)  # ||Delta||^2 = 8
         assert exact_binomial_ok(est.successes, est.trials, exact)
 
@@ -209,7 +210,7 @@ class TestEstimateLambda2:
         ch = ChannelModel(1.0)
         sigs = np.array([[0, 0], [1.5, 1.5]], dtype=complex)
         det = DetectorSpec.make(1.0, 2, ch)
-        est = mc.estimate_lambda2(mc.sampled_pairs(sigs), ch, det, 2000, 5)
+        est = mc.estimate_errors(mc.sampled_pairs(sigs), ch, det, 2000, 5)["lambda2"]
         # with only one pair this must agree with the worst-pair target
         exact = mc.exact_lambda2(sigs[1] - sigs[0], ch, det)
         assert exact_binomial_ok(est.successes, est.trials, exact)
@@ -225,7 +226,7 @@ class TestEstimateLambda2:
         worst = mc.exact_lambda2(sigs[1] - sigs[0], ch, det)
         trials = 40_000
         assert worst - mean > 10 * math.sqrt(mean * (1 - mean) / trials)
-        est = mc.estimate_lambda2(mc.sampled_pairs(sigs), ch, det, trials, 6)
+        est = mc.estimate_errors(mc.sampled_pairs(sigs), ch, det, trials, 6)["lambda2"]
         assert exact_binomial_ok(est.successes, est.trials, mean)
 
     def test_sampled_pairs_needs_two_signatures(self):
@@ -238,7 +239,7 @@ class TestEstimateLambda2:
         start = time.perf_counter()
         ch = ChannelModel(1.0)
         det = DetectorSpec.make(1.0, 1024, ch)
-        est = mc.estimate_lambda2(1024.0, ch, det, 100_000, 13)
+        est = mc.estimate_errors(1024.0, ch, det, 100_000, 13)["lambda2"]
         exact = mc.exact_lambda2(np.ones(1024), ch, det)
         assert 0.3 < exact < 0.7
         assert exact_binomial_ok(est.successes, est.trials, exact)
@@ -309,6 +310,21 @@ class TestHeterodyne:
         assert out["lambda2"] == pytest.approx(ncx2.cdf(x, 2 * k, 1e6), rel=1e-10)
         assert 0.4 < out["lambda2"] < 0.6
 
+    def test_analytic_lambda2_beyond_scipy_range(self):
+        # noncentrality 5e37: chndtr is NaN, and the bound
+        # erfc((distance - sqrt(tau)) / sigma) / 2 is 0.0 in float
+        spec = mc.HeterodyneSpec(noise_variance=1.0, threshold=4.0)
+        assert math.isnan(chndtr(8.0, 2, 5e37))
+        assert mc.heterodyne_analytic(1, spec, 5e18)["lambda2"] == 0.0
+
+    def test_analytic_nan_with_a_bound_above_zero_raises(self):
+        # tau = distance^2: chndtr is NaN at noncentrality 2e16, and lambda2 is near 1/2
+        distance = 1e8
+        spec = mc.HeterodyneSpec(noise_variance=1.0, threshold=distance**2)
+        assert math.isnan(chndtr(2e16, 2, 2e16))
+        with pytest.raises(ValueError, match="out of scipy's range"):
+            mc.heterodyne_analytic(1, spec, distance)
+
     def test_shot_noise_floor_enforced(self):
         with pytest.raises(ValueError):
             mc.HeterodyneSpec(noise_variance=0.5, threshold=1.0)
@@ -320,12 +336,49 @@ class TestHeterodyne:
         2, e, mc.HeterodyneSpec(noise_variance=2.0, threshold=4.0), 1000, 1)),
     ("distance", lambda d: mc.heterodyne_analytic(
         2, mc.HeterodyneSpec(noise_variance=2.0, threshold=4.0), d)),
-    ("energy", lambda e: mc.estimate_lambda2(
+    ("energy", lambda e: mc.estimate_errors(
         e, ChannelModel(1.0), DetectorSpec.make(1.0, 2, ChannelModel(1.0)), 1000, 1)),
-], ids=["heterodyne_simulate", "heterodyne_analytic", "estimate_lambda2"])
+], ids=["heterodyne_simulate", "heterodyne_analytic", "estimate_errors"])
 def test_monte_carlo_rejects_bad_energy(name, call, value):
     with pytest.raises(ValueError, match=name):
         call(value)
+
+
+class TestPoissonGammaDuality:
+    """A Poisson(I) count is at most t exactly when the (t+1)-th arrival of a
+    unit-rate process comes after I: sum_{j<=t} Poi(j; I) = Q(t+1, I), the
+    regularized upper incomplete gamma.  Checked in mpmath at 40 digits with
+    the Poisson side summed term by term; scipy's pdtr would check nothing,
+    since it is computed from gammaincc."""
+
+    @pytest.mark.parametrize("t", [0, 1, 7, 100, 1000, 10_000])
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.5])
+    def test_partial_sum_is_upper_gamma(self, t, ratio):
+        with mp.workdps(40):
+            lam = mp.mpf(ratio) * (t + 1)
+            term, total = mp.exp(-lam), mp.mpf(0)
+            for j in range(t + 1):
+                total += term
+                term *= lam / (j + 1)
+            want = mp.gammainc(t + 1, lam, mp.inf, regularized=True)
+            assert abs(total - want) <= mp.mpf(10) ** -35 * want
+
+
+@pytest.mark.parametrize("k,energy,noise,delta", [
+    (1, 2.0, 1.0, 1.0), (3, 2.0, 0.0, 1.0), (4, 4.0, 0.5, 0.5), (64, 64.0, 1.0, 0.25)])
+def test_estimate_errors_matches_reference_sampler(k, energy, noise, delta):
+    # two samples of 2e5 trials: the kernel's arrival times against Poisson
+    # counts of the P-function intensity, within 4 standard errors of their
+    # difference
+    ch, trials = ChannelModel(noise), 200_000
+    det = DetectorSpec.make(delta, k, ch)
+    est = mc.estimate_errors(energy, ch, det, trials, 7)
+    rng = np.random.default_rng(7)
+    reference = (np.count_nonzero(reference_counts(k, 0.0, ch, rng, trials) > det.threshold),
+                 np.count_nonzero(reference_counts(k, energy, ch, rng, trials) <= det.threshold))
+    for got, ref in zip((est["lambda1"].successes, est["lambda2"].successes), reference):
+        pooled = (got + ref) / (2 * trials)
+        assert abs(got - ref) <= 4 * math.sqrt(2 * trials * pooled * (1 - pooled)), (got, ref)
 
 
 class TestWilsonInterval:
@@ -365,13 +418,15 @@ class TestBlocks:
         det = DetectorSpec.make(1.0, 2, ch)
         spec = mc.HeterodyneSpec(noise_variance=2.0, threshold=6.0)
         het = mc.heterodyne_simulate(2, 4.5, spec, self.TRIALS, 3)
+        worst = mc.estimate_errors(4.5, ch, det, self.TRIALS, 2)
+        sampled = mc.estimate_errors(mc.sampled_pairs(sigs), ch, det, self.TRIALS, 2)
+        exact1 = mc.exact_lambda1(ch, det)
         exact2 = mc.exact_lambda2(sigs[1] - sigs[0], ch, det)
         return {
-            "lambda1": (mc.estimate_lambda1(ch, det, self.TRIALS, 1),
-                        mc.exact_lambda1(ch, det)),
-            "worst_pair": (mc.estimate_lambda2(4.5, ch, det, self.TRIALS, 2), exact2),
-            "all_pairs": (mc.estimate_lambda2(mc.sampled_pairs(sigs), ch, det, self.TRIALS, 2),
-                          exact2),
+            "worst_pair1": (worst["lambda1"], exact1),
+            "worst_pair2": (worst["lambda2"], exact2),
+            "all_pairs1": (sampled["lambda1"], exact1),
+            "all_pairs2": (sampled["lambda2"], exact2),
             # 2 ||.||^2 / noise_variance: chi-square with 4 degrees of freedom,
             # noncentral by 2 ||Delta||^2 / noise_variance = 4.5 for lambda2
             "heterodyne1": (het["lambda1"], chi2.sf(6.0, 4)),
@@ -403,9 +458,8 @@ class TestBlocks:
             monkeypatch.setattr(mc, "DEFAULT_CHUNKS", chunks)
             trials = chunks * mc._BLOCK
             for run in (
-                lambda: mc.estimate_lambda1(ch, det, trials, 1),
-                lambda: mc.estimate_lambda2(2.0 * k, ch, det, trials, 1),
-                lambda: mc.estimate_lambda2(mc.sampled_pairs(sigs), ch, det, trials, 1),
+                lambda: mc.estimate_errors(2.0 * k, ch, det, trials, 1),
+                lambda: mc.estimate_errors(mc.sampled_pairs(sigs), ch, det, trials, 1),
                 lambda: mc.heterodyne_simulate(k, 2.0 * k, spec, trials, 1),
             ):
                 tracemalloc.start()
@@ -423,7 +477,7 @@ class TestBlocks:
         det = DetectorSpec.make(1.0, 2, ch)
 
         def run():
-            return mc.estimate_lambda2(mc.sampled_pairs(FOUR_POINTS), ch, det, 5000, 4)
+            return mc.estimate_errors(mc.sampled_pairs(FOUR_POINTS), ch, det, 5000, 4)
 
         default = run()
         monkeypatch.setattr(mc, "_GATHER", 7)
@@ -441,9 +495,8 @@ class TestWorkers:
         spec = mc.HeterodyneSpec(noise_variance=2.0, threshold=6.0)
 
         def runs():
-            return (mc.estimate_lambda1(ch, det, trials, 1),
-                    mc.estimate_lambda2(1.0, ch, det, trials, 2),
-                    mc.estimate_lambda2(mc.sampled_pairs(FOUR_POINTS), ch, det, trials, 3),
+            return (mc.estimate_errors(1.0, ch, det, trials, 2),
+                    mc.estimate_errors(mc.sampled_pairs(FOUR_POINTS), ch, det, trials, 3),
                     mc.heterodyne_simulate(2, 1.0, spec, trials, 4))
 
         monkeypatch.setattr(mc, "_WORKERS", 1)
@@ -475,8 +528,29 @@ class TestManySeeds:
         ch = ChannelModel(1.0)
         det = DetectorSpec.make(1.0, 4, ch)
         p = mc.exact_lambda2(np.ones(4), ch, det)
-        runs = [mc.estimate_lambda2(4.0, ch, det, self.TRIALS, s) for s in self.SEEDS]
+        runs = [mc.estimate_errors(4.0, ch, det, self.TRIALS, s)["lambda2"] for s in self.SEEDS]
         assert abs(self.mean_z([r.successes for r in runs], p)) < 0.5
+
+    @pytest.mark.parametrize("k", [1, 4, 1024, 4096])
+    @pytest.mark.parametrize("noise", [0.0, 5e-324, 0.1, 1.0, 4.0])
+    def test_estimate_errors_unbiased(self, k, noise):
+        # the threshold k(N + delta) about a standard deviation above the
+        # zero-energy count's mean kN, and the count's mean kN + E at energy
+        # E about one above the threshold, so that neither rate is small
+        ch = ChannelModel(noise)
+        var = noise * (noise + 1)
+        delta = math.sqrt((var + 1) / k)
+        energy = k * delta + math.sqrt(k * (delta + var))
+        det = DetectorSpec.make(delta, k, ch)
+        exact = (mc.exact_lambda1(ch, det), math.exp(
+            ps.log_tail_probability(k, energy, ch, det.threshold, upper=False)))
+        runs = [mc.estimate_errors(energy, ch, det, self.TRIALS, s) for s in self.SEEDS]
+        for name, p in zip(("lambda1", "lambda2"), exact):
+            successes = [r[name].successes for r in runs]
+            if p == 0:  # N = 0, and N = 5e-324, where v = N/2 rounds to 0
+                assert not any(successes)
+            else:
+                assert abs(self.mean_z(successes, p)) < 0.5, name
 
     def test_heterodyne_lambda2_unbiased(self):
         # the same pair at per-mode variance N + 1 = 2 and the CLI's default
@@ -488,14 +562,14 @@ class TestManySeeds:
 
 
 class TestGoldenStreams:
-    """Success counts at fixed seeds, recorded before the estimators took the
-    count law's parameters instead of a code: the streams are part of the
+    """Success counts at fixed seeds, recorded when one gamma arrival time per
+    trial replaced the Poisson count: the streams are part of the
     determinism contract, so a change to any of these integers must be
     announced."""
 
     TRIALS = 20_000
     # N: (lambda1, worst pair, sampled pairs, heterodyne lambda1, heterodyne lambda2)
-    GOLDEN = {0.0: (0, 18385, 7624, 334, 18315), 1.0: (2204, 15343, 9597, 3947, 13870)}
+    GOLDEN = {0.0: (0, 18458, 7617, 341, 18324), 1.0: (2202, 15298, 9669, 3956, 13752)}
 
     @pytest.mark.parametrize("noise", sorted(GOLDEN))
     def test_successes(self, noise):
@@ -505,8 +579,8 @@ class TestGoldenStreams:
         worst = 1.0  # ||Delta||^2 of FOUR_POINTS' closest pair
         het = mc.heterodyne_simulate(2, worst, spec, self.TRIALS, 5)
         pairs = mc.sampled_pairs(FOUR_POINTS)
-        got = (mc.estimate_lambda1(ch, det, self.TRIALS, 1).successes,
-               mc.estimate_lambda2(worst, ch, det, self.TRIALS, 2).successes,
-               mc.estimate_lambda2(pairs, ch, det, self.TRIALS, 3).successes,
+        at_worst = mc.estimate_errors(worst, ch, det, self.TRIALS, 2)
+        got = (at_worst["lambda1"].successes, at_worst["lambda2"].successes,
+               mc.estimate_errors(pairs, ch, det, self.TRIALS, 3)["lambda2"].successes,
                het["lambda1"].successes, het["lambda2_worst"].successes)
         assert got == self.GOLDEN[noise]

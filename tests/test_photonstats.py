@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonid import fockspace
+from bosonid import montecarlo as mc
 from bosonid import photonstats as ps
-from bosonid.photonstats import ChannelModel
+from bosonid.photonstats import ChannelModel, DetectorSpec
 
 
 def convolution_pmf(energies, channel, nmax):
@@ -191,16 +192,48 @@ class TestMgf:
         assert pgf(z, 2.0, ChannelModel(1.0), 1) == pytest.approx(series, rel=1e-8)
 
 
+def reference_counts(k, energy, channel, rng, size):
+    """Total photon counts of k displaced thermal modes, one per trial, drawn
+    as the physics has it: each mode's Gaussian P-function draws
+    gamma_t ~ CN(alpha_t, N), and photodetection one Poisson count of the
+    summed intensity, since independent Poisson counts sum to one.  After a
+    rotation of R^{2k} that takes alpha onto the first quadrature, that
+    intensity is (sqrt(v) Z + ||alpha||)^2 + v chi^2(2k-1) in law, v = N/2;
+    ``energy`` = ||alpha||^2 is a scalar or one value per trial."""
+    half = channel.n_thermal / 2
+    shifted = rng.normal(np.sqrt(energy), math.sqrt(half), size)
+    return rng.poisson(shifted * shifted + half * rng.chisquare(2 * k - 1, size))
+
+
 class TestSampler:
+    """The reference sampler above against the count law, and the tail
+    frequencies of `montecarlo.estimate_errors`, which draws no count, at
+    several thresholds against the law's lower tails."""
+
+    @pytest.mark.parametrize("k,energy,n_thermal", [
+        (1, 0.0, 1.0), (1, 2.5, 1.0), (3, 1.38, 0.5), (3, 1.38, 0.0), (1024, 307.2, 1.0)])
+    def test_tail_frequencies_match_lower_tails(self, k, energy, n_thermal):
+        # each threshold its own 100k trials; 4 standard errors per frequency
+        ch, trials = ChannelModel(n_thermal), 100_000
+        mean = k * n_thermal + energy
+        sd = math.sqrt(k * n_thermal * (n_thermal + 1) + energy * (2 * n_thermal + 1))
+        for t in sorted({max(0, round(mean + z * sd)) for z in (-2, -1, 0, 1, 2)}):
+            est = mc.estimate_errors(energy, ch, DetectorSpec(k, float(t)), trials, t)
+            below = [math.exp(ps.log_tail_probability(k, e, ch, t, upper=False))
+                     for e in (0.0, energy)]
+            for got, p in ((est["lambda1"], 1 - below[0]), (est["lambda2"], below[1])):
+                assert abs(got.successes - trials * p) <= 4 * math.sqrt(trials * p * (1 - p)), (
+                    t, got, p)
+
     def test_vacuum_degenerate(self):
         rng = np.random.default_rng(0)
         ch = ChannelModel(0.0)
-        assert all(ps.sample_photon_counts(1, 0.0, ch, rng, 1)[0] == 0 for _ in range(100))
+        assert all(reference_counts(1, 0.0, ch, rng, 1)[0] == 0 for _ in range(100))
 
     def test_total_variation_against_pmf(self):
         ch = ChannelModel(1.0)
         rng = np.random.default_rng(42)
-        draws = ps.sample_photon_counts(1, 0.0, ch, rng, 1_000_000)
+        draws = reference_counts(1, 0.0, ch, rng, 1_000_000)
         pmf = geometric_pmf(1.0, 80)
         counts = np.bincount(draws, minlength=pmf.size)[: pmf.size]
         tv = 0.5 * np.abs(counts / draws.size - pmf).sum()
@@ -209,7 +242,7 @@ class TestSampler:
     def test_single_mode_displaced_total_variation(self):
         # k = 1 with energy: the chi-square of the rotated sum has 1 degree of freedom
         ch = ChannelModel(1.0)
-        draws = ps.sample_photon_counts(1, 2.5, ch, np.random.default_rng(5), 200_000)
+        draws = reference_counts(1, 2.5, ch, np.random.default_rng(5), 200_000)
         pmf = np.diff(lower_tails(1, 2.5, ch, 80), prepend=0.0)
         counts = np.bincount(draws, minlength=pmf.size)[: pmf.size]
         assert 0.5 * np.abs(counts / draws.size - pmf).sum() < 0.01
@@ -217,7 +250,7 @@ class TestSampler:
     def test_mean_of_displaced_draws(self):
         ch = ChannelModel(0.5)
         rng = np.random.default_rng(7)
-        draws = ps.sample_photon_counts(1, 4.0, ch, rng, 1_000_000)
+        draws = reference_counts(1, 4.0, ch, rng, 1_000_000)
         # mean N + |alpha|^2, from the first derivative of the MGF at z = 1
         expected = 0.5 + 4.0
         sigma = draws.std() / math.sqrt(draws.size)
@@ -229,7 +262,7 @@ class TestSampler:
     def test_k_mode_mean_and_variance(self, n_thermal):
         # mean kN + E and variance kN(N+1) + E(2N+1), from the MGF at z = 1
         ch, k, energy = ChannelModel(n_thermal), self.K, self.ENERGY
-        draws = ps.sample_photon_counts(k, energy, ch, np.random.default_rng(3), 200_000)
+        draws = reference_counts(k, energy, ch, np.random.default_rng(3), 200_000)
         mean = k * n_thermal + energy
         var = k * n_thermal * (n_thermal + 1) + energy * (2 * n_thermal + 1)
         assert abs(draws.mean() - mean) < 5 * math.sqrt(var / draws.size)
@@ -240,7 +273,7 @@ class TestSampler:
         # kN(N+1) + E(2N+1) = 2969.6, each within 5 standard errors; the sample
         # variance's is sqrt((m4 - m2^2) / n)
         k, energy, n_thermal = 1024, 307.2, 1.0
-        draws = ps.sample_photon_counts(k, energy, ChannelModel(n_thermal),
+        draws = reference_counts(k, energy, ChannelModel(n_thermal),
                                         np.random.default_rng(9), 100_000)
         mean = k * n_thermal + energy
         var = k * n_thermal * (n_thermal + 1) + energy * (2 * n_thermal + 1)
@@ -251,7 +284,7 @@ class TestSampler:
 
     def test_k_mode_total_variation_against_law(self):
         ch = ChannelModel(1.0)
-        draws = ps.sample_photon_counts(self.K, self.ENERGY, ch, np.random.default_rng(8), 200_000)
+        draws = reference_counts(self.K, self.ENERGY, ch, np.random.default_rng(8), 200_000)
         pmf = np.diff(lower_tails(self.K, self.ENERGY, ch, 80), prepend=0.0)
         counts = np.bincount(draws, minlength=pmf.size)[: pmf.size]
         assert 0.5 * np.abs(counts / draws.size - pmf).sum() < 0.01
@@ -259,7 +292,7 @@ class TestSampler:
     @pytest.mark.parametrize("n_thermal", [5e-324, 1e-300])
     def test_subnormal_noise(self, n_thermal):
         # the law is Poisson(10) to within N: mean and variance 10
-        draws = ps.sample_photon_counts(4, 10.0, ChannelModel(n_thermal),
+        draws = reference_counts(4, 10.0, ChannelModel(n_thermal),
                                         np.random.default_rng(11), 100_000)
         assert draws.min() >= 0
         assert abs(draws.mean() - 10.0) < 5 * math.sqrt(10.0 / draws.size)
@@ -267,8 +300,8 @@ class TestSampler:
     def test_scalar_and_per_trial_energy_identical(self):
         # one energy per trial, all equal, draws exactly what the shared scalar draws
         ch = ChannelModel(0.7)
-        shared = ps.sample_photon_counts(self.K, self.ENERGY, ch, np.random.default_rng(4), 1000)
-        per_trial = ps.sample_photon_counts(self.K, np.full(1000, self.ENERGY), ch,
+        shared = reference_counts(self.K, self.ENERGY, ch, np.random.default_rng(4), 1000)
+        per_trial = reference_counts(self.K, np.full(1000, self.ENERGY), ch,
                                             np.random.default_rng(4), 1000)
         assert np.array_equal(shared, per_trial)
 
