@@ -38,19 +38,21 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _json_cell(value):
+    """A float as the number its CSV cell shows; JSON has no number for a
+    non-finite one, so that is the CSV cell's text: "inf", "-inf" or "nan"."""
+    if not isinstance(value, float):
+        return value
+    return float(_fmt(value)) if math.isfinite(value) else _fmt(value)
+
+
 def _write_table(rows, meta, out, fmt):
     """Write rows, dicts with the same keys in column order, as CSV or JSON."""
     fieldnames = list(rows[0])
     if fmt == "json":
-        doc = {
-            "meta": meta,
-            "rows": [
-                {name: (float(_fmt(r[name])) if isinstance(r[name], float) else r[name])
-                 for name in fieldnames}
-                for r in rows
-            ],
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc = {"meta": meta,
+               "rows": [{name: _json_cell(r[name]) for name in fieldnames} for r in rows]}
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         lines = [f"# bosonid {meta['version']}"]
         lines.append(f"# config_hash={meta['config_hash']}")
@@ -192,8 +194,9 @@ def cmd_heterodyne(args) -> int:
     def make_spec(k):
         threshold = k * sigma2 * (1 + args.delta)
         if not 0 <= threshold < math.inf:
-            raise ValueError("--delta: the heterodyne threshold k (N + 1) (1 + delta) must be "
-                             f"finite and >= 0, that is delta >= -1; got delta = {args.delta}")
+            raise ValueError("--noise and --delta: the heterodyne threshold k (N + 1) (1 + delta) "
+                             f"must be finite and >= 0; got {threshold} at k = {k}, "
+                             f"N = {args.noise}, delta = {args.delta}")
         return montecarlo.HeterodyneSpec(noise_variance=sigma2, threshold=threshold)
 
     code, spec = _load_or_build_code(args, make_spec)
@@ -201,7 +204,7 @@ def cmd_heterodyne(args) -> int:
         code.k, code.closest_pair[0], spec, args.trials, args.seed)
     ana = montecarlo.heterodyne_analytic(code.k, spec, code.min_distance)
     rows = [_mc_row("lambda1", sim["lambda1"], analytic=ana["lambda1"]),
-            _mc_row("lambda2", sim["lambda2_worst"], analytic=ana["lambda2"])]
+            _mc_row("lambda2", sim["lambda2"], analytic=ana["lambda2"])]
     _write_table(rows, _meta(args), args.out, args.format)
     return EXIT_OK
 
@@ -362,10 +365,11 @@ def main(argv=None) -> int:
         if getattr(args, "trials", 1) < 1:
             raise ValueError(f"--trials must be >= 1, got {args.trials}")
         if args.func in (cmd_pack, cmd_simulate, cmd_heterodyne):
-            ks = _parse_k_list(args.k)
-            if len(ks) != 1:
-                raise ValueError("this command takes a single --k value")
-            args.k = ks[0]
+            try:
+                (args.k,) = _parse_k_list(args.k)
+            except ValueError:  # not a list of integers >= 1, or more than one
+                raise ValueError("this command takes a single --k value, an integer >= 1; "
+                                 f"got {args.k!r}") from None
             # checked even where --code leaves them unused
             for flag, value in (("--energy", args.energy), ("--rho", args.rho)):
                 if value is not None and not 0 < value < math.inf:

@@ -14,12 +14,14 @@ closed-form chi-square error probabilities.
 Every event depends on a trial only through a sum of squared Gaussians: the
 summed P-function intensity I of the k modes, or the heterodyne norm
 ||Delta + w||^2.  `_intensities` draws it at zero energy and at the pair's
-energy from one normal and one chi-square per trial.  The photon count is
-not drawn: by the Poisson-gamma duality (Devroye, Non-Uniform Random Variate
-Generation, 1986, ch. X) a Poisson(I) count is at most t exactly when the
-(t+1)-th arrival of a unit-rate process, a Gamma(t+1) time, comes after I.
-So one gamma draw per trial decides both error events, and an intensity
-beyond any Poisson sampler's range simply leaves no count at or below t.
+energy from one normal and one chi-square per trial, and `_error_rates`
+counts both receivers' errors as cuts on those draws: the ball test cuts at
+its threshold, the photon counter at one Gamma(t+1) draw.  By the
+Poisson-gamma duality (Devroye, Non-Uniform Random Variate Generation, 1986,
+ch. X) a Poisson(I) count is at most t exactly when the (t+1)-th arrival of
+a unit-rate process, a Gamma(t+1) time, comes after I, so no count is drawn
+and an intensity beyond any Poisson sampler's range simply leaves no count
+at or below t.
 Trials are split into `DEFAULT_CHUNKS` chunks, each drawn from its own
 stream seeded by (master seed, chunk index).
 The chunks run at the same time, on one thread per CPU the process may use
@@ -120,24 +122,6 @@ def wilson_interval(successes: int, trials: int):
     return low, 1.0 if successes == trials else min(1.0, center + half)
 
 
-def _successes(trials: int, seed: int, count):
-    """Sum of count(rng, n) over every block: chunk i of DEFAULT_CHUNKS draws
-    from its own stream, seeded by (seed, i), in consecutive blocks of at most
-    _BLOCK trials.  The chunks run on min(_WORKERS, DEFAULT_CHUNKS) threads;
-    the sum of their integer counts does not depend on which thread ran which."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    base, extra = divmod(trials, DEFAULT_CHUNKS)
-
-    def chunk(i):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        size = base + (1 if i < extra else 0)
-        return sum(count(rng, min(_BLOCK, size - start)) for start in range(0, size, _BLOCK))
-
-    with ThreadPoolExecutor(max_workers=min(_WORKERS, DEFAULT_CHUNKS)) as pool:
-        return sum(pool.map(chunk, range(DEFAULT_CHUNKS)))
-
-
 def sampled_pairs(signatures):
     """(rng, n) -> ||Delta||^2 of n ordered pairs (send, recv), recv != send,
     drawn uniformly from the rows of an (M, k) signature array."""
@@ -169,8 +153,8 @@ def _intensities(k: int, energy, variance: float, rng: np.random.Generator, n: i
     and a rotation that takes alpha onto the first axis keeps the norm, so
     the sum is (sqrt(v) Z + ||alpha||)^2 + v X in law: I_0 = v (Z^2 + X) and
     I_E = I_0 + E + 2 sqrt(v E) Z, which is exactly E where v is 0.  A sum
-    beyond the float range is inf, or NaN in I_E, and every comparison the
-    callers make reads either as above the threshold.
+    beyond the float range is inf, or NaN in I_E, and every comparison
+    `_error_rates` makes reads either as above the cut.
     """
     v = variance / 2
     z = rng.normal(size=n)
@@ -179,9 +163,42 @@ def _intensities(k: int, energy, variance: float, rng: np.random.Generator, n: i
         return i0, i0 + energy + 2 * math.sqrt(v) * np.sqrt(energy) * z
 
 
-def estimate_errors(
-    energy, channel: ChannelModel, detector: DetectorSpec, trials: int, seed: int
-) -> dict:
+def _error_rates(k: int, energy, variance: float, cut, trials: int, seed: int) -> dict:
+    """{"lambda1", "lambda2"} as McEstimates: the trials with cut < I_0 and
+    with cut >= I_E, for `_intensities`' draws (I_0, I_E) at ``energy`` (a
+    float, or a function (rng, n) -> n energies called first on each block's
+    stream) and the n cuts cut(rng, n), a scalar or an array.  Chunk i of
+    DEFAULT_CHUNKS draws from its own stream, seeded by (seed, i), in blocks of
+    at most _BLOCK trials, on min(_WORKERS, DEFAULT_CHUNKS) threads; the sum of
+    the integer counts does not depend on which thread ran which.  < and >=,
+    rather than <= and >, keep a zero intensity's count at 0 where a drawn cut
+    rounds to 0.0, and a NaN I_E reads as above every cut.
+    """
+    if not callable(energy):
+        _check_law(k, energy)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    base, extra = divmod(trials, DEFAULT_CHUNKS)
+
+    def chunk(i):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        size = base + (1 if i < extra else 0)
+        counts = np.zeros(2, dtype=np.int64)
+        for start in range(0, size, _BLOCK):
+            n = min(_BLOCK, size - start)
+            energies = energy(rng, n) if callable(energy) else energy
+            i0, ie = _intensities(k, energies, variance, rng, n)
+            at = cut(rng, n)
+            counts += [np.count_nonzero(at < i0), np.count_nonzero(at >= ie)]
+        return counts
+
+    with ThreadPoolExecutor(max_workers=min(_WORKERS, DEFAULT_CHUNKS)) as pool:
+        succ1, succ2 = sum(pool.map(chunk, range(DEFAULT_CHUNKS))).tolist()
+    return {"lambda1": McEstimate(succ1, trials), "lambda2": McEstimate(succ2, trials)}
+
+
+def estimate_errors(energy, channel: ChannelModel, detector: DetectorSpec, trials: int,
+                    seed: int) -> dict:
     """Both error rates of the threshold detector, on the same draws.
 
     Returns {"lambda1": ..., "lambda2": ...} as McEstimates.  lambda1 is the
@@ -190,25 +207,13 @@ def estimate_errors(
     second-kind (false-accept) rate: the count of a pair's displaced thermal
     state at most k(N+delta).  It depends only on ||Delta||^2, Delta =
     alpha_m' - alpha_m, and ``energy`` is that float (the worst pair's, say),
-    or a function (rng, n) -> n energies such as `sampled_pairs` returns,
-    called first on each block's stream.  A trial draws (I_0, I_E) and one
-    Gamma(t+1) arrival time, t = floor(k(N+delta)): the count exceeds t iff
-    the arrival comes before the intensity.
+    or a function (rng, n) -> n energies such as `sampled_pairs` returns.
+    The cut is one Gamma(t+1) arrival time per trial, t = floor(k(N+delta)):
+    the count exceeds t iff the arrival comes before the intensity.
     """
-    if not callable(energy):
-        _check_law(detector.k, energy)
     t = math.floor(detector.threshold)
-
-    def count(rng, n):
-        energies = energy(rng, n) if callable(energy) else energy
-        i0, ie = _intensities(detector.k, energies, channel.n_thermal, rng, n)
-        arrival = rng.standard_gamma(t + 1, n)
-        # < and >= rather than <= and >, equal in law, keep a zero
-        # intensity's count at 0 also where a drawn arrival rounds to 0.0
-        return np.array([np.count_nonzero(arrival < i0), np.count_nonzero(arrival >= ie)])
-
-    succ1, succ2 = _successes(trials, seed, count).tolist()
-    return {"lambda1": McEstimate(succ1, trials), "lambda2": McEstimate(succ2, trials)}
+    return _error_rates(detector.k, energy, channel.n_thermal,
+                        lambda rng, n: rng.standard_gamma(t + 1, n), trials, seed)
 
 
 def exact_lambda1(channel: ChannelModel, detector: DetectorSpec) -> float:
@@ -227,29 +232,19 @@ def exact_lambda2(delta_vec, channel: ChannelModel, detector: DetectorSpec) -> f
         log_tail_probability(detector.k, energy, channel, detector.threshold, upper=False))
 
 
-def heterodyne_simulate(
-    k: int, energy: float, spec: HeterodyneSpec, trials: int, seed: int
-) -> dict:
+def heterodyne_simulate(k: int, energy: float, spec: HeterodyneSpec, trials: int,
+                        seed: int) -> dict:
     """Ball-test errors on the Gaussian channel z = alpha + w.
 
-    Returns {"lambda1": ..., "lambda2_worst": ...} as McEstimates; lambda1 is
-    the event ||w||^2 > threshold, lambda2 the event ||Delta + w||^2 <=
-    threshold at ``energy`` = ||Delta||^2, the worst pair's.  With
-    w_t ~ CN(0, noise_variance), the two norms are `_intensities`' (I_0, I_E),
-    both from one normal and one chi-square per trial.
+    Returns {"lambda1": ..., "lambda2": ...} as McEstimates; lambda1 is the
+    event ||w||^2 > threshold, lambda2 the event ||Delta + w||^2 <= threshold
+    at ``energy`` = ||Delta||^2, a float (the worst pair's, say) or a function
+    (rng, n) -> n energies.  With w_t ~ CN(0, noise_variance) the two norms
+    are `_intensities`' (I_0, I_E), and the cut is the threshold itself: it
+    draws nothing, so the streams are those of the intensities alone.
     """
-    _check_law(k, energy)
-
-    def count(rng, n):
-        norm1, norm2 = _intensities(k, energy, spec.noise_variance, rng, n)
-        return np.array([np.count_nonzero(norm1 > spec.threshold),
-                         np.count_nonzero(norm2 <= spec.threshold)])
-
-    succ1, succ2 = _successes(trials, seed, count).tolist()
-    return {
-        "lambda1": McEstimate(succ1, trials),
-        "lambda2_worst": McEstimate(succ2, trials),
-    }
+    return _error_rates(k, energy, spec.noise_variance, lambda rng, n: spec.threshold,
+                        trials, seed)
 
 
 def heterodyne_analytic(k: int, spec: HeterodyneSpec, distance: float) -> dict:

@@ -168,7 +168,7 @@ def test_criterion_8_heterodyne_consistency():
         lo, hi = binomial_interval(trials, exact["lambda1"])
         ok = ok and lo <= sim["lambda1"].successes <= hi
         lo, hi = binomial_interval(trials, exact["lambda2"])
-        ok = ok and lo <= sim["lambda2_worst"].successes <= hi
+        ok = ok and lo <= sim["lambda2"].successes <= hi
     # at zero thermal noise the per-mode variance floor is exactly the unit
     # shot noise of the additive complex Gaussian model
     ok = ok and ChannelModel(0.0).n_thermal + 1 == 1.0

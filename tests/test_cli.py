@@ -187,6 +187,30 @@ class TestNegativeZero:
         assert rows[1]["bound_log"] == "0"
 
 
+class TestJsonNonFinite:
+    @pytest.mark.parametrize("argv,column,row", [
+        (["bounds", "--k", "8", "--rho", "1", "--noise", "0"], "lambda1_log", 0),
+        (["bounds", "--k", "8,4096", "--rho", "1", "--delta", "3e12"], "lambda1_exact_log", 1),
+        (["simulate", "--k", "2", "--energy", "4", "--rho", "1", "--noise", "0",
+          "--trials", "100"], "bound_log", 0),
+    ])
+    def test_cells_are_the_csv_text(self, tmp_path, argv, column, row):
+        # JSON has no number for inf or nan: such a cell is the CSV cell's text
+        csv, js = tmp_path / "out.csv", tmp_path / "out.json"
+        assert run([*argv, "--out", str(csv)]) == 0
+        assert run([*argv, "--format", "json", "--out", str(js)]) == 0
+
+        def reject(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        rows = json.loads(js.read_text(), parse_constant=reject)["rows"]
+        _, csv_rows = read_csv(csv)
+        assert rows[row][column] == csv_rows[row][column] in ("inf", "-inf", "nan")
+        for got, want in zip(rows, csv_rows):
+            for name, value in got.items():
+                assert value == (want[name] if isinstance(value, str) else float(want[name]))
+
+
 class TestPack:
     def test_writes_loadable_code(self, tmp_path, capsys):
         out = tmp_path / "code.txt"
@@ -328,6 +352,10 @@ class TestFiniteInputs:
         ("heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--delta", "1e308"): "--delta",
         ("simulate", "--code", "CODE", "--trials", "10", "--energy", "nan"): "--energy",
         ("heterodyne", "--code", "CODE", "--trials", "10", "--rho", "-5"): "--rho",
+        ("pack", "--k", "2,4", "--rho", "1"): "single --k value",
+        ("pack", "--k", "0"): "single --k value",
+        # k (N + 1) overflows where delta is in range
+        ("heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--noise", "1e308"): "--noise",
     }
 
     @pytest.mark.parametrize("argv", [
@@ -371,6 +399,10 @@ class TestFiniteInputs:
         # range-checked though --code leaves them unused
         ["simulate", "--code", "CODE", "--trials", "10", "--energy", "nan"],
         ["heterodyne", "--code", "CODE", "--trials", "10", "--rho", "-5"],
+        # pack, simulate and heterodyne take one integer k
+        ["pack", "--k", "2,4", "--rho", "1"],
+        ["pack", "--k", "0"],
+        ["heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--noise", "1e308"],
     ])
     def test_rejected_with_error_line(self, tmp_path, capsys, argv):
         named = self.NAMED_FLAG.get(tuple(argv))

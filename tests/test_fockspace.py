@@ -73,15 +73,26 @@ class TestDisplacementMatrix:
             fs.displacement_matrix(6.0, 20)
 
 
-@pytest.mark.parametrize("build", [fs.coherent_state_vector, fs.displacement_matrix])
-@pytest.mark.parametrize(
-    "amplitude,cutoff",
-    [(math.nan, 10), (math.inf, 10), (complex(1.0, math.nan), 10), (1.0, 0), (1.0, -3),
-     (1e200, 10)],  # |alpha|^2 beyond the largest float
-)
-def test_fock_builders_reject_invalid_input(build, amplitude, cutoff):
-    with pytest.raises(ValueError):
-        build(amplitude, cutoff)
+HALF = np.diag([0.5, 0.5]).astype(complex)
+
+
+@pytest.mark.parametrize("call,args,match", [
+    *[pytest.param(build, (amplitude, cutoff), None, id=f"{amplitude}-{cutoff}-{build.__name__}")
+      # 1e200: |alpha|^2 beyond the largest float
+      for amplitude, cutoff in [(math.nan, 10), (math.inf, 10), (complex(1.0, math.nan), 10),
+                                (1.0, 0), (1.0, -3), (1e200, 10)]
+      for build in (fs.coherent_state_vector, fs.displacement_matrix)],
+    # the numeric distances take density matrices of one cutoff
+    pytest.param(fs.fidelity_numeric, (np.ones((2, 3)), HALF), "square", id="non_square"),
+    pytest.param(fs.trace_distance_numeric, (HALF, np.array([[0.5, 0.5], [0, 0.5]])),
+                 "Hermitian", id="non_hermitian"),
+    pytest.param(fs.fidelity_numeric, (HALF, np.eye(3) / 3), "cutoff", id="cutoff_mismatch"),
+    pytest.param(fs.fidelity_numeric, (HALF, np.diag([1.5, -0.5])), "not PSD",
+                 id="sigma_not_psd"),
+])
+def test_fock_builders_reject_invalid_input(call, args, match):
+    with pytest.raises(ValueError, match=match):
+        call(*args)
 
 
 class TestDisplacedThermal:

@@ -98,11 +98,16 @@ class TestGreedyPacking:
         assert np.all(np.linalg.norm(pts, axis=1) <= 1.0)
         assert geo.closest_pair(pts)[0] >= 0.5**2
 
-    @pytest.mark.parametrize("radius,separation", [
-        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, 0.0)])
-    def test_spec_rejects_non_finite(self, radius, separation):
-        with pytest.raises(ValueError):
-            geo.PackingSpec(dim=2, radius=radius, separation=separation)
+    @pytest.mark.parametrize("fields", [
+        *[pytest.param({"radius": radius, "separation": separation}, id=f"{radius}-{separation}")
+          for radius, separation in [
+              (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, 0.0)]],
+        pytest.param({"dim": 0}, id="dim-0"),
+        pytest.param({"rejection_budget": 0}, id="rejection_budget-0"),
+    ])
+    def test_spec_rejects_non_finite(self, fields):
+        with pytest.raises(ValueError, match="|".join(fields)):
+            geo.PackingSpec(**{"dim": 2, "radius": 1.0, "separation": 1.0, **fields})
 
     @pytest.mark.parametrize("separation", [1e200, 2 * geo.MAX_NORM * (1 + 1e-15)])
     def test_spec_rejects_separation_past_diameter_bound(self, separation):

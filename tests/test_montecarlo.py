@@ -273,7 +273,7 @@ class TestHeterodyne:
         out = mc.heterodyne_simulate(k, energy, spec, 200_000, 8)
         nc = 2 * energy / spec.noise_variance
         p = ncx2.cdf(2 * spec.threshold / spec.noise_variance, 2 * k, nc)
-        assert exact_binomial_ok(out["lambda2_worst"].successes, out["lambda2_worst"].trials, p)
+        assert exact_binomial_ok(out["lambda2"].successes, out["lambda2"].trials, p)
 
     def test_analytic_trivial_cases(self):
         spec = mc.HeterodyneSpec(noise_variance=1.0, threshold=0.0)
@@ -330,15 +330,24 @@ class TestHeterodyne:
             mc.HeterodyneSpec(noise_variance=0.5, threshold=1.0)
 
 
-@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
-@pytest.mark.parametrize("name,call", [
-    ("energy", lambda e: mc.heterodyne_simulate(
-        2, e, mc.HeterodyneSpec(noise_variance=2.0, threshold=4.0), 1000, 1)),
-    ("distance", lambda d: mc.heterodyne_analytic(
-        2, mc.HeterodyneSpec(noise_variance=2.0, threshold=4.0), d)),
-    ("energy", lambda e: mc.estimate_errors(
-        e, ChannelModel(1.0), DetectorSpec.make(1.0, 2, ChannelModel(1.0)), 1000, 1)),
-], ids=["heterodyne_simulate", "heterodyne_analytic", "estimate_errors"])
+SPEC = mc.HeterodyneSpec(noise_variance=2.0, threshold=4.0)
+
+
+@pytest.mark.parametrize("name,call,value", [
+    *[pytest.param(name, call, value, id=f"{label}-{value}") for name, call, label in [
+        ("energy", lambda e: mc.heterodyne_simulate(2, e, SPEC, 1000, 1), "heterodyne_simulate"),
+        ("distance", lambda d: mc.heterodyne_analytic(2, SPEC, d), "heterodyne_analytic"),
+        ("energy", lambda e: mc.estimate_errors(
+            e, ChannelModel(1.0), DetectorSpec.make(1.0, 2, ChannelModel(1.0)), 1000, 1),
+         "estimate_errors"),
+        ("threshold", lambda t: mc.HeterodyneSpec(noise_variance=2.0, threshold=t),
+         "heterodyne_spec"),
+    ] for value in (math.nan, -1.0, math.inf)],
+    pytest.param("trials", lambda n: mc.heterodyne_simulate(2, 1.0, SPEC, n, 1), 0,
+                 id="trials-0"),
+    pytest.param("k must be", lambda k: mc.heterodyne_analytic(k, SPEC, 1.0), 0,
+                 id="heterodyne_analytic_k-0"),
+])
 def test_monte_carlo_rejects_bad_energy(name, call, value):
     with pytest.raises(ValueError, match=name):
         call(value)
@@ -430,7 +439,7 @@ class TestBlocks:
             # 2 ||.||^2 / noise_variance: chi-square with 4 degrees of freedom,
             # noncentral by 2 ||Delta||^2 / noise_variance = 4.5 for lambda2
             "heterodyne1": (het["lambda1"], chi2.sf(6.0, 4)),
-            "heterodyne2": (het["lambda2_worst"], ncx2.cdf(6.0, 4, 4.5)),
+            "heterodyne2": (het["lambda2"], ncx2.cdf(6.0, 4, 4.5)),
         }
 
     def test_blocked_runs_reproducible_and_correct(self, monkeypatch):
@@ -558,7 +567,7 @@ class TestManySeeds:
         spec = mc.HeterodyneSpec(noise_variance=2.0, threshold=16.0)
         p = float(chndtr(2 * 16.0 / 2.0, 8, 2 * 4.0 / 2.0))
         runs = [mc.heterodyne_simulate(4, 4.0, spec, self.TRIALS, s) for s in self.SEEDS]
-        assert abs(self.mean_z([r["lambda2_worst"].successes for r in runs], p)) < 0.5
+        assert abs(self.mean_z([r["lambda2"].successes for r in runs], p)) < 0.5
 
 
 class TestGoldenStreams:
@@ -582,5 +591,5 @@ class TestGoldenStreams:
         at_worst = mc.estimate_errors(worst, ch, det, self.TRIALS, 2)
         got = (at_worst["lambda1"].successes, at_worst["lambda2"].successes,
                mc.estimate_errors(pairs, ch, det, self.TRIALS, 3)["lambda2"].successes,
-               het["lambda1"].successes, het["lambda2_worst"].successes)
+               het["lambda1"].successes, het["lambda2"].successes)
         assert got == self.GOLDEN[noise]

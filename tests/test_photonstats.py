@@ -118,6 +118,8 @@ class TestPmf:
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
             ps.log_tail_probability(1, -1.0, ChannelModel(1.0), 0, upper=False)
+        with pytest.raises(ValueError, match="k must be >= 1"):  # nor a law of no modes
+            ps.log_tail_probability(0, 1.0, ChannelModel(1.0), 0, upper=False)
 
     @pytest.mark.parametrize("n_thermal", [5e-324, 1e-310])
     def test_subnormal_noise_is_poisson(self, n_thermal):
@@ -429,10 +431,14 @@ class TestFiniteInputs:
         with pytest.raises(ValueError, match="finite"):
             ChannelModel(value)
 
-    @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, 1e300])
-    def test_detector_rejects_delta(self, delta):
-        with pytest.raises(ValueError, match="finite"):
-            ps.DetectorSpec.make(delta, 4, ChannelModel(1.0))
+    @pytest.mark.parametrize("delta,k,match", [
+        *[pytest.param(delta, 4, "finite", id=str(delta))
+          for delta in (math.inf, math.nan, 0.0, 1e300)],
+        pytest.param(1.0, 0, "k must be >= 1", id="k-0"),
+    ])
+    def test_detector_rejects_delta(self, delta, k, match):
+        with pytest.raises(ValueError, match=match):
+            ps.DetectorSpec.make(delta, k, ChannelModel(1.0))
 
     @pytest.mark.parametrize("upper", [True, False])
     def test_tail_rejects_threshold_beyond_float_counts(self, upper):
@@ -480,6 +486,8 @@ class TestExponents:
     def test_lambda_rejects_vacuum_channel(self):
         with pytest.raises(ValueError):
             ps.lambda_exponent(1.0, ChannelModel(0.0))
+        with pytest.raises(ValueError, match="n_thermal > 0"):  # nor does its oracle
+            ps.chernoff_upper_exponent(1.0, ChannelModel(0.0))
 
     @pytest.mark.parametrize("n_thermal", [0.1, 1.0, 37.0, 1e6, 1e300])
     @pytest.mark.parametrize("delta", [1e-3, 1.0, 10.0])

@@ -1,9 +1,9 @@
 """Every public function, every field of a public type and every default of a
 public function of bosonid has a use outside the tests: code only tests reach
-belongs in the tests.  The Monte Carlo layer does not depend on codes, the
-Fock-space oracle imports only the channel, no module imports scipy on import,
-and the scipy floor in pyproject.toml has every scipy.special name src/
-imports."""
+belongs in the tests.  The Monte Carlo layer does not depend on codes and
+has one sampling kernel, the Fock-space oracle imports only the channel, no
+module imports scipy on import, and the scipy floor in pyproject.toml has
+every scipy.special name src/ imports."""
 
 import ast
 import dataclasses
@@ -98,6 +98,18 @@ def test_montecarlo_does_not_import_scheme():
     a code: `montecarlo` reads nothing of `scheme`."""
     assert not [name for name in bosonid_imports("montecarlo")
                 if name.split(".")[:2] == ["bosonid", "scheme"]]
+
+
+def test_montecarlo_has_one_sampling_kernel():
+    """Both receivers are cuts on the same draws: one top-level function of
+    `montecarlo` draws the intensities, seeds the chunk streams and runs them
+    on threads, and no other function touches any of the three."""
+    kernel = {"_intensities", "ThreadPoolExecutor", "SeedSequence"}
+    tree = ast.parse((ROOT / "src" / "bosonid" / "montecarlo.py").read_text())
+    uses = [{getattr(node, "id", None) or getattr(node, "attr", None)
+             for node in ast.walk(function)} & kernel
+            for function in tree.body if isinstance(function, ast.FunctionDef)]
+    assert [used for used in uses if used] == [kernel]
 
 
 def test_fockspace_imports_only_the_channel():

@@ -14,6 +14,8 @@ class TestBuildCode:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             scheme.build_code(1, 4.0, 1.01, rng)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            scheme.build_code(0, 4.0, 1.0, rng)
         # rho = 1.0 sits exactly on the boundary 2 rho = sqrt(kE)
         scheme.build_code(1, 4.0, 1.0, rng, rejection_budget=1000)
 
@@ -46,6 +48,10 @@ class TestSignatureSet:
         pts = np.random.default_rng(0).normal(scale=1e154, size=(30, 3))
         with pytest.raises(ValueError, match="at most"):
             scheme.SignatureSet(k=3, energy_budget=1.0, rho=1.0, signatures=pts + 0j)
+        # nor a signature array that is not (M, k)
+        for sigs in (np.zeros((2, 2), dtype=complex), np.zeros(3, dtype=complex)):
+            with pytest.raises(ValueError, match="shape"):
+                scheme.SignatureSet(k=3, energy_budget=1.0, rho=1.0, signatures=sigs)
 
     def test_min_distance_is_closest_pair_length(self):
         code = scheme.SignatureSet(k=1, energy_budget=4.0, rho=0.5,
