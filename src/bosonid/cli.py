@@ -11,8 +11,6 @@ Exit codes: 0 success, 1 validation error, 2 oracle/acceptance failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import os
 import sys
@@ -34,6 +32,9 @@ def _fmt(value) -> str:
 
 
 def _config_hash(config: dict) -> str:
+    import hashlib  # here, and json where it is used: `import bosonid.cli` loads neither
+    import json
+
     blob = json.dumps(config, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -50,6 +51,8 @@ def _write_table(rows, meta, out, fmt):
     """Write rows, dicts with the same keys in column order, as CSV or JSON."""
     fieldnames = list(rows[0])
     if fmt == "json":
+        import json
+
         doc = {"meta": meta,
                "rows": [{name: _json_cell(r[name]) for name in fieldnames} for r in rows]}
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -94,8 +97,9 @@ def cmd_bounds(args) -> int:
     channel = ChannelModel(args.noise)
     if (args.rho is None) == (args.gamma is None):
         raise ValueError("exactly one of --rho / --gamma is required")
-    if args.gamma is not None and not 0 < args.gamma < math.inf:
-        raise ValueError(f"gamma must be finite and > 0, got {args.gamma}")
+    if not max(ks) * args.energy < math.inf:
+        raise ValueError(f"--energy times the largest --k must be finite, got {args.energy} "
+                         f"at k = {max(ks)}")
     if args.gamma is not None and min(ks) < 2:
         raise ValueError("--gamma needs every k >= 2 (rho^2 = gamma ln k is 0 at k = 1), "
                          f"got --k {args.k}")
@@ -168,13 +172,8 @@ def _mc_row(name, est, **exact) -> dict:
 
 def cmd_simulate(args) -> int:
     channel = ChannelModel(args.noise)
-
-    def make_detector(k):
-        if not 0 < args.delta < math.inf:
-            raise ValueError(f"--delta must be finite and > 0, got {args.delta}")
-        return DetectorSpec.make(args.delta, k, channel)
-
-    code, detector = _load_or_build_code(args, make_detector)
+    code, detector = _load_or_build_code(
+        args, lambda k: DetectorSpec.make(args.delta, k, channel))
     d2, i, j = code.closest_pair
     pairs = d2 if args.pair_strategy == "worst_pair" else montecarlo.sampled_pairs(code.signatures)
     est = montecarlo.estimate_errors(pairs, channel, detector, args.trials, args.seed)
@@ -255,28 +254,21 @@ def _verify_checks():
 
     # The converse counts signatures d0 apart, where the fidelity of two
     # displaced thermal states, exp(-d0^2 / (2N+1)), is 4 delta_k.  At k = 1
-    # and E = 1, logM_upper = 2 ln(1 + 4 / d0) gives d0 back.
-    dev = 0.0
+    # and E = 1, logM_upper = 2 ln(1 + 4 / d0) gives d0 back.  From that
+    # fidelity the converse bounds the trace distance by the Fuchs-van de
+    # Graaf chain, (1 - sqrt(F))^2 <= T^2 <= 1 - F, checked on the same pairs.
+    dev = chain = 0.0
     for delta_k, n in ((0.1, 1.0), (0.01, 0.5)):
         ch = ChannelModel(n)
         d0 = 4 / math.expm1(scheme.converse_users_log(1, 1.0, delta_k, ch) / 2)
-        num = fockspace.fidelity_numeric(
-            fockspace.displaced_thermal_density(0.0, ch, 60),
-            fockspace.displaced_thermal_density(d0, ch, 60),
-        )
-        dev = max(dev, abs(num - 4 * delta_k))
+        pair = (fockspace.displaced_thermal_density(0.0, ch, 60),
+                fockspace.displaced_thermal_density(d0, ch, 60))
+        f = fockspace.fidelity_numeric(*pair)
+        t = fockspace.trace_distance_numeric(*pair)
+        dev = max(dev, abs(f - 4 * delta_k))
+        chain = max(chain, (1 - math.sqrt(f)) ** 2 - t**2, t**2 - (1 - f))
     checks.append(("converse_distance_matches_fock_fidelity", dev, 1e-10))
-
-    # Fuchs-van de Graaf chain: (1 - sqrt(F))^2 <= T^2 <= 1 - F.
-    dev = 0.0
-    for alpha, beta, n in ((0.0, 1.2, 1.0), (0.5j, -0.5, 0.3)):
-        ch = ChannelModel(n)
-        r1 = fockspace.displaced_thermal_density(alpha, ch, 60)
-        r2 = fockspace.displaced_thermal_density(beta, ch, 60)
-        f = fockspace.fidelity_numeric(r1, r2)
-        t = fockspace.trace_distance_numeric(r1, r2)
-        dev = max(dev, (1 - math.sqrt(f)) ** 2 - t**2, t**2 - (1 - f))
-    checks.append(("fuchs_van_de_graaf_chain", dev, 1e-6))
+    checks.append(("fuchs_van_de_graaf_chain", chain, 1e-6))
 
     return checks
 
@@ -370,10 +362,17 @@ def main(argv=None) -> int:
             except ValueError:  # not a list of integers >= 1, or more than one
                 raise ValueError("this command takes a single --k value, an integer >= 1; "
                                  f"got {args.k!r}") from None
-            # checked even where --code leaves them unused
-            for flag, value in (("--energy", args.energy), ("--rho", args.rho)):
-                if value is not None and not 0 < value < math.inf:
-                    raise ValueError(f"{flag} must be finite and > 0, got {value}")
+        # range-checked even where --code leaves them unused
+        for flag in ("--energy", "--rho", "--gamma"):
+            value = getattr(args, flag[2:], None)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{flag} must be finite and > 0, got {value}")
+        if not 0 <= getattr(args, "noise", 0.0) < math.inf:
+            raise ValueError(f"--noise must be finite and >= 0, got {args.noise}")
+        # floats resolve the count threshold k (N + delta) below 2^53 counts;
+        # heterodyne's delta >= -1 is checked with its own threshold
+        if args.func in (cmd_bounds, cmd_simulate) and not 0 < args.delta < 2.0**53:
+            raise ValueError(f"--delta must be finite, > 0 and below 2^53, got {args.delta}")
         status = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
         return status

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +173,8 @@ def _error_rates(k: int, energy, variance: float, cut, trials: int, seed: int) -
     rather than <= and >, keep a zero intensity's count at 0 where a drawn cut
     rounds to 0.0, and a NaN I_E reads as above every cut.
     """
+    from concurrent.futures import ThreadPoolExecutor  # it loads logging: not on import
+
     if not callable(energy):
         _check_law(k, energy)
     if trials < 1:

@@ -20,9 +20,10 @@ mixtures of regularized incomplete betas (DLMF 8.17).
 
 This module provides the tails of S_k in log domain, the law's one
 implementation (`montecarlo` samples the threshold events, not the count),
-and the detector error bounds: the upper-tail exponent Lambda, with a
-numerically optimized Chernoff exponent as its oracle, and the lower-tail
-Chernoff bound at a pair's energy ||Delta||^2.
+and the detector error bounds: the upper-tail exponent Lambda, with the
+Chernoff exponent maximized numerically by a golden-section search as its
+oracle, and the lower-tail Chernoff bound at a pair's energy ||Delta||^2.
+Of scipy it imports `scipy.special` alone, inside the functions that call it.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ _NORMAL_MIN = np.finfo(float).tiny  # smallest float at full precision
 _CF_TERMS = 1000
 _SMALL_PARAM = 40  # below this incomplete-beta parameter scipy sums a binomial series
 _FLOAT_COUNTS = 2.0**53  # floats resolve single counts below this
+_GOLDEN = (math.sqrt(5) - 1) / 2  # each golden-section step keeps this share
 # (-1)^k / k for k = 18, ..., 2: x^2/2 - x^3/3 + ... to 17 terms; below
 # x = 0.1 the first term left out, x^19/19, is under 1e-18 of the first
 _PHI_SERIES = tuple((-1) ** k / k for k in range(18, 1, -1))
@@ -308,26 +310,36 @@ def analytic_error_bounds(
 def chernoff_upper_exponent(delta: float, channel: ChannelModel) -> float:
     """Numerically optimized Chernoff exponent for the zero-energy upper tail.
 
-    Maximizes s(N+delta) + ln(N+1-N e^s) over s in (0, ln((N+1)/N)); agrees
-    with :func:`lambda_exponent` analytically and serves as its oracle.
+    Maximizes the concave s(N+delta) + ln(N+1-N e^s) over s in
+    [0, ln((N+1)/N) (1 - 1e-12)] by golden-section search (Kiefer, Proc. AMS
+    4, 1953), which reads only values of the function, each step one new
+    one, until the bracket is 1e-15 of ln((N+1)/N) wide.  It agrees with
+    :func:`lambda_exponent` analytically and serves as its oracle.
     """
     N = channel.n_thermal
     _check_delta(delta)
     if N == 0:
         raise ValueError("requires n_thermal > 0")
-    from scipy.optimize import minimize_scalar
+    s_max = math.log1p(1 / N)  # ln((N+1)/N), without rounding (N+1)/N
+    if s_max == math.inf:
+        raise ValueError(f"requires 1/n_thermal finite, got n_thermal = {N}")
 
-    s_max = math.log((N + 1) / N)
+    def f(s: float) -> float:  # N+1-N e^s as 1 - N (e^s - 1): no rounded N+1
+        return s * (N + delta) + math.log1p(-N * math.expm1(s))
 
-    def neg(s: float) -> float:
-        return -(s * (N + delta) + math.log(N + 1 - N * math.exp(s)))
-
-    res = minimize_scalar(
-        neg, bounds=(0.0, s_max * (1 - 1e-12)), method="bounded",
-        options={"xatol": 1e-13},
-    )
-    if not res.success:
-        raise RuntimeError(f"Chernoff maximization failed: {res.message}")
-    if res.x >= s_max * (1 - 1e-9):
+    lo, hi = 0.0, s_max * (1 - 1e-12)
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > 1e-15 * s_max:  # keep the bracket on the larger value
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = f(x1)
+    s, value = (x1, f1) if f1 >= f2 else (x2, f2)
+    if s >= s_max * (1 - 1e-9):
         raise RuntimeError("Chernoff maximum not interior to (0, ln((N+1)/N))")
-    return -res.fun
+    return value

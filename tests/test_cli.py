@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bosonid import cli, geometry, photonstats, scheme
+from bosonid import cli, fockspace, geometry, photonstats, scheme
 
 
 def run(argv):
@@ -356,6 +356,18 @@ class TestFiniteInputs:
         ("pack", "--k", "0"): "single --k value",
         # k (N + 1) overflows where delta is in range
         ("heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--noise", "1e308"): "--noise",
+        ("bounds", "--k", "8", "--rho", "1", "--noise", "inf"): "--noise",
+        ("heterodyne", "--code", "CODE", "--trials", "100", "--noise", "inf"): "--noise",
+        ("heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--noise", "-0.5"): "--noise",
+        ("bounds", "--k", "8", "--rho", "1", "--delta", "nan"): "--delta",
+        ("bounds", "--k", "8", "--rho", "1", "--delta", "1e306"): "--delta",
+        ("simulate", "--code", "CODE", "--trials", "100", "--delta", "nan"): "--delta",
+        ("simulate", "--code", "CODE", "--trials", "10", "--delta", "1e300"): "--delta",
+        ("bounds", "--k", "8", "--rho", "1", "--energy", "nan"): "--energy",
+        ("bounds", "--k", "8", "--rho", "1", "--energy", "inf"): "--energy",
+        ("bounds", "--k", "8", "--rho", "1", "--energy", "1e308"): "--energy",
+        ("bounds", "--k", "8", "--rho", "nan"): "--rho",
+        ("bounds", "--k", "8", "--gamma", "nan"): "--gamma",
     }
 
     @pytest.mark.parametrize("argv", [
@@ -511,31 +523,41 @@ def child_env(**overrides):
 
 class TestColdStart:
     """Importing bosonid loads numpy alone: scipy.special loads where a tail or
-    a Fock matrix is computed, and scipy.optimize where a Chernoff exponent is
-    optimized numerically."""
+    a Fock matrix is computed, and no command loads scipy.optimize, not even
+    `verify`, whose Chernoff oracle is a golden-section search.  Importing the
+    command line loads neither hashlib nor json (the artifact hash and the
+    JSON writer import them) nor concurrent.futures (Monte Carlo does), which
+    pulls in logging."""
 
     @staticmethod
-    def scipy_modules(statement):
-        """The scipy modules loaded after ``statement`` in a fresh interpreter."""
-        code = (f"{statement}\nimport sys\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    def modules(statement):
+        """The names of the modules loaded after ``statement`` in a fresh
+        interpreter."""
+        code = f"{statement}\nimport sys\nprint(' '.join(sorted(sys.modules)))"
         out = subprocess.run([sys.executable, "-c", code], env=child_env(),
                              capture_output=True, text=True, check=True).stdout
-        return out.splitlines()[-1]
+        return set(out.splitlines()[-1].split())
 
-    @pytest.mark.parametrize("statement", [
-        "import bosonid",
-        "import bosonid.cli",
-        "from bosonid import cli; cli.main(['--version'])",
-        "from bosonid import cli; cli.main(['pack', '--k', '2', '--rho', '1'])",
+    @pytest.mark.parametrize("statement,stdlib", [
+        ("import bosonid", ("hashlib", "json", "concurrent.futures")),
+        ("import bosonid.cli", ("hashlib", "json", "concurrent.futures")),
+        ("from bosonid import cli; cli.main(['--version'])",
+         ("hashlib", "json", "concurrent.futures")),
+        ("from bosonid import cli; cli.main(['pack', '--k', '2', '--rho', '1'])", ()),
     ], ids=["import", "import_cli", "version", "pack"])
-    def test_leaves_out_scipy(self, statement):
-        assert self.scipy_modules(statement) == "[]"
+    def test_leaves_out_scipy(self, statement, stdlib):
+        loaded = self.modules(statement)
+        assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+        assert not loaded & set(stdlib)
 
     def test_bounds_loads_scipy_special(self):
-        loaded = self.scipy_modules(
+        assert "scipy.special" in self.modules(
             "from bosonid import cli; cli.main(['bounds', '--k', '8', '--gamma', '1.1'])")
-        assert "'scipy.special'" in loaded
+
+    def test_verify_loads_scipy_special_alone(self):
+        loaded = self.modules("from bosonid import cli; cli.main(['verify'])")
+        assert "scipy.special" in loaded
+        assert not {m for m in loaded if m.startswith("scipy.optimize")}
 
 
 class TestClosedStdout:
@@ -619,6 +641,24 @@ class TestVerify:
                           ("converse_distance_matches_fock_fidelity", 1e-10)):
             dev, check_tol = checks[name]
             assert check_tol == tol and dev <= tol
+
+
+    def test_chain_runs_on_the_converse_pairs(self, monkeypatch):
+        # the chain T^2 <= 1 - F is the converse's step from the fidelity 4
+        # delta_k: T is taken on the pairs whose fidelity the converse check
+        # reads, so no state is built for the chain alone
+        built, calls = [], {"fidelity_numeric": [], "trace_distance_numeric": []}
+        for name, seen in calls.items():
+            monkeypatch.setattr(fockspace, name, lambda r, s, f=getattr(fockspace, name),
+                                seen=seen: seen.append((id(r), id(s))) or f(r, s))
+        density = fockspace.displaced_thermal_density
+        monkeypatch.setattr(fockspace, "displaced_thermal_density",
+                            lambda *args: built.append(args) or density(*args))
+        checks = {name: (dev, tol) for name, dev, tol in cli._verify_checks()}
+        assert len(built) == 9 and len(calls["fidelity_numeric"]) == 2
+        assert calls["trace_distance_numeric"] == calls["fidelity_numeric"]
+        dev, tol = checks["fuchs_van_de_graaf_chain"]
+        assert tol == 1e-6 and dev <= tol
 
 
 class TestUsageErrors:

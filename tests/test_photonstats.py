@@ -488,6 +488,8 @@ class TestExponents:
             ps.lambda_exponent(1.0, ChannelModel(0.0))
         with pytest.raises(ValueError, match="n_thermal > 0"):  # nor does its oracle
             ps.chernoff_upper_exponent(1.0, ChannelModel(0.0))
+        with pytest.raises(ValueError, match="1/n_thermal finite"):  # its bracket is infinite
+            ps.chernoff_upper_exponent(1.0, ChannelModel(5e-324))
 
     @pytest.mark.parametrize("n_thermal", [0.1, 1.0, 37.0, 1e6, 1e300])
     @pytest.mark.parametrize("delta", [1e-3, 1.0, 10.0])
@@ -522,6 +524,23 @@ class TestChernoffOracles:
         assert ps.chernoff_upper_exponent(0.01, ch) == pytest.approx(
             ps.lambda_exponent(0.01, ch), abs=1e-9
         )
+
+    @pytest.mark.parametrize("delta", [1e-6, 1.0, 1e4])
+    @pytest.mark.parametrize("n_thermal", [1e-9, 1.0, 1e6])
+    def test_upper_exponent_at_grid_edges(self, delta, n_thermal):
+        # Lambda from 5e-25 (N = 1e6, delta = 1e-6) to 2e5 (N = 1e-9, delta = 1e4)
+        ch = ChannelModel(n_thermal)
+        exact = ps.lambda_exponent(delta, ch)
+        tol = dict(rel=1e-12, abs=0) if exact >= 1e-3 else dict(abs=1e-9)
+        assert ps.chernoff_upper_exponent(delta, ch) == pytest.approx(exact, **tol)
+
+    @pytest.mark.parametrize("delta,n_thermal", [(1e10, 1.0), (1e15, 1.0), (1e15, 1e-300)])
+    def test_maximum_at_bracket_end_raises(self, delta, n_thermal):
+        # the maximum, s = ln((N+1)/N) - ln(1 + 1/(N+delta)), lies 1.4e-10 of
+        # ln((N+1)/N) below it at (1e10, 1), inside the 1e-9 margin, and past
+        # the bracket's end, 1e-12 below it, in the other two cases
+        with pytest.raises(RuntimeError, match="not interior"):
+            ps.chernoff_upper_exponent(delta, ChannelModel(n_thermal))
 
     @pytest.mark.parametrize("delta,n_thermal", GRID)
     def test_upper_tail_bound_dominance(self, delta, n_thermal):
