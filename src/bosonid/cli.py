@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, fockspace, montecarlo, photonstats, scheme
+from . import __version__, fockspace, geometry, montecarlo, photonstats, scheme
 from .photonstats import ChannelModel, DetectorSpec
 
 EXIT_OK = 0
@@ -92,6 +92,12 @@ def _parse_k_list(text: str) -> list[int]:
     return ks
 
 
+def _check_separation(k: int, energy: float, rho: float, flag: str) -> None:
+    if 2 * rho > math.sqrt(k * energy):
+        raise ValueError(f"{flag} and --energy: need 2 rho <= sqrt(k E), "
+                         f"got 2*{rho} > sqrt({k}*{energy})")
+
+
 def cmd_bounds(args) -> int:
     ks = _parse_k_list(args.k)
     channel = ChannelModel(args.noise)
@@ -106,10 +112,13 @@ def cmd_bounds(args) -> int:
     if args.delta_k is None and min(ks) <= 4:
         raise ValueError("--delta-k defaults to 1/k, which the converse needs below 1/4: "
                          f"pass --delta-k, or use k >= 5 (got k = {min(ks)})")
+    if args.delta_k is not None and not 0 < args.delta_k < 0.25:
+        raise ValueError(f"--delta-k must be in (0, 1/4) for the converse, got {args.delta_k}")
     rows = []
     for k in ks:
         delta_k = args.delta_k if args.delta_k is not None else 1.0 / k
         rho = args.rho if args.rho is not None else math.sqrt(args.gamma * math.log(k))
+        _check_separation(k, args.energy, rho, "--rho" if args.rho is not None else "--gamma")
         log_lower = scheme.achievable_users_log(k, args.energy, rho)
         log_upper = scheme.converse_users_log(k, args.energy, delta_k, channel)
         l1, l2 = photonstats.analytic_error_bounds(k, args.delta, 4 * rho**2, channel)
@@ -158,6 +167,10 @@ def _load_or_build_code(args, prepare=lambda k: None):
     if args.rho is None:
         raise ValueError("--rho is required to build a code")
     prepared = prepare(args.k)
+    _check_separation(args.k, args.energy, args.rho, "--rho")
+    if not math.sqrt(args.k * args.energy) <= geometry.MAX_NORM:
+        raise ValueError(f"--energy: the packed ball's radius sqrt(k E) must be at most "
+                         f"{geometry.MAX_NORM:.6g}, got --energy {args.energy} at k = {args.k}")
     rng = np.random.default_rng(args.seed)
     return scheme.build_code(args.k, args.energy, args.rho, rng), prepared
 
@@ -172,13 +185,20 @@ def _mc_row(name, est, **exact) -> dict:
 
 def cmd_simulate(args) -> int:
     channel = ChannelModel(args.noise)
-    code, detector = _load_or_build_code(
-        args, lambda k: DetectorSpec.make(args.delta, k, channel))
+
+    def make_detector(k):
+        if not k * (args.noise + args.delta) < 2.0**53:  # where floats resolve single counts
+            raise ValueError("--noise and --delta: the count threshold k (N + delta) must be "
+                             f"below 2^53; got k = {k}, N = {args.noise}, delta = {args.delta}")
+        return DetectorSpec.make(args.delta, k, channel)
+
+    code, detector = _load_or_build_code(args, make_detector)
     d2, i, j = code.closest_pair
     pairs = d2 if args.pair_strategy == "worst_pair" else montecarlo.sampled_pairs(code.signatures)
     est = montecarlo.estimate_errors(pairs, channel, detector, args.trials, args.seed)
     exact1 = montecarlo.exact_lambda1(channel, detector)
-    exact2 = montecarlo.exact_lambda2(code.signatures[j] - code.signatures[i], channel, detector)
+    delta_vec = (code.signatures[j] - code.signatures[i]).view(float)  # real: energy d2
+    exact2 = montecarlo.exact_lambda2(delta_vec, channel, detector)
     bound1_log, bound2_log = photonstats.analytic_error_bounds(code.k, args.delta, d2, channel)
     rows = [_mc_row("lambda1", est["lambda1"], exact=exact1, bound_log=bound1_log),
             _mc_row("lambda2", est["lambda2"], exact=exact2, bound_log=bound2_log)]

@@ -1,10 +1,11 @@
 """Packings of Euclidean balls in R^d, uniform sampling in the ball, and the
-exact closest pair.
+exact closest pair, on plain numbers and real (M, d) rows.
 
 Signatures live in the ball of radius sqrt(k E) in R^{2k} ~ C^k; a pairwise
 separation of 2 rho controls the false-accept exponent.  A packing is an
 (M, d) array of points, accepted greedily from uniform candidates until a
-rejection budget runs out.
+rejection budget runs out.  One exact distance, `_distances`, decides every
+acceptance, and its square ranks the closest pair.
 
 A candidate is rejected as soon as one accepted point lies within the
 separation: a witness.  The packing finds witnesses cheaply and leaves every
@@ -29,16 +30,10 @@ only decide which cell is scanned first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "PackingSpec",
-    "sample_uniform_ball",
-    "greedy_packing",
-    "closest_pair",
-]
+__all__ = ["sample_uniform_ball", "greedy_packing", "closest_pair"]
 
 DEFAULT_REJECTION_BUDGET = 100_000
 _BATCH = 4096  # candidates per draw of the packing
@@ -52,30 +47,8 @@ _SERIAL_PRODUCT = 1 << 18
 MAX_NORM = math.sqrt(np.finfo(float).max) / 8
 
 
-@dataclass(frozen=True)
-class PackingSpec:
-    dim: int
-    radius: float
-    separation: float
-    rejection_budget: int = DEFAULT_REJECTION_BUDGET
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not 0 < self.radius <= MAX_NORM:
-            raise ValueError(f"radius must be > 0 and at most {MAX_NORM:.6g}, "
-                             f"got {self.radius}")
-        # a separation above the diameter 2 radius <= 2 MAX_NORM gives one point
-        if not 0 < self.separation <= 2 * MAX_NORM:
-            raise ValueError(f"separation must be > 0 and at most {2 * MAX_NORM:.6g}, "
-                             f"got {self.separation}")
-        if self.rejection_budget < 1:
-            raise ValueError("rejection_budget must be >= 1")
-
-
-def sample_uniform_ball(
-    dim: int, radius: float, rng: np.random.Generator, size: int
-) -> np.ndarray:
+def sample_uniform_ball(dim: int, radius: float, rng: np.random.Generator,
+                        size: int) -> np.ndarray:
     """Uniform samples from the closed ball: Gaussian direction, radial u^{1/d}."""
     g = rng.normal(size=(size, dim))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
@@ -83,9 +56,11 @@ def sample_uniform_ball(
     return g * r[:, None]
 
 
-def greedy_packing(spec: PackingSpec, rng: np.random.Generator) -> np.ndarray:
-    """Sequential rejection sampling of a separated point set in the ball:
-    the (M, dim) array of accepted points, in order of acceptance.
+def greedy_packing(dim: int, radius: float, separation: float, rng: np.random.Generator,
+                   rejection_budget: int = DEFAULT_REJECTION_BUDGET) -> np.ndarray:
+    """Sequential rejection sampling of a separated point set in the ball of
+    ``radius`` in R^dim, its arguments checked before the first draw: the
+    (M, dim) array of accepted points, in order of acceptance.
 
     Uniform candidates, drawn in batches of 4096, are accepted when at
     `_distances` >= separation from every accepted point (exact comparison, no
@@ -99,18 +74,28 @@ def greedy_packing(spec: PackingSpec, rng: np.random.Generator) -> np.ndarray:
     at the next one still clear, or the batch's closing count reaches the
     budget.  So the accepted points are a plain scan's.
     """
-    screen = _WitnessScreen(spec.dim, spec.separation)
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if not 0 < radius <= MAX_NORM:
+        raise ValueError(f"radius must be > 0 and at most {MAX_NORM:.6g}, got {radius}")
+    # a separation above the diameter 2 radius <= 2 MAX_NORM gives one point
+    if not 0 < separation <= 2 * MAX_NORM:
+        raise ValueError(f"separation must be > 0 and at most {2 * MAX_NORM:.6g}, "
+                         f"got {separation}")
+    if rejection_budget < 1:
+        raise ValueError("rejection_budget must be >= 1")
+    screen = _WitnessScreen(dim, separation)
     consecutive = 0
-    while consecutive < spec.rejection_budget:
-        cands = sample_uniform_ball(spec.dim, spec.radius, rng, _BATCH)
+    while consecutive < rejection_budget:
+        cands = sample_uniform_ball(dim, radius, rng, _BATCH)
         idx = np.flatnonzero(screen.clear(cands))  # the candidates still clear
         taken, last = [], -1
         # consecutive + i - last - 1 rejections in a row come before i
-        while len(idx) and consecutive + int(idx[0]) - last - 1 < spec.rejection_budget:
+        while len(idx) and consecutive + int(idx[0]) - last - 1 < rejection_budget:
             i = int(idx[0])
             taken.append(i)
             consecutive, last = 0, i
-            idx = idx[1:][_distances(cands[idx[1:]], cands[i]) >= spec.separation]
+            idx = idx[1:][_distances(cands[idx[1:]], cands[i]) >= separation]
         consecutive += _BATCH - 1 - last
         screen.extend(cands[taken])
     return screen.points
@@ -228,14 +213,16 @@ def _augmented_cols(c: np.ndarray) -> np.ndarray:
 
 def closest_pair(points) -> tuple[float, int, int]:
     """(squared distance, i, j), i < j, of the closest pair of rows of a real
-    or complex array; among equal distances the lowest indices win.
+    array; among equal distances the lowest indices win.  A complex array
+    raises ValueError: pass its real view of (re, im) pairs.
 
     A screen, then an exact refine.  Row blocks of the centered points are
     screened by |a|^2 + |b|^2 - 2 a.b (one matrix product per block, memory
     block x M).  Every pair whose screened value lies within a rigorous
-    float-error slack of the running minimum is recomputed as the sum of
-    |a_j - a_i|^2 and ranked by (distance, i, j), so the result is the exact
-    minimum of that sum, ties included, whatever the screen's rounding.
+    float-error slack of the running minimum is recomputed as the square of
+    `_distances`, the sum of (a_j - a_i)^2, and ranked by (distance, i, j),
+    so the result is the exact minimum of that sum, ties included, whatever
+    the screen's rounding; that of a packing at separation s is >= s^2.
 
     Each block has as many rows as keep its product within _SERIAL_PRODUCT
     multiply-adds, so OpenBLAS runs it on the calling thread.  A product
@@ -247,12 +234,13 @@ def closest_pair(points) -> tuple[float, int, int]:
     d the real dimension (2k for a code: k >= 64 with M > 2016, say); there
     the product may use the pool, which changes the speed, not the result.
     """
-    arr = np.asarray(points)
-    m = arr.shape[0]
+    pts = np.asarray(points)
+    if np.iscomplexobj(pts):
+        raise ValueError("closest_pair takes real rows; pass the (re, im) view of complex ones")
+    m = pts.shape[0]
     if m < 2:
         raise ValueError("need at least 2 points")
-    x = np.concatenate([arr.real, arr.imag], axis=1) if np.iscomplexobj(arr) else arr
-    x = x - x.mean(axis=0)
+    x = pts - pts.mean(axis=0)
     # one product gives |a|^2 + |b|^2 - 2 a.b
     rows, cols = _augmented_rows(x), _augmented_cols(x)
     # Screen and refine differ by at most (5 dim + 16) eps max|x|^2 to first
@@ -271,9 +259,8 @@ def closest_pair(points) -> tuple[float, int, int]:
         if near.any():
             i, j = np.divmod(np.flatnonzero(near), s.shape[1])
             i, j = i + lo, j + lo
-            d2 = np.sum(np.abs(arr[j] - arr[i]) ** 2, axis=1)
+            d2 = ((pts[j] - pts[i]) ** 2).sum(axis=1)  # `_distances`, before its root
             first = np.lexsort((j, i, d2))[0]
             best = min(best, (float(d2[first]), int(i[first]), int(j[first])))
         lo = hi
     return best
-

@@ -53,8 +53,9 @@ class SignatureSet:
 
     @cached_property
     def closest_pair(self) -> tuple[float, int, int]:
-        """(squared distance, i, j) of the closest pair, found once per code."""
-        return geometry.closest_pair(self.signatures)
+        """(d^2, i, j) of the closest pair, found once on the (M, 2k) real view."""
+        rows = np.ascontiguousarray(self.signatures, dtype=complex).view(float)
+        return geometry.closest_pair(rows)
 
     @property
     def min_distance(self) -> float:
@@ -76,25 +77,16 @@ def _check_rho(k: int, energy: float, rho: float) -> None:
     if not 0 < rho < math.inf:
         raise ValueError(f"rho must be finite and > 0, got {rho}")
     if 2 * rho > math.sqrt(k * energy):
-        raise ValueError(
-            f"need 2 rho <= sqrt(k E): 2*{rho} > sqrt({k}*{energy})"
-        )
+        raise ValueError(f"need 2 rho <= sqrt(k E): 2*{rho} > sqrt({k}*{energy})")
 
 
-def build_code(
-    k: int, energy: float, rho: float, rng: np.random.Generator,
-    rejection_budget: int = geometry.DEFAULT_REJECTION_BUDGET,
-) -> SignatureSet:
+def build_code(k: int, energy: float, rho: float, rng: np.random.Generator,
+               rejection_budget: int = geometry.DEFAULT_REJECTION_BUDGET) -> SignatureSet:
     """Pack the energy ball at separation 2 rho and read points as C^k signatures."""
     _check_rho(k, energy, rho)
-    spec = geometry.PackingSpec(
-        dim=2 * k,
-        radius=math.sqrt(k * energy),
-        separation=2 * rho,
-        rejection_budget=rejection_budget,
-    )
-    sigs = geometry.greedy_packing(spec, rng).view(complex)  # zero-copy (M, k)
-    return SignatureSet(k=k, energy_budget=energy, rho=rho, signatures=sigs)
+    points = geometry.greedy_packing(2 * k, math.sqrt(k * energy), 2 * rho, rng,
+                                     rejection_budget=rejection_budget)
+    return SignatureSet(k=k, energy_budget=energy, rho=rho, signatures=points.view(complex))
 
 
 def achievable_users_log(k: int, energy: float, rho: float) -> float:

@@ -116,9 +116,9 @@ def test_criterion_4_fidelity_closed_form():
 
 
 def test_criterion_5_packing_cardinality():
-    spec = geo.PackingSpec(dim=2, radius=2.0, separation=1.0, rejection_budget=100_000)
     hits = sum(
-        len(geo.greedy_packing(spec, np.random.default_rng(seed))) >= 4
+        len(geo.greedy_packing(2, 2.0, 1.0, np.random.default_rng(seed),
+                               rejection_budget=100_000)) >= 4
         for seed in range(100)
     )
     report(5, "greedy packing reaches volumetric count", hits >= 99)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bosonid import cli, fockspace, geometry, photonstats, scheme
+from bosonid import cli, fockspace, geometry, montecarlo, photonstats, scheme
 
 
 def run(argv):
@@ -272,6 +272,32 @@ class TestSimulate:
             "--trials", "2000", "--seed", "1", "--out", str(out),
         ]) == 0
 
+    def test_one_pair_energy(self, tmp_path, monkeypatch):
+        # the Monte Carlo, the exact column and the bound get one ||Delta||^2:
+        # the packing's 4.0 for these two points, which the complex entries'
+        # |Delta|^2 puts at 3.999999999999999
+        sigs = np.array([[1.073 - 2.246j], [2.3530166780457646 - 0.7092640747595296j]])
+        scheme.save_signature_set(tmp_path / "code.txt", scheme.SignatureSet(
+            k=1, energy_budget=7.0, rho=1.0, signatures=sigs))
+        seen = {}
+
+        def spy(module, name, energy):
+            fn = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                seen.setdefault(name, []).append(energy(*args, **kwargs))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        spy(montecarlo, "estimate_errors", lambda pairs, *rest: pairs)
+        spy(photonstats, "analytic_error_bounds", lambda k, delta, d2, channel: d2)
+        # exact_lambda2's energy: its lower tail, where exact_lambda1 takes the upper
+        spy(montecarlo, "log_tail_probability", lambda k, energy, *rest, upper: energy)
+        assert run(["simulate", "--code", str(tmp_path / "code.txt"), "--trials", "100",
+                    "--out", str(tmp_path / "sim.csv")]) == 0
+        assert seen == {"estimate_errors": [4.0], "analytic_error_bounds": [4.0],
+                        "log_tail_probability": [0.0, 4.0]}
 
     @pytest.mark.parametrize("noise", [0.0, 5e-324, 1e-300, 1e-12, 1e5, 3e6])
     def test_exact_columns(self, tmp_path, noise):
@@ -368,6 +394,20 @@ class TestFiniteInputs:
         ("bounds", "--k", "8", "--rho", "1", "--energy", "1e308"): "--energy",
         ("bounds", "--k", "8", "--rho", "nan"): "--rho",
         ("bounds", "--k", "8", "--gamma", "nan"): "--gamma",
+        # ranges that the library checks, named as flags: 2 rho <= sqrt(k E),
+        # the converse's delta_k < 1/4, the packed ball's radius and the count
+        # threshold below 2^53
+        ("bounds", "--k", "8", "--rho", "100"): "--rho and --energy",
+        ("bounds", "--k", "8", "--gamma", "100"): "--gamma and --energy",
+        ("pack", "--k", "2", "--rho", "100"): "--rho and --energy",
+        ("simulate", "--k", "2", "--rho", "100", "--trials", "10"): "--rho and --energy",
+        ("heterodyne", "--k", "2", "--rho", "100", "--trials", "10"): "--rho and --energy",
+        ("bounds", "--k", "8", "--rho", "1", "--delta-k", "0.3"): "--delta-k",
+        ("bounds", "--k", "8", "--rho", "1", "--delta-k", "nan"): "--delta-k",
+        ("bounds", "--k", "8", "--rho", "1", "--delta-k", "0"): "--delta-k",
+        ("pack", "--k", "1", "--energy", "1e308", "--rho", "1"): "--energy",
+        ("simulate", "--k", "1", "--energy", "1e308", "--rho", "1", "--trials", "10"): "--energy",
+        ("simulate", "--code", "CODE", "--trials", "10", "--noise", "1e300"): "--noise and --delta",
     }
 
     @pytest.mark.parametrize("argv", [
@@ -415,6 +455,16 @@ class TestFiniteInputs:
         ["pack", "--k", "2,4", "--rho", "1"],
         ["pack", "--k", "0"],
         ["heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--noise", "1e308"],
+        ["bounds", "--k", "8", "--rho", "100"],
+        ["bounds", "--k", "8", "--gamma", "100"],
+        ["pack", "--k", "2", "--rho", "100"],
+        ["simulate", "--k", "2", "--rho", "100", "--trials", "10"],
+        ["heterodyne", "--k", "2", "--rho", "100", "--trials", "10"],
+        ["bounds", "--k", "8", "--rho", "1", "--delta-k", "0.3"],
+        ["bounds", "--k", "8", "--rho", "1", "--delta-k", "nan"],
+        ["bounds", "--k", "8", "--rho", "1", "--delta-k", "0"],
+        ["simulate", "--k", "1", "--energy", "1e308", "--rho", "1", "--trials", "10"],
+        ["simulate", "--code", "CODE", "--trials", "10", "--noise", "1e300"],
     ])
     def test_rejected_with_error_line(self, tmp_path, capsys, argv):
         named = self.NAMED_FLAG.get(tuple(argv))

@@ -12,27 +12,27 @@ from bosonid import geometry as geo
 from bosonid import scheme
 
 
-def reference_greedy_packing(spec, rng):
+def reference_greedy_packing(dim, radius, separation, rng, rejection_budget):
     """The packing without a witness screen: every candidate's minimum distance
     to the accepted points by `cdist`, then the same sequential accept."""
     accepted = []
     consecutive = 0
     batch = 4096
-    while consecutive < spec.rejection_budget:
-        cands = geo.sample_uniform_ball(spec.dim, spec.radius, rng, batch)
+    while consecutive < rejection_budget:
+        cands = geo.sample_uniform_ball(dim, radius, rng, batch)
         if accepted:
             mind = cdist(cands, np.array(accepted)).min(axis=1)
         else:
             mind = np.full(batch, math.inf)
         start = 0
         while start < batch:
-            ok = np.nonzero(mind[start:] >= spec.separation)[0]
+            ok = np.nonzero(mind[start:] >= separation)[0]
             if ok.size == 0:
                 consecutive += batch - start
                 break
             j = int(ok[0])
-            if consecutive + j >= spec.rejection_budget:
-                consecutive = spec.rejection_budget
+            if consecutive + j >= rejection_budget:
+                consecutive = rejection_budget
                 break
             new = cands[start + j]
             accepted.append(new)
@@ -41,7 +41,7 @@ def reference_greedy_packing(spec, rng):
             if start < batch:
                 d_new = np.sqrt(((cands[start:] - new) ** 2).sum(axis=1))
                 mind[start:] = np.minimum(mind[start:], d_new)
-    return np.array(accepted) if accepted else np.zeros((0, spec.dim))
+    return np.array(accepted) if accepted else np.zeros((0, dim))
 
 
 def brute_closest_pair(arr):
@@ -56,10 +56,16 @@ def brute_closest_pair(arr):
     return best
 
 
+def real_view(z):
+    """The (M, 2k) rows of (re, im) pairs of complex (M, k) rows, as a code holds them."""
+    return np.ascontiguousarray(z).view(float)
+
+
 @st.composite
 def point_sets(draw):
-    """Real or complex rows: lattice points (ties and duplicates) or floats,
-    at a common offset, with the last row possibly a copy of another."""
+    """Real rows, or the real view of complex ones: lattice points (ties and
+    duplicates) or floats, at a common offset, with the last row possibly a
+    copy of another."""
     m, width = draw(st.integers(2, 30)), draw(st.integers(1, 4))
     elems = draw(st.sampled_from([st.integers(-2, 2), st.floats(-5, 5)]))
     flat = draw(st.lists(elems, min_size=2 * m * width, max_size=2 * m * width))
@@ -70,7 +76,7 @@ def point_sets(draw):
     if draw(st.booleans()):
         pts[-1] = pts[draw(st.integers(0, m - 2))]
     if draw(st.booleans()):
-        return pts[:, 0] + 1j * pts[:, 1]
+        return real_view(pts[:, 0] + 1j * pts[:, 1])
     return pts.reshape(m, 2 * width)
 
 
@@ -82,19 +88,17 @@ class TestBoundCalculators:
 
 class TestGreedyPacking:
     def test_tiny_ball_single_point(self):
-        spec = geo.PackingSpec(dim=2, radius=0.4, separation=1.0, rejection_budget=2000)
-        pts = geo.greedy_packing(spec, np.random.default_rng(0))
+        pts = geo.greedy_packing(2, 0.4, 1.0, np.random.default_rng(0), rejection_budget=2000)
         assert pts.shape == (1, 2)
 
     def test_volumetric_bound_small_dim(self):
-        spec = geo.PackingSpec(dim=2, radius=2.0, separation=1.0, rejection_budget=100_000)
         for seed in range(10):
-            pts = geo.greedy_packing(spec, np.random.default_rng(seed))
+            pts = geo.greedy_packing(2, 2.0, 1.0, np.random.default_rng(seed),
+                                     rejection_budget=100_000)
             assert len(pts) >= 4
 
     def test_invariants(self):
-        spec = geo.PackingSpec(dim=4, radius=1.0, separation=0.5, rejection_budget=100_000)
-        pts = geo.greedy_packing(spec, np.random.default_rng(3))
+        pts = geo.greedy_packing(4, 1.0, 0.5, np.random.default_rng(3), rejection_budget=100_000)
         assert np.all(np.linalg.norm(pts, axis=1) <= 1.0)
         assert geo.closest_pair(pts)[0] >= 0.5**2
 
@@ -106,33 +110,41 @@ class TestGreedyPacking:
         pytest.param({"rejection_budget": 0}, id="rejection_budget-0"),
     ])
     def test_spec_rejects_non_finite(self, fields):
-        with pytest.raises(ValueError, match="|".join(fields)):
-            geo.PackingSpec(**{"dim": 2, "radius": 1.0, "separation": 1.0, **fields})
+        # the arguments are checked before the first draw
+        args = {"dim": 2, "radius": 1.0, "separation": 1.0, **fields}
+        with mock.patch.object(geo, "sample_uniform_ball", side_effect=AssertionError("drew")):
+            with pytest.raises(ValueError, match="|".join(fields)):
+                geo.greedy_packing(rng=np.random.default_rng(0), **args)
 
     @pytest.mark.parametrize("separation", [1e200, 2 * geo.MAX_NORM * (1 + 1e-15)])
     def test_spec_rejects_separation_past_diameter_bound(self, separation):
         # separation^2 would overflow in the screen
         with pytest.raises(ValueError, match="separation"):
-            geo.PackingSpec(dim=2, radius=1.0, separation=separation)
+            geo.greedy_packing(dim=2, radius=1.0, separation=separation,
+                               rng=np.random.default_rng(0))
 
     def test_separation_at_bound_packs_one_point(self):
         # above the diameter 2 radius every packing is one point; under
         # filterwarnings = error no overflow in the screen goes unnoticed
-        spec = geo.PackingSpec(dim=2, radius=1.0, separation=2 * geo.MAX_NORM,
-                               rejection_budget=50)
-        assert geo.greedy_packing(spec, np.random.default_rng(0)).shape == (1, 2)
+        pts = geo.greedy_packing(2, 1.0, 2 * geo.MAX_NORM, np.random.default_rng(0),
+                                 rejection_budget=50)
+        assert pts.shape == (1, 2)
 
     @pytest.mark.parametrize("radius", [1e154, 2 * geo.MAX_NORM])
     def test_spec_rejects_overflowing_radius(self, radius):
         # |c|^2 + |a|^2 - 2 c.a would overflow in the screen
         with pytest.raises(ValueError, match="at most"):
-            geo.PackingSpec(dim=2, radius=radius, separation=1.0)
-        geo.PackingSpec(dim=2, radius=geo.MAX_NORM, separation=1.0)
+            geo.greedy_packing(dim=2, radius=radius, separation=1.0,
+                               rng=np.random.default_rng(0))
+        # radius MAX_NORM passes the checks and reaches the first draw
+        with mock.patch.object(geo, "sample_uniform_ball", side_effect=StopIteration):
+            with pytest.raises(StopIteration):
+                geo.greedy_packing(dim=2, radius=geo.MAX_NORM, separation=1.0,
+                                   rng=np.random.default_rng(0))
 
     def test_determinism(self):
-        spec = geo.PackingSpec(dim=3, radius=1.5, separation=0.7, rejection_budget=5000)
-        a = geo.greedy_packing(spec, np.random.default_rng(11))
-        b = geo.greedy_packing(spec, np.random.default_rng(11))
+        a = geo.greedy_packing(3, 1.5, 0.7, np.random.default_rng(11), rejection_budget=5000)
+        b = geo.greedy_packing(3, 1.5, 0.7, np.random.default_rng(11), rejection_budget=5000)
         assert np.array_equal(a, b)
 
     def test_pack_cover_sandwich(self):
@@ -140,14 +152,8 @@ class TestGreedyPacking:
         # 2 eps never exceed counts at separation eps
         eps = 0.4
         rng = np.random.default_rng(5)
-        wide = geo.greedy_packing(
-            geo.PackingSpec(dim=2, radius=1.0, separation=2 * eps, rejection_budget=50_000),
-            rng,
-        )
-        narrow = geo.greedy_packing(
-            geo.PackingSpec(dim=2, radius=1.0, separation=eps, rejection_budget=50_000),
-            rng,
-        )
+        wide = geo.greedy_packing(2, 1.0, 2 * eps, rng, rejection_budget=50_000)
+        narrow = geo.greedy_packing(2, 1.0, eps, rng, rejection_budget=50_000)
         assert len(wide) <= len(narrow)
 
 
@@ -162,10 +168,8 @@ def pack_from(batches, separation, pack=geo.greedy_packing):
         rows = next(draws, first)
         return np.vstack([rows, np.repeat(first, size - len(rows), axis=0)])
 
-    spec = geo.PackingSpec(dim=first.shape[1], radius=1.0, separation=separation,
-                           rejection_budget=10_000)
     with mock.patch.object(geo, "sample_uniform_ball", sampler):
-        return pack(spec, np.random.default_rng(0))
+        return pack(first.shape[1], 1.0, separation, np.random.default_rng(0), 10_000)
 
 
 class TestWitnessScreen:
@@ -185,8 +189,7 @@ class TestWitnessScreen:
         (2, 2.0, 1.0, 4097),
     ])
     def test_matches_reference(self, dim, radius, separation, budget):
-        self.assert_matches_reference(geo.PackingSpec(dim, radius, separation, budget),
-                                      range(1, 11))
+        self.assert_matches_reference(dim, radius, separation, budget, range(1, 11))
 
     # M = 1038-1055 (16 pivots) and 2482-2629 (32 pivots): the cells are
     # refiled as M passes 8 -> 16 -> 32 pivots
@@ -195,17 +198,16 @@ class TestWitnessScreen:
         (6, 3.0, 1.0, 100),
     ])
     def test_matches_reference_at_16_and_32_pivots(self, dim, radius, separation, budget):
-        self.assert_matches_reference(geo.PackingSpec(dim, radius, separation, budget),
-                                      range(1, 4))
+        self.assert_matches_reference(dim, radius, separation, budget, range(1, 4))
 
     def test_cells_filed_once_per_batch(self):
         # the M = 2629 points of a 32-pivot packing, taken in by batches that
         # pass 4 -> 8 -> 16 -> 32 pivots, are filed as when taken in at once
-        spec = geo.PackingSpec(6, 3.0, 1.0, 100)
-        points = geo.greedy_packing(spec, np.random.default_rng(1))
-        whole = geo._WitnessScreen(spec.dim, spec.separation)
+        dim, separation = 6, 1.0
+        points = geo.greedy_packing(dim, 3.0, separation, np.random.default_rng(1), 100)
+        whole = geo._WitnessScreen(dim, separation)
         whole.extend(points)
-        screen = geo._WitnessScreen(spec.dim, spec.separation)
+        screen = geo._WitnessScreen(dim, separation)
         counts = []
         for batch in np.split(points, [40, 90, 120, 200, 400, 700, 1500, 2200, 2400]):
             screen.extend(batch)
@@ -222,7 +224,7 @@ class TestWitnessScreen:
         assert self.row_set(np.vstack(screen.cells)) == self.row_set(screen.rows)
         pivots = screen.points[:len(screen.cells)]
         for p, rows in enumerate(screen.cells):
-            to_pivots = cdist(-rows[:, :spec.dim] / 2, pivots)
+            to_pivots = cdist(-rows[:, :dim] / 2, pivots)
             assert np.all(to_pivots[:, p] <= to_pivots.min(axis=1) * (1 + 1e-12))
 
     def test_clear_matches_brute_force(self):
@@ -232,7 +234,7 @@ class TestWitnessScreen:
         # from every other, and the midpoints of two pivots, lifted off the
         # plane, are at equal distance from both.
         sep = 1.0
-        packing = geo.greedy_packing(geo.PackingSpec(6, 3.0, sep, 100), np.random.default_rng(1))
+        packing = geo.greedy_packing(6, 3.0, sep, np.random.default_rng(1), 100)
         points = np.hstack([np.round(packing * 2**10) / 2**10, np.zeros((len(packing), 1))])
         rng = np.random.default_rng(2)
         screen = geo._WitnessScreen(7, sep)
@@ -268,14 +270,14 @@ class TestWitnessScreen:
         return sorted(map(tuple, rows))
 
     @staticmethod
-    def assert_matches_reference(spec, seeds):
+    def assert_matches_reference(dim, radius, separation, budget, seeds):
         # the same points, and the generator left where the reference leaves it
         for seed in seeds:
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = geo.greedy_packing(spec, rng)
-            want = reference_greedy_packing(spec, ref_rng)
-            assert np.array_equal(got, want), (spec.dim, seed)
-            assert rng.random() == ref_rng.random(), (spec.dim, seed)
+            got = geo.greedy_packing(dim, radius, separation, rng, budget)
+            want = reference_greedy_packing(dim, radius, separation, ref_rng, budget)
+            assert np.array_equal(got, want), (dim, seed)
+            assert rng.random() == ref_rng.random(), (dim, seed)
 
     @staticmethod
     def axis_candidates(sep):
@@ -331,19 +333,21 @@ class TestGoldenPackings:
     `np.random.default_rng` are not fixed across numpy versions (NEP 19):
     these digests hold for numpy 2.4.6."""
 
+    # spec: (dim, radius, separation, rejection budget)
     @pytest.mark.parametrize("spec,seed,m,digest", [
-        (geo.PackingSpec(8, 4.0, 3.0), 1, 251,
+        ((8, 4.0, 3.0, geo.DEFAULT_REJECTION_BUDGET), 1, 251,
          "fad85c82096f677dca75a380906749963b967d3e5831f3f05bb075ec4768391f"),
-        (geo.PackingSpec(8, 4.0, 3.0), 2, 249,
+        ((8, 4.0, 3.0, geo.DEFAULT_REJECTION_BUDGET), 2, 249,
          "0b2308fbabc9ac7923d597f29f09687bab519068e27b02594b46edb8a0c4ec9b"),
-        (geo.PackingSpec(8, 4.0, 3.0), 3, 268,
+        ((8, 4.0, 3.0, geo.DEFAULT_REJECTION_BUDGET), 3, 268,
          "dd936dbad9426778677d62bef2324cf7ce223128b3a65ba31af674c7929ad193"),
-        (geo.PackingSpec(16, math.sqrt(32.0), 5.2, 5000), 1, 472,
+        ((16, math.sqrt(32.0), 5.2, 5000), 1, 472,
          "4f9f28761b8b9a862bed4d46d5f9e128b0c10199b0e0e08fb27890178d4a78b2"),
     ])
     def test_digest(self, spec, seed, m, digest):
-        points = geo.greedy_packing(spec, np.random.default_rng(seed))
-        assert points.shape == (m, spec.dim)
+        dim, radius, separation, budget = spec
+        points = geo.greedy_packing(dim, radius, separation, np.random.default_rng(seed), budget)
+        assert points.shape == (m, dim)
         assert hashlib.sha256(points.tobytes()).hexdigest() == digest
 
     def test_exact_distance_rows(self, monkeypatch):
@@ -358,8 +362,8 @@ class TestGoldenPackings:
             return distances(a, c)
 
         monkeypatch.setattr(geo, "_distances", spy)
-        spec = geo.PackingSpec(16, math.sqrt(32.0), 5.2, 5000)
-        assert len(geo.greedy_packing(spec, np.random.default_rng(1))) == 472
+        packing = geo.greedy_packing(16, math.sqrt(32.0), 5.2, np.random.default_rng(1), 5000)
+        assert len(packing) == 472
         assert sum(rows) == 248_985 < 300_000
 
 
@@ -397,8 +401,13 @@ class TestMinPairwiseDistance:
         assert geo.closest_pair(pts) == (1.0, 0, 1)
 
     def test_closest_pair_complex_rows(self):
+        # complex rows are measured through their real view of (re, im) pairs
         pts = np.array([[0.0, 0.0], [3.0j, 1.0], [1.0 + 1.0j, 0.0]])
-        assert geo.closest_pair(pts) == (pytest.approx(2.0), 0, 2)
+        assert geo.closest_pair(real_view(pts)) == (2.0, 0, 2)
+
+    def test_complex_array_rejected(self):
+        with pytest.raises(ValueError, match="real rows"):
+            geo.closest_pair(np.array([[0.0, 0.0], [3.0j, 1.0], [1.0 + 1.0j, 0.0]]))
 
 
 class TestClosestPairScreen:
@@ -407,12 +416,11 @@ class TestClosestPairScreen:
     def test_matches_brute_force(self, pts, block):
         # small blocks put the pairs of one point set across many blocks: the
         # first has `block` rows, later ones more as fewer columns remain
-        dim = pts.shape[1] * (2 if np.iscomplexobj(pts) else 1)
-        with mock.patch.object(geo, "_SERIAL_PRODUCT", block * (dim + 2) * len(pts)):
+        with mock.patch.object(geo, "_SERIAL_PRODUCT", block * (pts.shape[1] + 2) * len(pts)):
             assert geo.closest_pair(pts) == brute_closest_pair(pts)
 
     def test_two_points(self):
-        pts = np.array([[1.0 + 2.0j, -0.5j], [0.25, 3.0]])
+        pts = real_view(np.array([[1.0 + 2.0j, -0.5j], [0.25, 3.0]]))
         assert geo.closest_pair(pts) == brute_closest_pair(pts)
 
     @staticmethod
@@ -438,7 +446,7 @@ class TestClosestPairScreen:
         # tie: over a hundred blocks, the first of 10 rows, each masking its
         # own lower triangle
         grid = np.round(2 * np.random.default_rng(2).normal(size=(2500, 4, 2)))
-        pts = grid[..., 0] + 1j * grid[..., 1]
+        pts = grid.reshape(2500, 8)  # the real view of k = 4 signatures
         result, sizes = TestSerialProduct.products(monkeypatch, geo.closest_pair, pts)
         assert len(sizes) > 100
         assert result == self.row_minima(pts)
@@ -462,7 +470,7 @@ class TestSerialProduct:
             return fn(*args), sizes
 
     def test_closest_pair_products_are_serial(self, monkeypatch):
-        pts = np.random.default_rng(1).normal(size=(2500, 4, 2)).view(complex)[..., 0]
+        pts = np.random.default_rng(1).normal(size=(2500, 8))
         _, sizes = self.products(monkeypatch, geo.closest_pair, pts)
         assert sizes and max(sizes) <= geo._SERIAL_PRODUCT
 

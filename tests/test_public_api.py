@@ -1,9 +1,9 @@
 """Every public function, every field of a public type and every default of a
 public function of bosonid has a use outside the tests: code only tests reach
 belongs in the tests.  The Monte Carlo layer does not depend on codes and
-has one sampling kernel, the Fock-space oracle imports only the channel, no
-module imports scipy on import, and the scipy floor in pyproject.toml has
-every scipy.special name src/ imports."""
+has one sampling kernel, the Fock-space oracle imports only the channel, the
+geometry computes on real rows, no module imports scipy on import, and the
+scipy floor in pyproject.toml has every scipy.special name src/ imports."""
 
 import ast
 import dataclasses
@@ -116,6 +116,15 @@ def test_fockspace_imports_only_the_channel():
     """The Fock-space oracle builds its states from the channel alone: none of
     the formulas it checks reaches it through an import."""
     assert bosonid_imports("fockspace") == ["bosonid.photonstats.ChannelModel"]
+
+
+def test_geometry_computes_on_real_rows():
+    """`geometry` takes plain numbers and real rows: it defines no dataclass
+    and reads no ``.real`` or ``.imag``, and its one complex-aware line
+    refuses a complex array."""
+    tree = ast.parse((ROOT / "src" / "bosonid" / "geometry.py").read_text())
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
+    assert not names & {"dataclass", "real", "imag"}
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "bosonid").glob("*.py")),

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from bosonid import geometry as geo
 from bosonid import photonstats as ps
 from bosonid import scheme
 from bosonid.photonstats import ChannelModel
@@ -36,6 +37,19 @@ class TestBuildCode:
         assert pts.shape[1] == 6
 
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("k,energy,rho", [(1, 4.0, 1.0), (2, 4.0, 1.0), (3, 2.0, 0.6)])
+    def test_closest_pair_is_packing_distance(self, k, energy, rho, seed):
+        # the closest pair is the least of the packing's own squared distances
+        # over the real rows, so it never falls below the separation
+        code = scheme.build_code(k, energy, rho, np.random.default_rng(seed))
+        assert code.min_distance >= 2 * rho
+        rows = code.signatures.view(float)
+        brute = min(float(((rows[i + 1:] - rows[i]) ** 2).sum(axis=1).min())
+                    for i in range(len(rows) - 1))
+        assert code.closest_pair[0] == brute
+
+
 class TestSignatureSet:
     def test_single_signature_min_distance_is_inf(self):
         code = scheme.SignatureSet(k=2, energy_budget=4.0, rho=1.0,
@@ -52,6 +66,16 @@ class TestSignatureSet:
         for sigs in (np.zeros((2, 2), dtype=complex), np.zeros(3, dtype=complex)):
             with pytest.raises(ValueError, match="shape"):
                 scheme.SignatureSet(k=3, energy_budget=1.0, rho=1.0, signatures=sigs)
+
+    def test_two_points_at_exactly_the_separation(self):
+        # the packing measures these two points at exactly 2.0, where |Delta|^2
+        # of the complex entries gives 3.999999999999999
+        sigs = np.array([[1.073 - 2.246j], [2.3530166780457646 - 0.7092640747595296j]])
+        rows = sigs.view(float)
+        assert geo._distances(rows[:1], rows[1]).tolist() == [2.0]
+        code = scheme.SignatureSet(k=1, energy_budget=7.0, rho=1.0, signatures=sigs)
+        assert code.min_distance == 2.0
+        assert code.closest_pair == (4.0, 0, 1)
 
     def test_min_distance_is_closest_pair_length(self):
         code = scheme.SignatureSet(k=1, energy_budget=4.0, rho=0.5,
