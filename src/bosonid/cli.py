@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, fockspace, geometry, montecarlo, photonstats, scheme
+from . import __version__, fockspace, montecarlo, photonstats, scheme
 from .photonstats import ChannelModel, DetectorSpec
 
 EXIT_OK = 0
@@ -92,33 +92,21 @@ def _parse_k_list(text: str) -> list[int]:
     return ks
 
 
-def _check_separation(k: int, energy: float, rho: float, flag: str) -> None:
-    if 2 * rho > math.sqrt(k * energy):
-        raise ValueError(f"{flag} and --energy: need 2 rho <= sqrt(k E), "
-                         f"got 2*{rho} > sqrt({k}*{energy})")
-
-
 def cmd_bounds(args) -> int:
     ks = _parse_k_list(args.k)
     channel = ChannelModel(args.noise)
     if (args.rho is None) == (args.gamma is None):
         raise ValueError("exactly one of --rho / --gamma is required")
-    if not max(ks) * args.energy < math.inf:
-        raise ValueError(f"--energy times the largest --k must be finite, got {args.energy} "
-                         f"at k = {max(ks)}")
     if args.gamma is not None and min(ks) < 2:
         raise ValueError("--gamma needs every k >= 2 (rho^2 = gamma ln k is 0 at k = 1), "
                          f"got --k {args.k}")
     if args.delta_k is None and min(ks) <= 4:
         raise ValueError("--delta-k defaults to 1/k, which the converse needs below 1/4: "
                          f"pass --delta-k, or use k >= 5 (got k = {min(ks)})")
-    if args.delta_k is not None and not 0 < args.delta_k < 0.25:
-        raise ValueError(f"--delta-k must be in (0, 1/4) for the converse, got {args.delta_k}")
     rows = []
     for k in ks:
         delta_k = args.delta_k if args.delta_k is not None else 1.0 / k
         rho = args.rho if args.rho is not None else math.sqrt(args.gamma * math.log(k))
-        _check_separation(k, args.energy, rho, "--rho" if args.rho is not None else "--gamma")
         log_lower = scheme.achievable_users_log(k, args.energy, rho)
         log_upper = scheme.converse_users_log(k, args.energy, delta_k, channel)
         l1, l2 = photonstats.analytic_error_bounds(k, args.delta, 4 * rho**2, channel)
@@ -159,18 +147,14 @@ def cmd_pack(args) -> int:
 
 def _load_or_build_code(args, prepare=lambda k: None):
     """(code, prepare(k)): the --code file if one is given, else a code packed
-    at --rho from --seed.  prepare runs on the code's k before any packing, so
-    the checks in it fail before the packing's cost, not after."""
+    at --rho from --seed.  prepare(k), then `build_code`, check their arguments
+    before any packing, so a range error comes before the packing's cost."""
     if getattr(args, "code", None):
         code = scheme.load_signature_set(args.code)
         return code, prepare(code.k)
     if args.rho is None:
         raise ValueError("--rho is required to build a code")
     prepared = prepare(args.k)
-    _check_separation(args.k, args.energy, args.rho, "--rho")
-    if not math.sqrt(args.k * args.energy) <= geometry.MAX_NORM:
-        raise ValueError(f"--energy: the packed ball's radius sqrt(k E) must be at most "
-                         f"{geometry.MAX_NORM:.6g}, got --energy {args.energy} at k = {args.k}")
     rng = np.random.default_rng(args.seed)
     return scheme.build_code(args.k, args.energy, args.rho, rng), prepared
 
@@ -185,14 +169,7 @@ def _mc_row(name, est, **exact) -> dict:
 
 def cmd_simulate(args) -> int:
     channel = ChannelModel(args.noise)
-
-    def make_detector(k):
-        if not k * (args.noise + args.delta) < 2.0**53:  # where floats resolve single counts
-            raise ValueError("--noise and --delta: the count threshold k (N + delta) must be "
-                             f"below 2^53; got k = {k}, N = {args.noise}, delta = {args.delta}")
-        return DetectorSpec.make(args.delta, k, channel)
-
-    code, detector = _load_or_build_code(args, make_detector)
+    code, detector = _load_or_build_code(args, lambda k: DetectorSpec.make(args.delta, k, channel))
     d2, i, j = code.closest_pair
     pairs = d2 if args.pair_strategy == "worst_pair" else montecarlo.sampled_pairs(code.signatures)
     est = montecarlo.estimate_errors(pairs, channel, detector, args.trials, args.seed)
@@ -209,16 +186,8 @@ def cmd_simulate(args) -> int:
 def cmd_heterodyne(args) -> int:
     channel = ChannelModel(args.noise)
     sigma2 = channel.n_thermal + 1  # shot noise plus thermal extension
-
-    def make_spec(k):
-        threshold = k * sigma2 * (1 + args.delta)
-        if not 0 <= threshold < math.inf:
-            raise ValueError("--noise and --delta: the heterodyne threshold k (N + 1) (1 + delta) "
-                             f"must be finite and >= 0; got {threshold} at k = {k}, "
-                             f"N = {args.noise}, delta = {args.delta}")
-        return montecarlo.HeterodyneSpec(noise_variance=sigma2, threshold=threshold)
-
-    code, spec = _load_or_build_code(args, make_spec)
+    code, spec = _load_or_build_code(args, lambda k: montecarlo.HeterodyneSpec(
+        noise_variance=sigma2, threshold=k * sigma2 * (1 + args.delta)))
     sim = montecarlo.heterodyne_simulate(
         code.k, code.closest_pair[0], spec, args.trials, args.seed)
     ana = montecarlo.heterodyne_analytic(code.k, spec, code.min_distance)
@@ -366,6 +335,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARAM_FLAGS = {"energy": ("--energy",), "radius": ("--energy",), "n_thermal": ("--noise",),
+                "delta": ("--delta",), "delta_k": ("--delta-k",),
+                "threshold": ("--noise", "--delta")}
+
+
+def _flags_at_fault(exc, args) -> str:
+    """'<flags>: ' for a `RangeError`: once each, the flags that set the
+    parameters it names (rho is --gamma's where --gamma was given); else ''."""
+    rho = ("--gamma",) if getattr(args, "gamma", None) is not None else ("--rho",)
+    flags = {**_PARAM_FLAGS, "rho": rho}
+    named = dict.fromkeys(f for p in getattr(exc, "params", ()) for f in flags.get(p, ()))
+    return " and ".join(named) + ": " if named else ""
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -387,12 +370,6 @@ def main(argv=None) -> int:
             value = getattr(args, flag[2:], None)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{flag} must be finite and > 0, got {value}")
-        if not 0 <= getattr(args, "noise", 0.0) < math.inf:
-            raise ValueError(f"--noise must be finite and >= 0, got {args.noise}")
-        # floats resolve the count threshold k (N + delta) below 2^53 counts;
-        # heterodyne's delta >= -1 is checked with its own threshold
-        if args.func in (cmd_bounds, cmd_simulate) and not 0 < args.delta < 2.0**53:
-            raise ValueError(f"--delta must be finite, > 0 and below 2^53, got {args.delta}")
         status = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
         return status
@@ -401,7 +378,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_flags_at_fault(exc, args)}{exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -33,6 +33,8 @@ import math
 
 import numpy as np
 
+from .photonstats import RangeError
+
 __all__ = ["sample_uniform_ball", "greedy_packing", "closest_pair"]
 
 DEFAULT_REJECTION_BUDGET = 100_000
@@ -75,15 +77,15 @@ def greedy_packing(dim: int, radius: float, separation: float, rng: np.random.Ge
     budget.  So the accepted points are a plain scan's.
     """
     if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+        raise RangeError(f"dim must be >= 1, got {dim}", "dim")
     if not 0 < radius <= MAX_NORM:
-        raise ValueError(f"radius must be > 0 and at most {MAX_NORM:.6g}, got {radius}")
+        raise RangeError(f"radius must be > 0 and at most {MAX_NORM:.6g}, got {radius}", "radius")
     # a separation above the diameter 2 radius <= 2 MAX_NORM gives one point
     if not 0 < separation <= 2 * MAX_NORM:
-        raise ValueError(f"separation must be > 0 and at most {2 * MAX_NORM:.6g}, "
-                         f"got {separation}")
+        raise RangeError(f"separation must be > 0 and at most {2 * MAX_NORM:.6g}, "
+                         f"got {separation}", "separation")
     if rejection_budget < 1:
-        raise ValueError("rejection_budget must be >= 1")
+        raise RangeError("rejection_budget must be >= 1", "rejection_budget")
     screen = _WitnessScreen(dim, separation)
     consecutive = 0
     while consecutive < rejection_budget:
@@ -254,10 +256,10 @@ def closest_pair(points) -> tuple[float, int, int]:
         hi = min(m, lo + max(1, _SERIAL_PRODUCT // (rows.shape[1] * (m - lo))))
         s = np.matmul(rows[lo:hi], cols[:, lo:])
         s[:, : hi - lo][np.tri(hi - lo, dtype=bool)] = math.inf  # keep j > i only
-        floor = min(floor, float(s.min()))
-        near = s <= floor + slack
-        if near.any():
-            i, j = np.divmod(np.flatnonzero(near), s.shape[1])
+        low = float(s.min())
+        if low <= floor + slack:  # else no entry is within the slack: best stands
+            floor = min(floor, low)
+            i, j = np.divmod(np.flatnonzero(s <= floor + slack), s.shape[1])
             i, j = i + lo, j + lo
             d2 = ((pts[j] - pts[i]) ** 2).sum(axis=1)  # `_distances`, before its root
             first = np.lexsort((j, i, d2))[0]

@@ -45,6 +45,7 @@ import numpy as np
 from .photonstats import (
     ChannelModel,
     DetectorSpec,
+    RangeError,
     _check_law,
     log_tail_probability,
 )
@@ -101,11 +102,12 @@ class HeterodyneSpec:
 
     def __post_init__(self):
         if not 1 <= self.noise_variance < math.inf:
-            raise ValueError(
-                f"noise_variance must be finite and >= 1 (shot noise), got {self.noise_variance}"
-            )
+            raise RangeError(
+                f"noise_variance must be finite and >= 1 (shot noise), got {self.noise_variance}",
+                "noise_variance")
         if not 0 <= self.threshold < math.inf:
-            raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
+            raise RangeError(f"threshold must be finite and >= 0, got {self.threshold}",
+                             "threshold")
 
 
 def wilson_interval(successes: int, trials: int):
@@ -123,10 +125,12 @@ def wilson_interval(successes: int, trials: int):
 
 def sampled_pairs(signatures):
     """(rng, n) -> ||Delta||^2 of n ordered pairs (send, recv), recv != send,
-    drawn uniformly from the rows of an (M, k) signature array."""
+    drawn uniformly from the rows of an (M, k) signature array, summed over
+    their (re, im) pairs as `geometry.closest_pair` sums its d^2."""
     m, k = signatures.shape
     if m < 2:
         raise ValueError("need at least 2 signatures")
+    rows = np.ascontiguousarray(signatures, dtype=complex).view(float)
     step = max(1, _GATHER // k)  # rows per gather, so memory is O(_GATHER)
 
     def energies(rng, n):
@@ -134,8 +138,7 @@ def sampled_pairs(signatures):
         recv = rng.integers(0, m - 1, size=n)
         recv += recv >= send  # uniform over ordered pairs with recv != send
         return np.concatenate([
-            np.sum(np.abs(signatures[send[i : i + step]] - signatures[recv[i : i + step]]) ** 2,
-                   axis=1)
+            ((rows[send[i : i + step]] - rows[recv[i : i + step]]) ** 2).sum(axis=1)
             for i in range(0, n, step)
         ])
 
@@ -178,7 +181,7 @@ def _error_rates(k: int, energy, variance: float, cut, trials: int, seed: int) -
     if not callable(energy):
         _check_law(k, energy)
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise RangeError("trials must be >= 1", "trials")
     base, extra = divmod(trials, DEFAULT_CHUNKS)
 
     def chunk(i):
@@ -263,9 +266,9 @@ def heterodyne_analytic(k: int, spec: HeterodyneSpec, distance: float) -> dict:
     from scipy.special import chndtr, gammaincc
 
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise RangeError("k must be >= 1", "k")
     if not 0 <= distance < math.inf:
-        raise ValueError(f"distance must be finite and >= 0, got {distance}")
+        raise RangeError(f"distance must be finite and >= 0, got {distance}", "distance")
     x = 2 * spec.threshold / spec.noise_variance
     nc = 2 * distance**2 / spec.noise_variance
     lambda2 = float(chndtr(x, 2 * k, nc))

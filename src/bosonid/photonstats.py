@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "RangeError",
     "ChannelModel",
     "DetectorSpec",
     "log_tail_probability",
@@ -55,6 +56,14 @@ _PHI_SERIES = tuple((-1) ** k / k for k in range(18, 1, -1))
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
 
 
+class RangeError(ValueError):
+    """An argument out of its range; ``params`` names the parameters at fault."""
+
+    def __init__(self, message: str, *params: str):
+        super().__init__(message)
+        self.params = params
+
+
 @dataclass(frozen=True)
 class ChannelModel:
     """Bosonic channel with mean thermal photon number ``n_thermal`` >= 0."""
@@ -63,12 +72,13 @@ class ChannelModel:
 
     def __post_init__(self):
         if not 0 <= self.n_thermal < math.inf:
-            raise ValueError(f"n_thermal must be finite and >= 0, got {self.n_thermal}")
+            raise RangeError(f"n_thermal must be finite and >= 0, got {self.n_thermal}",
+                             "n_thermal")
 
 
 def _check_delta(delta: float) -> None:
     if not 0 < delta < _FLOAT_COUNTS:
-        raise ValueError(f"delta must be finite, > 0 and below 2^53 counts, got {delta}")
+        raise RangeError(f"delta must be finite, > 0 and below 2^53 counts, got {delta}", "delta")
 
 
 @dataclass(frozen=True)
@@ -85,7 +95,7 @@ class DetectorSpec:
     def make(cls, delta: float, k: int, channel: ChannelModel) -> "DetectorSpec":
         _check_delta(delta)
         if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+            raise RangeError(f"k must be >= 1, got {k}", "k")
         threshold = k * (channel.n_thermal + delta)
         _check_threshold(threshold)
         return cls(k=k, threshold=threshold)
@@ -93,15 +103,15 @@ class DetectorSpec:
 
 def _check_law(k: int, total_energy: float) -> None:
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise RangeError(f"k must be >= 1, got {k}", "k")
     if not 0 <= total_energy < math.inf:
-        raise ValueError(f"energy must be finite and >= 0, got {total_energy}")
+        raise RangeError(f"energy must be finite and >= 0, got {total_energy}", "total_energy")
 
 
 def _check_threshold(threshold: float) -> None:
     if not threshold < _FLOAT_COUNTS:
-        raise ValueError(f"threshold {threshold} is beyond 2^53 counts, where floats "
-                         "no longer resolve single counts")
+        raise RangeError(f"threshold {threshold} is beyond 2^53 counts, where floats "
+                         "no longer resolve single counts", "threshold")
 
 
 def _log_poisson(j, lam: float) -> np.ndarray:
@@ -259,7 +269,7 @@ def lambda_exponent(delta: float, channel: ChannelModel) -> float:
     N = channel.n_thermal
     _check_delta(delta)
     if N == 0:
-        raise ValueError("lambda_exponent is undefined at n_thermal = 0")
+        raise RangeError("lambda_exponent is undefined at n_thermal = 0", "n_thermal")
     # Lambda is the KL divergence between geometric laws of means N + delta
     # and N: a log1p(w) - log1p(v), both terms O(delta).  Where w < 1 their
     # leading parts cancel in closed form, a w - v = delta^2 / (N (N+1)
@@ -296,7 +306,7 @@ def analytic_error_bounds(
     threshold, Lambda diverges and lambda1_log is -inf, the exact tail's log."""
     _check_delta(delta)
     if not 0 <= pair_energy < math.inf:
-        raise ValueError(f"pair energy must be finite and >= 0, got {pair_energy}")
+        raise RangeError(f"pair energy must be finite and >= 0, got {pair_energy}", "pair_energy")
     N = channel.n_thermal
     # r - 1 in a form that keeps its precision where r rounds to 1 (large N)
     m = math.expm1(-math.log1p(N) / (N + delta))
@@ -319,10 +329,10 @@ def chernoff_upper_exponent(delta: float, channel: ChannelModel) -> float:
     N = channel.n_thermal
     _check_delta(delta)
     if N == 0:
-        raise ValueError("requires n_thermal > 0")
+        raise RangeError("requires n_thermal > 0", "n_thermal")
     s_max = math.log1p(1 / N)  # ln((N+1)/N), without rounding (N+1)/N
     if s_max == math.inf:
-        raise ValueError(f"requires 1/n_thermal finite, got n_thermal = {N}")
+        raise RangeError(f"requires 1/n_thermal finite, got n_thermal = {N}", "n_thermal")
 
     def f(s: float) -> float:  # N+1-N e^s as 1 - N (e^s - 1): no rounded N+1
         return s * (N + delta) + math.log1p(-N * math.expm1(s))

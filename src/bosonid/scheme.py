@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry
-from .photonstats import ChannelModel
+from .photonstats import ChannelModel, RangeError
 
 __all__ = [
     "SignatureSet",
@@ -51,11 +51,15 @@ class SignatureSet:
         if len(self) and norms.max() > geometry.MAX_NORM:
             raise ValueError(f"signature norms must be at most {geometry.MAX_NORM:.6g}")
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The (M, 2k) real view: each signature as (re, im) pairs."""
+        return np.ascontiguousarray(self.signatures, dtype=complex).view(float)
+
     @cached_property
     def closest_pair(self) -> tuple[float, int, int]:
-        """(d^2, i, j) of the closest pair, found once on the (M, 2k) real view."""
-        rows = np.ascontiguousarray(self.signatures, dtype=complex).view(float)
-        return geometry.closest_pair(rows)
+        """(d^2, i, j) of the closest pair, found once on the real rows."""
+        return geometry.closest_pair(self.rows)
 
     @property
     def min_distance(self) -> float:
@@ -66,18 +70,23 @@ class SignatureSet:
         return self.signatures.shape[0]
 
     def energies(self) -> np.ndarray:
-        return np.sum(np.abs(self.signatures) ** 2, axis=1)
+        return (self.rows**2).sum(axis=1)
+
+
+def _check_energy(k: int, energy: float) -> None:
+    if k < 1:
+        raise RangeError(f"k must be >= 1, got {k}", "k")
+    if not (0 < energy and k * energy < math.inf):
+        raise RangeError(f"E must be > 0 and k E finite, got E={energy} at k={k}", "energy")
 
 
 def _check_rho(k: int, energy: float, rho: float) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not (0 < energy and k * energy < math.inf):
-        raise ValueError(f"E must be > 0 and k E finite, got E={energy} at k={k}")
+    _check_energy(k, energy)
     if not 0 < rho < math.inf:
-        raise ValueError(f"rho must be finite and > 0, got {rho}")
+        raise RangeError(f"rho must be finite and > 0, got {rho}", "rho")
     if 2 * rho > math.sqrt(k * energy):
-        raise ValueError(f"need 2 rho <= sqrt(k E): 2*{rho} > sqrt({k}*{energy})")
+        raise RangeError(f"need 2 rho <= sqrt(k E): 2*{rho} > sqrt({k}*{energy})",
+                         "rho", "energy")
 
 
 def build_code(k: int, energy: float, rho: float, rng: np.random.Generator,
@@ -103,13 +112,12 @@ def converse_users_log(
     The bound (1 + 4 sqrt(kE)/sqrt((2N+1) ln(1/(4 delta_k))))^{2k} is only
     meaningful for delta_k < 1/4, where the inner log is positive.
     """
-    if k < 1 or not (0 < energy and k * energy < math.inf):
-        raise ValueError(f"k >= 1, E > 0 and k E finite required, got k={k}, E={energy}")
+    _check_energy(k, energy)
     if not (0 < delta_k < 0.25):
-        raise ValueError(
+        raise RangeError(
             f"delta_k={delta_k} outside (0, 1/4): the converse bound's inner "
             "logarithm must be positive (its stated range (0, 1/2) is vacuous "
-            "for delta_k >= 1/4)"
+            "for delta_k >= 1/4)", "delta_k"
         )
     denom = math.sqrt((2 * channel.n_thermal + 1) * -math.log(4 * delta_k))
     return 2 * k * math.log1p(4 * math.sqrt(k * energy) / denom)
@@ -124,8 +132,7 @@ def save_signature_set(path, code: SignatureSet) -> None:
             f"# signature-set k={code.k} energy_budget={code.energy_budget:.12g} "
             f"rho={code.rho:.12g} M={len(code)} min_distance={code.min_distance:.12g}\n"
         )
-        rows = np.ascontiguousarray(code.signatures, dtype=complex).view(float)
-        np.savetxt(fh, rows, fmt="%.17g")
+        np.savetxt(fh, code.rows, fmt="%.17g")
 
 
 def _header_field(fields: dict, key: str, kind):

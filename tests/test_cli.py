@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -507,6 +508,18 @@ class TestFiniteInputs:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize("params,gamma,named", [
+        (("rho", "energy"), None, "--rho and --energy: "),
+        (("rho", "energy"), 1.1, "--gamma and --energy: "),
+        (("energy", "radius", "threshold", "delta"), None, "--energy and --noise and --delta: "),
+        (("k",), None, ""),  # a parameter no flag sets
+    ])
+    def test_flags_at_fault(self, params, gamma, named):
+        # each flag once, in the order of the parameters that name it
+        exc = photonstats.RangeError("message", *params)
+        assert cli._flags_at_fault(exc, argparse.Namespace(gamma=gamma)) == named
+        assert cli._flags_at_fault(ValueError("message"), argparse.Namespace()) == ""
+
     def test_unwritable_out_rejected_with_error_line(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "code.txt"
         assert run(["pack", "--k", "1", "--rho", "1", "--out", str(out)]) == cli.EXIT_VALIDATION
@@ -836,16 +849,34 @@ def two_point_code(tmp_path_factory):
     return path
 
 
+def accepts(command, flag):
+    """Whether ``command`` takes ``flag``."""
+    _, unknown = cli.build_parser().parse_known_args([command, f"{flag}=1"])
+    return not unknown
+
+
 class TestFuzz:
     @given(argv=command_lines())
     @settings(max_examples=300, deadline=None)
     def test_exit_codes_and_finite_output(self, two_point_code, argv):
         argv = [str(two_point_code) if a == "CODE" else a for a in argv]
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            status = cli.main(argv)
+        raised = []  # every library range error the command makes
+        init = photonstats.RangeError.__init__
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(photonstats.RangeError, "__init__",
+                          lambda exc, *args: raised.append(exc) or init(exc, *args))
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                status = cli.main(argv)
         assert status in (0, 1), argv  # none of these commands runs an oracle
         assert "Traceback" not in stderr.getvalue(), argv
         if status == 0:
             for name, value in numeric_cells(argv, stdout.getvalue()):
                 assert math.isfinite(value), (argv, name, value)
+        line = stderr.getvalue().removesuffix("\n")
+        for exc in raised:
+            if status == 1 and line.endswith(f": {exc}"):
+                # the line is "error: <flags>: <library message>"
+                named = line.removeprefix("error: ")[: -len(f": {exc}")]
+                flags = named.split(" and ")
+                assert named and all(accepts(argv[0], flag) for flag in flags), (argv, line)

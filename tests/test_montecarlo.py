@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import chndtr, ndtri
 from scipy.stats import binom, chi2, ncx2
 
+from bosonid import geometry
 from bosonid import montecarlo as mc
 from bosonid import photonstats as ps
 from bosonid.photonstats import ChannelModel, DetectorSpec
@@ -228,6 +229,14 @@ class TestEstimateLambda2:
         assert worst - mean > 10 * math.sqrt(mean * (1 - mean) / trials)
         est = mc.estimate_errors(mc.sampled_pairs(sigs), ch, det, trials, 6)["lambda2"]
         assert exact_binomial_ok(est.successes, est.trials, mean)
+
+    def test_sampled_pair_energy_is_the_closest_pair_d2(self):
+        # summed over (re, im) as closest_pair sums it; |Delta|^2 of the
+        # complex entries is 3.999999999999999 here
+        sigs = np.array([[1.073 - 2.246j], [2.3530166780457646 - 0.7092640747595296j]])
+        d2, _, _ = geometry.closest_pair(sigs.view(float))
+        assert d2 == 4.0
+        assert mc.sampled_pairs(sigs)(np.random.default_rng(0), 10).tolist() == [d2] * 10
 
     def test_sampled_pairs_needs_two_signatures(self):
         with pytest.raises(ValueError, match="2 signatures"):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonid import fockspace
+from bosonid import fockspace, geometry, scheme
 from bosonid import montecarlo as mc
 from bosonid import photonstats as ps
 from bosonid.photonstats import ChannelModel, DetectorSpec
@@ -439,6 +439,41 @@ class TestFiniteInputs:
     def test_detector_rejects_delta(self, delta, k, match):
         with pytest.raises(ValueError, match=match):
             ps.DetectorSpec.make(delta, k, ChannelModel(1.0))
+
+    @pytest.mark.parametrize("call,params", [
+        pytest.param(lambda: scheme.achievable_users_log(8, 4.0, 100.0), ("rho", "energy"),
+                     id="separation"),
+        pytest.param(lambda: scheme.build_code(2, 4.0, 100.0, np.random.default_rng(0)),
+                     ("rho", "energy"), id="separation-build_code"),
+        pytest.param(lambda: scheme.achievable_users_log(8, math.nan, 1.0), ("energy",),
+                     id="energy-nan"),
+        pytest.param(lambda: scheme.achievable_users_log(8, 1e308, 1.0), ("energy",),
+                     id="kE-overflows"),
+        pytest.param(lambda: scheme.achievable_users_log(8, 4.0, math.inf), ("rho",), id="rho"),
+        *[pytest.param(lambda d=delta_k: scheme.converse_users_log(8, 4.0, d, ChannelModel(1)),
+                       ("delta_k",), id=f"delta_k-{delta_k}")
+          for delta_k in (0.3, 0.0, math.nan)],
+        pytest.param(lambda: geometry.greedy_packing(2, 1e154, 1.0, np.random.default_rng(0)),
+                     ("radius",), id="radius"),
+        pytest.param(lambda: scheme.build_code(1, 1e308, 1.0, np.random.default_rng(0)),
+                     ("radius",), id="radius-build_code"),
+        pytest.param(lambda: DetectorSpec.make(1.0, 2, ChannelModel(1e300)), ("threshold",),
+                     id="threshold-2^53"),
+        *[pytest.param(lambda t=t: mc.HeterodyneSpec(noise_variance=2.0, threshold=t),
+                       ("threshold",), id=f"heterodyne-threshold-{t}")
+          for t in (-8.0, math.inf, math.nan)],
+        *[pytest.param(lambda n=n: ChannelModel(n), ("n_thermal",), id=f"n_thermal-{n}")
+          for n in (-0.5, math.inf)],
+        pytest.param(lambda: DetectorSpec.make(math.nan, 2, ChannelModel(1.0)), ("delta",),
+                     id="delta-detector"),
+        pytest.param(lambda: ps.analytic_error_bounds(8, 1e306, 4.0, ChannelModel(1.0)),
+                     ("delta",), id="delta-bounds"),
+    ])
+    def test_range_error_names_its_parameters(self, call, params):
+        with pytest.raises(ps.RangeError) as info:
+            call()
+        assert info.value.params == params
+        assert isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("upper", [True, False])
     def test_tail_rejects_threshold_beyond_float_counts(self, upper):
