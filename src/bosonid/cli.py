@@ -185,9 +185,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_heterodyne(args) -> int:
     channel = ChannelModel(args.noise)
-    sigma2 = channel.n_thermal + 1  # shot noise plus thermal extension
-    code, spec = _load_or_build_code(args, lambda k: montecarlo.HeterodyneSpec(
-        noise_variance=sigma2, threshold=k * sigma2 * (1 + args.delta)))
+    code, spec = _load_or_build_code(
+        args, lambda k: montecarlo.HeterodyneSpec.make(args.delta, k, channel))
     sim = montecarlo.heterodyne_simulate(
         code.k, code.closest_pair[0], spec, args.trials, args.seed)
     ana = montecarlo.heterodyne_analytic(code.k, spec, code.min_distance)

@@ -75,14 +75,16 @@ def displacement_matrix(amplitude: complex, cutoff: int) -> np.ndarray:
         raise ValueError(f"|alpha|^2 = {n2:g} too large for cutoff {cutoff}: "
                          f"deficit {deficit:.3g}")
     # <m|D(alpha)|n> = sqrt(n!/m!) e^{-|alpha|^2/2} alpha^{m-n} L_n^{(m-n)}(|alpha|^2)
-    # for m >= n; above the diagonal alpha is replaced by -conj(alpha).
-    row, col = np.indices((cutoff, cutoff))
-    low, high = np.minimum(row, col), np.maximum(row, col)
+    # for m >= n; above the diagonal -conj(alpha) replaces alpha, a phase alone.
+    high, low = np.tril_indices(cutoff)
     gap = high - low
     lg = gammaln(np.arange(cutoff) + 1)
     scale = np.exp(0.5 * (lg[low] - lg[high]) - n2 / 2 + log_pow[gap])
-    above = (-1.0) ** np.arange(cutoff) * phase.conj()
-    return scale * np.where(row >= col, phase[gap], above[gap]) * eval_genlaguerre(low, gap, n2)
+    laguerre = eval_genlaguerre(low, gap, n2)
+    out = np.empty((cutoff, cutoff), dtype=complex)
+    out[low, high] = scale * ((-1.0) ** gap * phase.conj()[gap]) * laguerre
+    out[high, low] = scale * phase[gap] * laguerre
+    return out
 
 
 def displaced_thermal_density(

@@ -42,13 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photonstats import (
-    ChannelModel,
-    DetectorSpec,
-    RangeError,
-    _check_law,
-    log_tail_probability,
-)
+from .photonstats import (ChannelModel, DetectorSpec, RangeError, _check_k, _check_law,
+                          _check_nonnegative, log_tail_probability)
 
 __all__ = [
     "McEstimate",
@@ -94,7 +89,8 @@ class HeterodyneSpec:
     """Ball-test receiver on the heterodyne output: accept iff ||z - alpha_m||^2 <= threshold.
 
     noise_variance is the per-mode complex variance; >= 1 (shot-noise floor,
-    equal to N+1 under the thermal extension).
+    equal to N+1 under the thermal extension); :meth:`make` sets it and the
+    threshold k (N + 1) (1 + delta), which is >= 0 for delta >= -1.
     """
 
     noise_variance: float
@@ -102,12 +98,17 @@ class HeterodyneSpec:
 
     def __post_init__(self):
         if not 1 <= self.noise_variance < math.inf:
-            raise RangeError(
-                f"noise_variance must be finite and >= 1 (shot noise), got {self.noise_variance}",
-                "noise_variance")
-        if not 0 <= self.threshold < math.inf:
-            raise RangeError(f"threshold must be finite and >= 0, got {self.threshold}",
-                             "threshold")
+            raise RangeError("noise_variance must be finite and >= 1 (shot noise), "
+                             f"got {self.noise_variance}", "noise_variance")
+        _check_nonnegative("threshold", self.threshold)
+
+    @classmethod
+    def make(cls, delta: float, k: int, channel: ChannelModel) -> "HeterodyneSpec":
+        if not -1 <= delta < math.inf:
+            raise RangeError(f"delta must be finite and >= -1, got {delta}", "delta")
+        _check_k(k)
+        sigma2 = channel.n_thermal + 1  # shot noise plus thermal extension
+        return cls(noise_variance=sigma2, threshold=k * sigma2 * (1 + delta))
 
 
 def wilson_interval(successes: int, trials: int):
@@ -265,10 +266,8 @@ def heterodyne_analytic(k: int, spec: HeterodyneSpec, distance: float) -> dict:
     """
     from scipy.special import chndtr, gammaincc
 
-    if k < 1:
-        raise RangeError("k must be >= 1", "k")
-    if not 0 <= distance < math.inf:
-        raise RangeError(f"distance must be finite and >= 0, got {distance}", "distance")
+    _check_k(k)
+    _check_nonnegative("distance", distance)
     x = 2 * spec.threshold / spec.noise_variance
     nc = 2 * distance**2 / spec.noise_variance
     lambda2 = float(chndtr(x, 2 * k, nc))

@@ -71,9 +71,17 @@ class ChannelModel:
     n_thermal: float
 
     def __post_init__(self):
-        if not 0 <= self.n_thermal < math.inf:
-            raise RangeError(f"n_thermal must be finite and >= 0, got {self.n_thermal}",
-                             "n_thermal")
+        _check_nonnegative("n_thermal", self.n_thermal)
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise RangeError(f"k must be >= 1, got {k}", "k")
+
+
+def _check_nonnegative(name: str, value: float, param: str = "") -> None:
+    if not 0 <= value < math.inf:
+        raise RangeError(f"{name} must be finite and >= 0, got {value}", param or name)
 
 
 def _check_delta(delta: float) -> None:
@@ -94,18 +102,15 @@ class DetectorSpec:
     @classmethod
     def make(cls, delta: float, k: int, channel: ChannelModel) -> "DetectorSpec":
         _check_delta(delta)
-        if k < 1:
-            raise RangeError(f"k must be >= 1, got {k}", "k")
+        _check_k(k)
         threshold = k * (channel.n_thermal + delta)
         _check_threshold(threshold)
         return cls(k=k, threshold=threshold)
 
 
 def _check_law(k: int, total_energy: float) -> None:
-    if k < 1:
-        raise RangeError(f"k must be >= 1, got {k}", "k")
-    if not 0 <= total_energy < math.inf:
-        raise RangeError(f"energy must be finite and >= 0, got {total_energy}", "total_energy")
+    _check_k(k)
+    _check_nonnegative("energy", total_energy, "total_energy")
 
 
 def _check_threshold(threshold: float) -> None:
@@ -305,8 +310,7 @@ def analytic_error_bounds(
     1024, and above this one at none.  At N = 0 no count exceeds the
     threshold, Lambda diverges and lambda1_log is -inf, the exact tail's log."""
     _check_delta(delta)
-    if not 0 <= pair_energy < math.inf:
-        raise RangeError(f"pair energy must be finite and >= 0, got {pair_energy}", "pair_energy")
+    _check_nonnegative("pair energy", pair_energy, "pair_energy")
     N = channel.n_thermal
     # r - 1 in a form that keeps its precision where r rounds to 1 (large N)
     m = math.expm1(-math.log1p(N) / (N + delta))

@@ -8,6 +8,10 @@ cardinalities are handled in log domain.  The near-k log k scaling
 rho^2 = gamma ln k needs no helper of its own: at that rho the achievable log
 cardinality is k ln k - k ln ln k + k ln(E/(4 gamma)).  Signatures are complex
 (M, k) views of the (M, 2k) (re, im) rows that the packing and the files hold.
+`SignatureSet` checks every code, built or loaded: k >= 1, E > 0 with k E
+finite, rho finite and > 0, and finite rows of energy at most k E.  The file
+reader only parses.  Only a packing needs 2 rho <= sqrt(k E); a loaded code's
+rho is a label, and `closest_pair` measures its real separation.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry
-from .photonstats import ChannelModel, RangeError
+from .photonstats import ChannelModel, RangeError, _check_k
 
 __all__ = [
     "SignatureSet",
@@ -43,13 +47,17 @@ class SignatureSet:
     signatures: np.ndarray  # complex, shape (M, k)
 
     def __post_init__(self):
+        _check_energy(self.k, self.energy_budget, self.rho)
         if self.signatures.ndim != 2 or self.signatures.shape[1] != self.k:
             raise ValueError("signatures must have shape (M, k)")
         if not np.isfinite(self.signatures).all():
             raise ValueError("signatures must be finite")
-        norms = np.hypot.reduce(np.abs(self.signatures), axis=1)  # overflow-free
-        if len(self) and norms.max() > geometry.MAX_NORM:
+        top = np.hypot.reduce(np.abs(self.signatures), axis=1).max(initial=0.0)  # no overflow
+        if top > geometry.MAX_NORM:
             raise ValueError(f"signature norms must be at most {geometry.MAX_NORM:.6g}")
+        if top**2 > self.k * self.energy_budget * (1 + 1e-9):  # beyond rounding
+            raise ValueError(f"a row has energy {top**2:.12g} > k E = "
+                             f"{self.k * self.energy_budget:.12g}")
 
     @property
     def rows(self) -> np.ndarray:
@@ -73,17 +81,16 @@ class SignatureSet:
         return (self.rows**2).sum(axis=1)
 
 
-def _check_energy(k: int, energy: float) -> None:
-    if k < 1:
-        raise RangeError(f"k must be >= 1, got {k}", "k")
+def _check_energy(k: int, energy: float, rho: float | None = None) -> None:
+    _check_k(k)
     if not (0 < energy and k * energy < math.inf):
         raise RangeError(f"E must be > 0 and k E finite, got E={energy} at k={k}", "energy")
+    if rho is not None and not 0 < rho < math.inf:
+        raise RangeError(f"rho must be finite and > 0, got {rho}", "rho")
 
 
 def _check_rho(k: int, energy: float, rho: float) -> None:
-    _check_energy(k, energy)
-    if not 0 < rho < math.inf:
-        raise RangeError(f"rho must be finite and > 0, got {rho}", "rho")
+    _check_energy(k, energy, rho)
     if 2 * rho > math.sqrt(k * energy):
         raise RangeError(f"need 2 rho <= sqrt(k E): 2*{rho} > sqrt({k}*{energy})",
                          "rho", "energy")
@@ -114,11 +121,9 @@ def converse_users_log(
     """
     _check_energy(k, energy)
     if not (0 < delta_k < 0.25):
-        raise RangeError(
-            f"delta_k={delta_k} outside (0, 1/4): the converse bound's inner "
-            "logarithm must be positive (its stated range (0, 1/2) is vacuous "
-            "for delta_k >= 1/4)", "delta_k"
-        )
+        raise RangeError(f"delta_k={delta_k} outside (0, 1/4): the converse bound's inner "
+                         "logarithm must be positive (its stated range (0, 1/2) is vacuous "
+                         "for delta_k >= 1/4)", "delta_k")
     denom = math.sqrt((2 * channel.n_thermal + 1) * -math.log(4 * delta_k))
     return 2 * k * math.log1p(4 * math.sqrt(k * energy) / denom)
 
@@ -156,27 +161,17 @@ def _read_signature_set(fh) -> SignatureSet:
             raise ValueError(f"header token {tok!r} is not key=value")
         fields[key] = value
     k = _header_field(fields, "k", int)
-    energy = _header_field(fields, "energy_budget", float)
-    rho = _header_field(fields, "rho", float)
-    if k < 1:
-        raise ValueError(f"header field k={k} must be >= 1")
-    for key, value in (("energy_budget", energy), ("rho", rho)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"header field {key}={value} must be finite and > 0")
     with warnings.catch_warnings():  # a header with no rows is an empty code
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         rows = np.loadtxt(fh, ndmin=2)  # skips "#" comment lines
-    if rows.size == 0:
-        rows = rows.reshape(0, 2 * k)
     if "M" in fields and _header_field(fields, "M", int) != len(rows):
         raise ValueError(f"header field M={fields['M']} but the file has {len(rows)} rows")
-    if rows.shape[1] != 2 * k:
+    if rows.size == 0:  # no width to check; SignatureSet refuses a k < 1
+        rows = rows.reshape(0, 2 * max(k, 0))
+    elif rows.shape[1] != 2 * k:
         raise ValueError(f"row width {rows.shape[1]} != 2k = {2 * k}")
-    code = SignatureSet(k=k, energy_budget=energy, rho=rho, signatures=rows.view(complex))
-    top = code.energies().max() if len(code) else 0.0
-    if top > k * energy * (1 + 1e-9):  # beyond rounding
-        raise ValueError(f"a row has energy {top:.12g} > k E = {k * energy:.12g}")
-    return code
+    return SignatureSet(k=k, energy_budget=_header_field(fields, "energy_budget", float),
+                        rho=_header_field(fields, "rho", float), signatures=rows.view(complex))
 
 
 def load_signature_set(path) -> SignatureSet:

@@ -366,6 +366,8 @@ class TestFiniteInputs:
         "M_WRONG": "# signature-set k=1 energy_budget=4 rho=1 M=7\n0 0\n1 0\n",
         "ROW_ABOVE_KE": "# signature-set k=1 energy_budget=4 rho=1 M=2\n0 0\n3 0\n",
         "ALL_OUT_OF_RANGE": "# signature-set k=1 energy_budget=nan rho=-1 M=7\n0 0\n3 0\n",
+        # each field in range, but k E = 2e308 overflows, as for pack --k 2 --energy 1e308
+        "KE_OVERFLOWS": "# signature-set k=2 energy_budget=1e308 rho=1\n0 0 0 0\n1 0 0 0\n",
     }
     NAMED_FLAG = {  # command lines whose error names the flag at fault
         ("bounds", "--k", "1,8", "--gamma", "1.1"): "--gamma",  # rho = 0 at k = 1
@@ -375,7 +377,8 @@ class TestFiniteInputs:
         ("pack", "--k", "2", "--rho", "1", "--seed", "-1"): "--seed",
         ("simulate", "--code", "CODE", "--trials", "10", "--seed", "-1"): "--seed",
         ("heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--delta", "inf"): "--delta",
-        ("heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--delta", "-3"): "--delta",
+        ("heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--delta", "-3"):
+            "error: --delta: delta must be finite and >= -1, got -3.0",  # the radius is >= 0
         ("heterodyne", "--k", "2", "--rho", "1", "--trials", "10", "--delta", "1e308"): "--delta",
         ("simulate", "--code", "CODE", "--trials", "10", "--energy", "nan"): "--energy",
         ("heterodyne", "--code", "CODE", "--trials", "10", "--rho", "-5"): "--rho",
@@ -408,6 +411,8 @@ class TestFiniteInputs:
         ("bounds", "--k", "8", "--rho", "1", "--delta-k", "0"): "--delta-k",
         ("pack", "--k", "1", "--energy", "1e308", "--rho", "1"): "--energy",
         ("simulate", "--k", "1", "--energy", "1e308", "--rho", "1", "--trials", "10"): "--energy",
+        ("simulate", "--code", "KE_OVERFLOWS", "--trials", "10"): "E must be > 0 and k E finite",
+        ("heterodyne", "--code", "KE_OVERFLOWS", "--trials", "10"): "E must be > 0 and k E finite",
         ("simulate", "--code", "CODE", "--trials", "10", "--noise", "1e300"): "--noise and --delta",
     }
 
@@ -466,6 +471,8 @@ class TestFiniteInputs:
         ["bounds", "--k", "8", "--rho", "1", "--delta-k", "0"],
         ["simulate", "--k", "1", "--energy", "1e308", "--rho", "1", "--trials", "10"],
         ["simulate", "--code", "CODE", "--trials", "10", "--noise", "1e300"],
+        ["simulate", "--code", "KE_OVERFLOWS", "--trials", "10"],
+        ["heterodyne", "--code", "KE_OVERFLOWS", "--trials", "10"],
     ])
     def test_rejected_with_error_line(self, tmp_path, capsys, argv):
         named = self.NAMED_FLAG.get(tuple(argv))

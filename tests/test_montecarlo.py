@@ -338,6 +338,11 @@ class TestHeterodyne:
         with pytest.raises(ValueError):
             mc.HeterodyneSpec(noise_variance=0.5, threshold=1.0)
 
+    def test_make_sets_the_thermal_variance_and_radius(self):
+        spec = mc.HeterodyneSpec.make(0.5, 4, ChannelModel(1.5))
+        assert spec == mc.HeterodyneSpec(noise_variance=2.5, threshold=4 * 2.5 * 1.5)
+        assert mc.HeterodyneSpec.make(-1.0, 4, ChannelModel(1.5)).threshold == 0.0
+
 
 SPEC = mc.HeterodyneSpec(noise_variance=2.0, threshold=4.0)
 

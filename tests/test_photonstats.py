@@ -468,6 +468,23 @@ class TestFiniteInputs:
                      id="delta-detector"),
         pytest.param(lambda: ps.analytic_error_bounds(8, 1e306, 4.0, ChannelModel(1.0)),
                      ("delta",), id="delta-bounds"),
+        # the heterodyne squared radius k (N + 1) (1 + delta) needs delta >= -1
+        *[pytest.param(lambda d=delta: mc.HeterodyneSpec.make(d, 4, ChannelModel(1.0)),
+                       ("delta",), id=f"delta-heterodyne-{delta}")
+          for delta in (-3.0, math.nan, math.inf)],
+        pytest.param(lambda: mc.HeterodyneSpec.make(1.0, 0, ChannelModel(1.0)), ("k",),
+                     id="k-heterodyne"),
+        pytest.param(lambda: mc.HeterodyneSpec.make(1.0, 2, ChannelModel(1e308)),
+                     ("threshold",), id="threshold-heterodyne-overflows"),
+        # a code's own (k, E, rho), built or loaded, meets build_code's rules
+        *[pytest.param(lambda a=args: scheme.SignatureSet(
+            *a, signatures=np.zeros((0, max(a[0], 0)), dtype=complex)), params,
+                       id=f"signature-set-{name}")
+          for name, args, params in [("k", (0, 4.0, 1.0), ("k",)),
+                                     ("kE", (2, 1e308, 1.0), ("energy",)),
+                                     ("E", (2, 0.0, 1.0), ("energy",)),
+                                     ("rho", (2, 4.0, 0.0), ("rho",)),
+                                     ("rho-nan", (2, 4.0, math.nan), ("rho",))]],
     ])
     def test_range_error_names_its_parameters(self, call, params):
         with pytest.raises(ps.RangeError) as info:

@@ -2,8 +2,9 @@
 public function of bosonid has a use outside the tests: code only tests reach
 belongs in the tests.  The Monte Carlo layer does not depend on codes and
 has one sampling kernel, the Fock-space oracle imports only the channel, the
-geometry computes on real rows, no module imports scipy on import, and the
-scipy floor in pyproject.toml has every scipy.special name src/ imports."""
+geometry computes on real rows, no module imports scipy on import, the
+scipy floor in pyproject.toml has every scipy.special name src/ imports, and
+each range rule is written once."""
 
 import ast
 import dataclasses
@@ -163,3 +164,16 @@ def test_scipy_floor_has_the_special_functions_imported():
              for added in re.findall(r"versionadded::\s*([\d.]+)", getattr(special, name).__doc__)
              if version(added) > version(floor)]
     assert not newer, f"scipy>={floor} lacks {newer}"
+
+
+@pytest.mark.parametrize("rule", ["k must be >= 1", "must be finite and >= 0"])
+def test_range_rule_is_written_once(rule):
+    """Each range rule has one check, which every module calls."""
+    assert sum(text.count(rule) for text in SOURCES) == 1
+
+
+def test_signature_file_reader_only_parses():
+    """The rules of a loaded code are those of a built one, checked by
+    `SignatureSet`: the file reader checks its format alone."""
+    reader = inspect.getsource(importlib.import_module("bosonid.scheme")._read_signature_set)
+    assert "must be" not in reader and "math.inf" not in reader and "energies" not in reader

@@ -67,6 +67,11 @@ class TestSignatureSet:
             with pytest.raises(ValueError, match="shape"):
                 scheme.SignatureSet(k=3, energy_budget=1.0, rho=1.0, signatures=sigs)
 
+    def test_rejects_row_above_the_energy_budget(self):
+        sigs = np.array([[0, 0], [2, 2.0001]], dtype=complex)  # energy 8.00040001
+        with pytest.raises(ValueError, match="a row has energy 8.00040001 > k E = 8"):
+            scheme.SignatureSet(k=2, energy_budget=4.0, rho=1.0, signatures=sigs)
+
     def test_two_points_at_exactly_the_separation(self):
         # the packing measures these two points at exactly 2.0, where |Delta|^2
         # of the complex entries gives 3.999999999999999
@@ -78,7 +83,7 @@ class TestSignatureSet:
         assert code.closest_pair == (4.0, 0, 1)
 
     def test_min_distance_is_closest_pair_length(self):
-        code = scheme.SignatureSet(k=1, energy_budget=4.0, rho=0.5,
+        code = scheme.SignatureSet(k=1, energy_budget=9.0, rho=0.5,
                                    signatures=np.array([[0], [3j], [1 + 1j]]))
         assert code.min_distance == pytest.approx(math.sqrt(2))
         assert code.closest_pair[1:] == (0, 2)
@@ -343,12 +348,12 @@ class TestSerialization:
         ("k=1 energy_budget=4 rho=1 foo", "0 0\n", "header token 'foo' is not key=value"),
         ("k=abc energy_budget=4 rho=1", "0 0\n", "k=abc is not an integer"),
         ("k=1.5 energy_budget=4 rho=1", "0 0\n", "k=1.5 is not an integer"),
-        ("k=0 energy_budget=4 rho=1", "", "k=0 must be >= 1"),
+        ("k=0 energy_budget=4 rho=1", "", "k must be >= 1, got 0"),
         ("k=1 energy_budget=four rho=1", "0 0\n", "energy_budget=four is not a number"),
-        ("k=1 energy_budget=nan rho=1", "0 0\n", "energy_budget=nan must be finite and > 0"),
-        ("k=1 energy_budget=0 rho=1", "0 0\n", "energy_budget=0.0 must be finite and > 0"),
-        ("k=1 energy_budget=4 rho=-1", "0 0\n", "rho=-1.0 must be finite and > 0"),
-        ("k=1 energy_budget=4 rho=inf", "0 0\n", "rho=inf must be finite and > 0"),
+        ("k=1 energy_budget=nan rho=1", "0 0\n", "E must be > 0 and k E finite, got E=nan"),
+        ("k=1 energy_budget=0 rho=1", "0 0\n", "E must be > 0 and k E finite, got E=0.0"),
+        ("k=1 energy_budget=4 rho=-1", "0 0\n", "rho must be finite and > 0, got -1.0"),
+        ("k=1 energy_budget=4 rho=inf", "0 0\n", "rho must be finite and > 0, got inf"),
         ("k=1 energy_budget=4 rho=1 M=two", "0 0\n", "M=two is not an integer"),
         ("k=1 energy_budget=4 rho=1 M=7", "0 0\n3 0\n", "M=7 but the file has 2 rows"),
         ("k=1 energy_budget=4 rho=1", "0 0\n3 0\n", "a row has energy 9 > k E = 4"),
@@ -360,6 +365,14 @@ class TestSerialization:
         with pytest.raises(ValueError) as info:
             scheme.load_signature_set(path)
         assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+    def test_rejects_header_whose_k_E_overflows(self, tmp_path):
+        # each field is in range, but k E = 2e308 is not finite
+        path = tmp_path / "code.txt"
+        path.write_text("# signature-set k=2 energy_budget=1e308 rho=1 M=1\n0 0 0 0\n")
+        with pytest.raises(ValueError) as info:
+            scheme.load_signature_set(path)
+        assert str(info.value).startswith(f"{path}: ") and "k E finite" in str(info.value)
 
     @pytest.mark.parametrize("edge", ["2", "2.000000000002"])
     def test_loads_rows_on_the_energy_sphere(self, tmp_path, edge):
