@@ -171,11 +171,10 @@ def cmd_simulate(args) -> int:
     channel = ChannelModel(args.noise)
     code, detector = _load_or_build_code(args, lambda k: DetectorSpec.make(args.delta, k, channel))
     d2, i, j = code.closest_pair
-    pairs = d2 if args.pair_strategy == "worst_pair" else montecarlo.sampled_pairs(code.signatures)
+    pairs = d2 if args.pair_strategy == "worst_pair" else montecarlo.sampled_pairs(code.rows)
     est = montecarlo.estimate_errors(pairs, channel, detector, args.trials, args.seed)
     exact1 = montecarlo.exact_lambda1(channel, detector)
-    delta_vec = (code.signatures[j] - code.signatures[i]).view(float)  # real: energy d2
-    exact2 = montecarlo.exact_lambda2(delta_vec, channel, detector)
+    exact2 = montecarlo.exact_lambda2(code.rows[j] - code.rows[i], channel, detector)
     bound1_log, bound2_log = photonstats.analytic_error_bounds(code.k, args.delta, d2, channel)
     rows = [_mc_row("lambda1", est["lambda1"], exact=exact1, bound_log=bound1_log),
             _mc_row("lambda2", est["lambda2"], exact=exact2, bound_log=bound2_log)]

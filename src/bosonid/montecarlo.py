@@ -29,7 +29,7 @@ The chunks run at the same time, on one thread per CPU the process may use
 they fill large arrays.  Each chunk draws in blocks of at most `_BLOCK`
 trials, so memory stays bounded by the workers times a few arrays of _BLOCK
 doubles whatever k and the trial count (`sampled_pairs` gathers the sampled
-pairs' signature differences in slices of at most `_GATHER` entries).
+pairs' rows in slices of at most `_GATHER` entries).
 Chunk success counts merge by integer summation, so results are
 bit-identical for a fixed seed whatever the CPU count.
 """
@@ -59,7 +59,7 @@ __all__ = [
 
 DEFAULT_CHUNKS = 8
 _BLOCK = 1 << 16  # trials drawn at once within a chunk
-_GATHER = 1 << 16  # signature entries gathered at once for per-trial pair energies
+_GATHER = 1 << 16  # row entries gathered at once for per-trial pair energies
 # two-sided 99.7% normal quantile, scipy.special.ndtri(1 - (1 - 0.997) / 2)
 _WILSON_Z = 2.9677379253417717
 # threads that run the chunks: one per CPU this process may use
@@ -124,15 +124,16 @@ def wilson_interval(successes: int, trials: int):
     return low, 1.0 if successes == trials else min(1.0, center + half)
 
 
-def sampled_pairs(signatures):
+def sampled_pairs(rows):
     """(rng, n) -> ||Delta||^2 of n ordered pairs (send, recv), recv != send,
-    drawn uniformly from the rows of an (M, k) signature array, summed over
-    their (re, im) pairs as `geometry.closest_pair` sums its d^2."""
-    m, k = signatures.shape
+    drawn uniformly from a code's real (M, 2k) rows of (re, im) pairs, summed
+    as `geometry.closest_pair` sums its d^2.  A complex array raises ValueError."""
+    if np.iscomplexobj(rows):
+        raise ValueError("sampled_pairs takes real rows; pass the (re, im) view of complex ones")
+    m, width = rows.shape
     if m < 2:
         raise ValueError("need at least 2 signatures")
-    rows = np.ascontiguousarray(signatures, dtype=complex).view(float)
-    step = max(1, _GATHER // k)  # rows per gather, so memory is O(_GATHER)
+    step = max(1, _GATHER // width)  # rows per gather, so memory is O(_GATHER)
 
     def energies(rng, n):
         send = rng.integers(0, m, size=n)
@@ -225,13 +226,12 @@ def exact_lambda1(channel: ChannelModel, detector: DetectorSpec) -> float:
     """Exact P(S_k > k(N+delta)) at zero signal energy: the negative binomial
     upper tail, one incomplete beta."""
     return math.exp(
-        log_tail_probability(detector.k, 0.0, channel, detector.threshold, upper=True)
-    )
+        log_tail_probability(detector.k, 0.0, channel, detector.threshold, upper=True))
 
 
 def exact_lambda2(delta_vec, channel: ChannelModel, detector: DetectorSpec) -> float:
-    """Exact P(S_k <= k(N+delta)) at per-mode energies |Delta_t|^2; the law
-    depends on them only through their sum."""
+    """Exact P(S_k <= k(N+delta)) at ||Delta||^2, the summed |entries|^2 of
+    ``delta_vec``: Delta in C^k, or its real (re, im) pairs as a code's rows give."""
     energy = float(np.sum(np.abs(np.asarray(delta_vec, dtype=complex)) ** 2))
     return math.exp(
         log_tail_probability(detector.k, energy, channel, detector.threshold, upper=False))

@@ -6,12 +6,13 @@ is built by packing the ball of radius sqrt(k E) in R^{2k} at separation
 the detector error bounds live with the count law, in `photonstats`.  All
 cardinalities are handled in log domain.  The near-k log k scaling
 rho^2 = gamma ln k needs no helper of its own: at that rho the achievable log
-cardinality is k ln k - k ln ln k + k ln(E/(4 gamma)).  Signatures are complex
-(M, k) views of the (M, 2k) (re, im) rows that the packing and the files hold.
-`SignatureSet` checks every code, built or loaded: k >= 1, E > 0 with k E
-finite, rho finite and > 0, and finite rows of energy at most k E.  The file
-reader only parses.  Only a packing needs 2 rho <= sqrt(k E); a loaded code's
-rho is a label, and `closest_pair` measures its real separation.
+cardinality is k ln k - k ln ln k + k ln(E/(4 gamma)).  A code is the float64
+(M, 2k) rows of (re, im) pairs that the packing and the files hold; only
+`SignatureSet.signatures` views them as complex (M, k).  `SignatureSet` checks
+every code, built or loaded: k >= 1, E > 0 with k E finite, rho finite and
+> 0, and finite rows 2k wide of energy at most k E.  The file reader only
+parses.  Only a packing needs 2 rho <= sqrt(k E); a loaded code's rho is a
+label, and `closest_pair` measures its real separation.
 """
 
 from __future__ import annotations
@@ -36,33 +37,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignatureSet:
-    """Codebook of complex amplitude vectors plus its construction parameters;
-    ``min_distance`` is derived from the closest pair, found once on first use."""
+    """M signatures in C^k as real rows, and the code's parameters; a code equals
+    only itself.  ``min_distance`` comes from the closest pair, found on first use."""
 
     k: int
     energy_budget: float  # E; per-signature energy is bounded by k * E
     rho: float
-    signatures: np.ndarray  # complex, shape (M, k)
+    rows: np.ndarray  # float64, shape (M, 2k): each signature as (re, im) pairs
 
     def __post_init__(self):
         _check_energy(self.k, self.energy_budget, self.rho)
-        if self.signatures.ndim != 2 or self.signatures.shape[1] != self.k:
-            raise ValueError("signatures must have shape (M, k)")
-        if not np.isfinite(self.signatures).all():
-            raise ValueError("signatures must be finite")
-        top = np.hypot.reduce(np.abs(self.signatures), axis=1).max(initial=0.0)  # no overflow
-        if top > geometry.MAX_NORM:
-            raise ValueError(f"signature norms must be at most {geometry.MAX_NORM:.6g}")
+        if getattr(self.rows, "dtype", None) != float or self.rows.ndim != 2:
+            raise ValueError(f"rows must be a float64 array of shape (M, 2k = {2 * self.k})")
+        if self.rows.shape[1] != 2 * self.k:
+            raise ValueError(f"row width {self.rows.shape[1]} != 2k = {2 * self.k}")
+        top = np.hypot.reduce(self.rows, axis=1).max(initial=0.0)  # no overflow
+        if not top <= geometry.MAX_NORM:  # a NaN entry makes top NaN, which fails too
+            raise ValueError(f"signatures must be finite, of norm at most {geometry.MAX_NORM:.6g}")
         if top**2 > self.k * self.energy_budget * (1 + 1e-9):  # beyond rounding
             raise ValueError(f"a row has energy {top**2:.12g} > k E = "
                              f"{self.k * self.energy_budget:.12g}")
 
     @property
-    def rows(self) -> np.ndarray:
-        """The (M, 2k) real view: each signature as (re, im) pairs."""
-        return np.ascontiguousarray(self.signatures, dtype=complex).view(float)
+    def signatures(self) -> np.ndarray:
+        """The complex (M, k) view of the rows."""
+        return np.ascontiguousarray(self.rows).view(complex)
 
     @cached_property
     def closest_pair(self) -> tuple[float, int, int]:
@@ -75,7 +76,7 @@ class SignatureSet:
         return math.sqrt(self.closest_pair[0]) if len(self) >= 2 else math.inf
 
     def __len__(self) -> int:
-        return self.signatures.shape[0]
+        return len(self.rows)
 
     def energies(self) -> np.ndarray:
         return (self.rows**2).sum(axis=1)
@@ -98,11 +99,11 @@ def _check_rho(k: int, energy: float, rho: float) -> None:
 
 def build_code(k: int, energy: float, rho: float, rng: np.random.Generator,
                rejection_budget: int = geometry.DEFAULT_REJECTION_BUDGET) -> SignatureSet:
-    """Pack the energy ball at separation 2 rho and read points as C^k signatures."""
+    """Pack the energy ball in R^{2k} at separation 2 rho: its points are the code's rows."""
     _check_rho(k, energy, rho)
     points = geometry.greedy_packing(2 * k, math.sqrt(k * energy), 2 * rho, rng,
                                      rejection_budget=rejection_budget)
-    return SignatureSet(k=k, energy_budget=energy, rho=rho, signatures=points.view(complex))
+    return SignatureSet(k=k, energy_budget=energy, rho=rho, rows=points)
 
 
 def achievable_users_log(k: int, energy: float, rho: float) -> float:
@@ -166,12 +167,13 @@ def _read_signature_set(fh) -> SignatureSet:
         rows = np.loadtxt(fh, ndmin=2)  # skips "#" comment lines
     if "M" in fields and _header_field(fields, "M", int) != len(rows):
         raise ValueError(f"header field M={fields['M']} but the file has {len(rows)} rows")
-    if rows.size == 0:  # no width to check; SignatureSet refuses a k < 1
-        rows = rows.reshape(0, 2 * max(k, 0))
-    elif rows.shape[1] != 2 * k:
-        raise ValueError(f"row width {rows.shape[1]} != 2k = {2 * k}")
+    if rows.size == 0:  # an empty code, 2k wide; SignatureSet refuses a k < 1
+        try:
+            rows = rows.reshape(0, 2 * max(k, 0))
+        except ValueError:  # no numpy array is 2k wide
+            raise ValueError(f"header field k={fields['k']} is too large") from None
     return SignatureSet(k=k, energy_budget=_header_field(fields, "energy_budget", float),
-                        rho=_header_field(fields, "rho", float), signatures=rows.view(complex))
+                        rho=_header_field(fields, "rho", float), rows=rows)
 
 
 def load_signature_set(path) -> SignatureSet:

@@ -18,7 +18,7 @@ from bosonid.photonstats import ChannelModel, DetectorSpec
 from test_photonstats import reference_counts
 
 # four k = 2 signatures at squared distances 1, 2.25, 4, 4.25, 4.25 and 5
-FOUR_POINTS = np.array([[0, 0], [1, 0], [0, 2j], [1.5, 1 + 1j]], dtype=complex)
+FOUR_POINTS = np.array([[0, 0], [1, 0], [0, 2j], [1.5, 1 + 1j]], dtype=complex).view(float)
 
 
 def mp_lambda1(k, noise, delta):
@@ -211,7 +211,7 @@ class TestEstimateLambda2:
         ch = ChannelModel(1.0)
         sigs = np.array([[0, 0], [1.5, 1.5]], dtype=complex)
         det = DetectorSpec.make(1.0, 2, ch)
-        est = mc.estimate_errors(mc.sampled_pairs(sigs), ch, det, 2000, 5)["lambda2"]
+        est = mc.estimate_errors(mc.sampled_pairs(sigs.view(float)), ch, det, 2000, 5)["lambda2"]
         # with only one pair this must agree with the worst-pair target
         exact = mc.exact_lambda2(sigs[1] - sigs[0], ch, det)
         assert exact_binomial_ok(est.successes, est.trials, exact)
@@ -236,7 +236,12 @@ class TestEstimateLambda2:
         sigs = np.array([[1.073 - 2.246j], [2.3530166780457646 - 0.7092640747595296j]])
         d2, _, _ = geometry.closest_pair(sigs.view(float))
         assert d2 == 4.0
-        assert mc.sampled_pairs(sigs)(np.random.default_rng(0), 10).tolist() == [d2] * 10
+        pairs = mc.sampled_pairs(sigs.view(float))
+        assert pairs(np.random.default_rng(0), 10).tolist() == [d2] * 10
+
+    def test_sampled_pairs_refuses_complex_arrays(self):
+        with pytest.raises(ValueError, match="real rows"):
+            mc.sampled_pairs(FOUR_POINTS.view(complex))
 
     def test_sampled_pairs_needs_two_signatures(self):
         with pytest.raises(ValueError, match="2 signatures"):
@@ -442,7 +447,7 @@ class TestBlocks:
         spec = mc.HeterodyneSpec(noise_variance=2.0, threshold=6.0)
         het = mc.heterodyne_simulate(2, 4.5, spec, self.TRIALS, 3)
         worst = mc.estimate_errors(4.5, ch, det, self.TRIALS, 2)
-        sampled = mc.estimate_errors(mc.sampled_pairs(sigs), ch, det, self.TRIALS, 2)
+        sampled = mc.estimate_errors(mc.sampled_pairs(sigs.view(float)), ch, det, self.TRIALS, 2)
         exact1 = mc.exact_lambda1(ch, det)
         exact2 = mc.exact_lambda2(sigs[1] - sigs[0], ch, det)
         return {
@@ -482,7 +487,7 @@ class TestBlocks:
             trials = chunks * mc._BLOCK
             for run in (
                 lambda: mc.estimate_errors(2.0 * k, ch, det, trials, 1),
-                lambda: mc.estimate_errors(mc.sampled_pairs(sigs), ch, det, trials, 1),
+                lambda: mc.estimate_errors(mc.sampled_pairs(sigs.view(float)), ch, det, trials, 1),
                 lambda: mc.heterodyne_simulate(k, 2.0 * k, spec, trials, 1),
             ):
                 tracemalloc.start()
@@ -494,7 +499,7 @@ class TestBlocks:
                 assert peak < 16 * 2**20 * min(mc._WORKERS, chunks)
 
     def test_pair_energies_gathered_in_slices(self, monkeypatch):
-        # 7 entries per gather is 3 pairs of a k = 2 code per slice: the same
+        # 7 entries per gather is 1 row of a k = 2 code per slice: the same
         # per-trial energies, so the same estimate
         ch = ChannelModel(1.0)
         det = DetectorSpec.make(1.0, 2, ch)

@@ -478,7 +478,7 @@ class TestFiniteInputs:
                      ("threshold",), id="threshold-heterodyne-overflows"),
         # a code's own (k, E, rho), built or loaded, meets build_code's rules
         *[pytest.param(lambda a=args: scheme.SignatureSet(
-            *a, signatures=np.zeros((0, max(a[0], 0)), dtype=complex)), params,
+            *a, rows=np.zeros((0, 2 * max(a[0], 0)))), params,
                        id=f"signature-set-{name}")
           for name, args, params in [("k", (0, 4.0, 1.0), ("k",)),
                                      ("kE", (2, 1e308, 1.0), ("energy",)),

@@ -2,7 +2,8 @@
 public function of bosonid has a use outside the tests: code only tests reach
 belongs in the tests.  The Monte Carlo layer does not depend on codes and
 has one sampling kernel, the Fock-space oracle imports only the channel, the
-geometry computes on real rows, no module imports scipy on import, the
+geometry computes on real rows, a code's complex view is made in one
+place, no module imports scipy on import, the
 scipy floor in pyproject.toml has every scipy.special name src/ imports, and
 each range rule is written once."""
 
@@ -126,6 +127,36 @@ def test_geometry_computes_on_real_rows():
     tree = ast.parse((ROOT / "src" / "bosonid" / "geometry.py").read_text())
     names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
     assert not names & {"dataclass", "real", "imag"}
+
+
+def _functions_naming(module: str, names: set) -> set:
+    """Qualified names of the innermost functions of ``module`` that use one
+    of ``names`` as a name or an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if (getattr(node, "id", None) or getattr(node, "attr", None)) in names:
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse((ROOT / "src" / "bosonid" / f"{module}.py").read_text()), module)
+    return found
+
+
+def test_code_layout_is_real_rows():
+    """A code is its real (M, 2k) rows in `scheme`, `montecarlo` and `cli`:
+    only `SignatureSet.signatures` views them as complex, and only
+    `exact_lambda2` coerces its caller's vector, which may be complex.  The
+    oracle suite, `cli._verify_checks`, takes real parts of Fock-space
+    matrices and builds no code."""
+    converting = {"complex", "view", "real", "imag"}
+    found = set().union(*(_functions_naming(m, converting)
+                          for m in ("scheme", "montecarlo", "cli")))
+    assert found == {"scheme.SignatureSet.signatures", "montecarlo.exact_lambda2",
+                     "cli._verify_checks"}
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "bosonid").glob("*.py")),

@@ -53,7 +53,7 @@ class TestBuildCode:
 class TestSignatureSet:
     def test_single_signature_min_distance_is_inf(self):
         code = scheme.SignatureSet(k=2, energy_budget=4.0, rho=1.0,
-                                   signatures=np.zeros((1, 2), dtype=complex))
+                                   rows=np.zeros((1, 4)))
         assert code.min_distance == math.inf
 
     def test_rejects_norms_beyond_screen_range(self):
@@ -61,16 +61,31 @@ class TestSignatureSet:
         # where the closest-pair screen overflows
         pts = np.random.default_rng(0).normal(scale=1e154, size=(30, 3))
         with pytest.raises(ValueError, match="at most"):
-            scheme.SignatureSet(k=3, energy_budget=1.0, rho=1.0, signatures=pts + 0j)
-        # nor a signature array that is not (M, k)
-        for sigs in (np.zeros((2, 2), dtype=complex), np.zeros(3, dtype=complex)):
-            with pytest.raises(ValueError, match="shape"):
-                scheme.SignatureSet(k=3, energy_budget=1.0, rho=1.0, signatures=sigs)
+            scheme.SignatureSet(k=3, energy_budget=1.0, rho=1.0, rows=(pts + 0j).view(float))
+        # nor rows that are not float (M, 2k)
+        for rows in (np.zeros((2, 4)), np.zeros(6), np.zeros((2, 3), dtype=complex)):
+            with pytest.raises(ValueError, match="shape|row width"):
+                scheme.SignatureSet(k=3, energy_budget=1.0, rho=1.0, rows=rows)
+
+    def test_signatures_view_the_rows(self):
+        rows = np.asfortranarray([[1.0, 2, 3, 4], [0, 0, 0, 0]])  # not C-contiguous
+        code = scheme.SignatureSet(k=2, energy_budget=20.0, rho=1.0, rows=rows)
+        assert code.signatures.tolist() == [[1 + 2j, 3 + 4j], [0j, 0j]]
+
+    def test_equality_is_identity(self):
+        # a generated __eq__ would compare the rows arrays: ambiguous for
+        # two or more rows, and it would leave the class unhashable
+        rows = np.array([[0.0, 0, 0, 0], [2, 0, 0, 1]])
+        a = scheme.SignatureSet(k=2, energy_budget=4.0, rho=1.0, rows=rows)
+        b = scheme.SignatureSet(k=2, energy_budget=4.0, rho=1.0, rows=rows.copy())
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+        assert a.min_distance == b.min_distance == math.sqrt(5)
 
     def test_rejects_row_above_the_energy_budget(self):
         sigs = np.array([[0, 0], [2, 2.0001]], dtype=complex)  # energy 8.00040001
         with pytest.raises(ValueError, match="a row has energy 8.00040001 > k E = 8"):
-            scheme.SignatureSet(k=2, energy_budget=4.0, rho=1.0, signatures=sigs)
+            scheme.SignatureSet(k=2, energy_budget=4.0, rho=1.0, rows=sigs.view(float))
 
     def test_two_points_at_exactly_the_separation(self):
         # the packing measures these two points at exactly 2.0, where |Delta|^2
@@ -78,13 +93,13 @@ class TestSignatureSet:
         sigs = np.array([[1.073 - 2.246j], [2.3530166780457646 - 0.7092640747595296j]])
         rows = sigs.view(float)
         assert geo._distances(rows[:1], rows[1]).tolist() == [2.0]
-        code = scheme.SignatureSet(k=1, energy_budget=7.0, rho=1.0, signatures=sigs)
+        code = scheme.SignatureSet(k=1, energy_budget=7.0, rho=1.0, rows=rows)
         assert code.min_distance == 2.0
         assert code.closest_pair == (4.0, 0, 1)
 
     def test_min_distance_is_closest_pair_length(self):
         code = scheme.SignatureSet(k=1, energy_budget=9.0, rho=0.5,
-                                   signatures=np.array([[0], [3j], [1 + 1j]]))
+                                   rows=np.array([[0], [3j], [1 + 1j]]).view(float))
         assert code.min_distance == pytest.approx(math.sqrt(2))
         assert code.closest_pair[1:] == (0, 2)
 
@@ -357,8 +372,14 @@ class TestSerialization:
         ("k=1 energy_budget=4 rho=1 M=two", "0 0\n", "M=two is not an integer"),
         ("k=1 energy_budget=4 rho=1 M=7", "0 0\n3 0\n", "M=7 but the file has 2 rows"),
         ("k=1 energy_budget=4 rho=1", "0 0\n3 0\n", "a row has energy 9 > k E = 4"),
+        # an empty code's rows are 2k wide, and numpy has no array that wide
+        ("k=100000000000000000000000000 energy_budget=1 rho=1", "",
+         "header field k=100000000000000000000000000 is too large"),
+        ("k=4611686018427387904 energy_budget=1 rho=1", "",
+         "header field k=4611686018427387904 is too large"),
     ], ids=["token_without_eq", "k_word", "k_fraction", "k_zero", "energy_word", "energy_nan",
-            "energy_zero", "rho_negative", "rho_inf", "m_word", "m_wrong", "row_above_kE"])
+            "energy_zero", "rho_negative", "rho_inf", "m_word", "m_wrong", "row_above_kE",
+            "k_1e26_empty", "k_2_62_empty"])
     def test_rejects_malformed_header(self, tmp_path, header, rows, message):
         path = tmp_path / "code.txt"
         path.write_text(f"# signature-set {header}\n{rows}")
