@@ -75,7 +75,7 @@ def _write_table(rows, meta, out, fmt):
 def _meta(args) -> dict:
     """Version, the hash of all arguments but seed, output and subcommand, and the seed."""
     config = {key: value for key, value in vars(args).items()
-              if key not in ("seed", "out", "func", "command")}
+              if key not in ("seed", "out", "command")}
     meta = {"version": __version__, "config_hash": _config_hash(config)}
     if hasattr(args, "seed"):
         meta["seed"] = args.seed
@@ -269,30 +269,51 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_ORACLE
 
 
+# One row per flag: its option strings, its argparse keywords, and the library
+# parameters whose `RangeError` it answers for.
 _FLAGS = {
     "k": (("--k",), dict(type=str, default="4",
-                         help="block length, or comma-separated list for sweeps")),
+                         help="block length, or comma-separated list for sweeps"), ()),
+    "single_k": (("--k",), dict(type=str, default="4", help="block length"), ()),
     "energy": (("--energy", "-E"), dict(type=float, default=4.0,
-                                        help="per-mode energy budget E")),
+                                        help="per-mode energy budget E"), ("energy", "radius")),
     "noise": (("--noise", "-N"), dict(type=float, default=1.0,
-                                      help="mean thermal photon number N")),
-    "delta": (("--delta",), dict(type=float, default=1.0, help="detector threshold slack")),
-    "rho": (("--rho",), dict(type=float, default=None, help="separation radius")),
+                                      help="mean thermal photon number N"),
+              ("n_thermal", "threshold")),
+    "delta": (("--delta",), dict(type=float, default=1.0, help="detector threshold slack"),
+              ("delta", "threshold")),
+    "delta_k": (("--delta-k",), dict(type=float, default=None,
+                                     help="converse error level (default 1/k; must be < 1/4)"),
+                ("delta_k",)),
+    "rho": (("--rho",), dict(type=float, default=None, help="separation radius"), ("rho",)),
     "gamma": (("--gamma",), dict(type=float, default=None,
-                                 help="use rho^2 = gamma ln k instead of --rho")),
-    "seed": (("--seed",), dict(type=int, default=1234)),
-    "trials": (("--trials",), dict(type=int, default=100_000)),
+                                 help="use rho^2 = gamma ln k instead of --rho"), ("rho",)),
+    "seed": (("--seed",), dict(type=int, default=1234), ()),
+    "trials": (("--trials",), dict(type=int, default=100_000), ()),
     "code": (("--code",), dict(type=str, default=None,
-                               help="load a serialized signature set instead of building one")),
-    "out": (("--out",), dict(type=str, default=None, help="output file path")),
-    "format": (("--format",), dict(choices=("csv", "json"), default="csv")),
+                               help="load a serialized signature set instead of building one"),
+             ()),
+    "out": (("--out",), dict(type=str, default=None, help="output file path"), ()),
+    "format": (("--format",), dict(choices=("csv", "json"), default="csv"), ()),
+    "pair_strategy": (("--pair-strategy",), dict(choices=("worst_pair", "all_pairs_sampled"),
+                                                 default="worst_pair"), ()),
 }
 
-
-def _add_flags(parser, *names):
-    for name in names:
-        flags, kwargs = _FLAGS[name]
-        parser.add_argument(*flags, **kwargs)
+# One row per subcommand: its help, its handler and its `_FLAGS` rows in --help order.
+_COMMANDS = {
+    "bounds": ("tabulate achievability/converse bounds", cmd_bounds,
+               ("k", "energy", "noise", "delta", "rho", "gamma", "out", "format", "delta_k")),
+    "pack": ("build and serialize a signature set", cmd_pack,
+             ("single_k", "energy", "rho", "seed", "out")),
+    "simulate": ("Monte Carlo detector error estimates", cmd_simulate,
+                 ("single_k", "energy", "noise", "delta", "rho", "seed", "trials", "code",
+                  "out", "format", "pair_strategy")),
+    "heterodyne": ("heterodyne ball-test baseline: accept within squared radius "
+                   "k (N + 1) (1 + delta)", cmd_heterodyne,
+                   ("single_k", "energy", "noise", "delta", "rho", "seed", "trials", "code",
+                    "out", "format")),
+    "verify": ("run the exact-oracle verification suite", cmd_verify, ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,47 +324,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"bosonid {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds", help="tabulate achievability/converse bounds")
-    _add_flags(p, "k", "energy", "noise", "delta", "rho", "gamma", "out", "format")
-    p.add_argument("--delta-k", type=float, default=None, dest="delta_k",
-                   help="converse error level (default 1/k; must be < 1/4)")
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("pack", help="build and serialize a signature set")
-    _add_flags(p, "k", "energy", "rho", "seed", "out")
-    p.set_defaults(func=cmd_pack)
-
-    p = sub.add_parser("simulate", help="Monte Carlo detector error estimates")
-    _add_flags(p, "k", "energy", "noise", "delta", "rho", "seed", "trials", "code",
-               "out", "format")
-    p.add_argument("--pair-strategy", choices=("worst_pair", "all_pairs_sampled"),
-                   default="worst_pair", dest="pair_strategy")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("heterodyne", help="heterodyne ball-test baseline: accept within "
-                       "squared radius k (N + 1) (1 + delta)")
-    _add_flags(p, "k", "energy", "noise", "delta", "rho", "seed", "trials", "code",
-               "out", "format")
-    p.set_defaults(func=cmd_heterodyne)
-
-    p = sub.add_parser("verify", help="run the exact-oracle verification suite")
-    p.set_defaults(func=cmd_verify)
-
+    for command, (help_text, _, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names:
+            flags, kwargs, _ = _FLAGS[name]
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
-_PARAM_FLAGS = {"energy": ("--energy",), "radius": ("--energy",), "n_thermal": ("--noise",),
-                "delta": ("--delta",), "delta_k": ("--delta-k",),
-                "threshold": ("--noise", "--delta")}
-
-
 def _flags_at_fault(exc, args) -> str:
-    """'<flags>: ' for a `RangeError`: once each, the flags that set the
-    parameters it names (rho is --gamma's where --gamma was given); else ''."""
-    rho = ("--gamma",) if getattr(args, "gamma", None) is not None else ("--rho",)
-    flags = {**_PARAM_FLAGS, "rho": rho}
-    named = dict.fromkeys(f for p in getattr(exc, "params", ()) for f in flags.get(p, ()))
+    """'<flags>: ' for a `RangeError`: once each, the flags whose `_FLAGS` rows
+    list the parameters it names (rho is --gamma's where --gamma was given,
+    else --rho's); else ''."""
+    idle = "--rho" if getattr(args, "gamma", None) is not None else "--gamma"
+    named = dict.fromkeys(flags[0] for p in getattr(exc, "params", ())
+                          for flags, _, params in _FLAGS.values()
+                          if p in params and flags[0] != idle)
     return " and ".join(named) + ": " if named else ""
 
 
@@ -357,7 +353,8 @@ def main(argv=None) -> int:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         if getattr(args, "trials", 1) < 1:
             raise ValueError(f"--trials must be >= 1, got {args.trials}")
-        if args.func in (cmd_pack, cmd_simulate, cmd_heterodyne):
+        _, handler, names = _COMMANDS[args.command]
+        if "single_k" in names:
             try:
                 (args.k,) = _parse_k_list(args.k)
             except ValueError:  # not a list of integers >= 1, or more than one
@@ -368,7 +365,7 @@ def main(argv=None) -> int:
             value = getattr(args, flag[2:], None)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{flag} must be finite and > 0, got {value}")
-        status = args.func(args)
+        status = handler(args)
         sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
         return status
     except BrokenPipeError:  # the reader of stdout left early, as `head -1` does

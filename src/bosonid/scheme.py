@@ -8,11 +8,12 @@ cardinalities are handled in log domain.  The near-k log k scaling
 rho^2 = gamma ln k needs no helper of its own: at that rho the achievable log
 cardinality is k ln k - k ln ln k + k ln(E/(4 gamma)).  A code is the float64
 (M, 2k) rows of (re, im) pairs that the packing and the files hold; only
-`SignatureSet.signatures` views them as complex (M, k).  `SignatureSet` checks
-every code, built or loaded: k >= 1, E > 0 with k E finite, rho finite and
-> 0, and finite rows 2k wide of energy at most k E.  The file reader only
-parses.  Only a packing needs 2 rho <= sqrt(k E); a loaded code's rho is a
-label, and `closest_pair` measures its real separation.
+`SignatureSet.signatures` views them as complex (M, k).  `SignatureSet` keeps
+a read-only copy of the rows it is given, and checks every code, built or
+loaded: k >= 1, E > 0 with k E finite, rho finite and > 0, and finite rows 2k
+wide of energy at most k E.  The file reader only parses.  Only a packing
+needs 2 rho <= sqrt(k E); a loaded code's rho is a label, and `closest_pair`
+measures its real separation.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ class SignatureSet:
             raise ValueError(f"rows must be a float64 array of shape (M, 2k = {2 * self.k})")
         if self.rows.shape[1] != 2 * self.k:
             raise ValueError(f"row width {self.rows.shape[1]} != 2k = {2 * self.k}")
+        # its own read-only copy: no write can move a row under the cached closest pair
+        rows = np.array(self.rows, order="C")
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
         top = np.hypot.reduce(self.rows, axis=1).max(initial=0.0)  # no overflow
         if not top <= geometry.MAX_NORM:  # a NaN entry makes top NaN, which fails too
             raise ValueError(f"signatures must be finite, of norm at most {geometry.MAX_NORM:.6g}")
@@ -62,8 +67,8 @@ class SignatureSet:
 
     @property
     def signatures(self) -> np.ndarray:
-        """The complex (M, k) view of the rows."""
-        return np.ascontiguousarray(self.rows).view(complex)
+        """The complex (M, k) view of the rows, read-only as they are."""
+        return self.rows.view(complex)
 
     @cached_property
     def closest_pair(self) -> tuple[float, int, int]:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -826,10 +827,39 @@ def two_point_code(tmp_path_factory):
     return path
 
 
-def accepts(command, flag):
-    """Whether ``command`` takes ``flag``."""
-    _, unknown = cli.build_parser().parse_known_args([command, f"{flag}=1"])
+def accepts(command, flag, value="1"):
+    """Whether ``command`` takes ``flag`` (with ``value``, which a choice flag must allow)."""
+    _, unknown = cli.build_parser().parse_known_args([command, f"{flag}={value}"])
     return not unknown
+
+
+class TestFlagTable:
+    # each subcommand's options in --help order, by their first option string
+    OPTIONS = {
+        "bounds": ["--k", "--energy", "--noise", "--delta", "--rho", "--gamma", "--out",
+                   "--format", "--delta-k"],
+        "pack": ["--k", "--energy", "--rho", "--seed", "--out"],
+        "simulate": ["--k", "--energy", "--noise", "--delta", "--rho", "--seed", "--trials",
+                     "--code", "--out", "--format", "--pair-strategy"],
+        "heterodyne": ["--k", "--energy", "--noise", "--delta", "--rho", "--seed", "--trials",
+                       "--code", "--out", "--format"],
+        "verify": [],
+    }
+    ALIASES = {"-E": "--energy", "-N": "--noise"}
+    VALUES = {"--format": "csv", "--pair-strategy": "worst_pair"}  # choices refuse "1"
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_accepted_flags(self, command):
+        every = {*(f for flags in self.OPTIONS.values() for f in flags), *self.ALIASES}
+        accepted = {f for f in every if accepts(command, f, self.VALUES.get(f, "1"))}
+        assert accepted == {f for f in every
+                            if self.ALIASES.get(f, f) in self.OPTIONS[command]}
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_help_order(self, capsys, command):
+        assert run([command, "--help"]) == cli.EXIT_OK
+        options = capsys.readouterr().out.split("options:\n")[1]
+        assert re.findall(r"^  (-[-\w]+)", options, re.M) == ["-h", *self.OPTIONS[command]]
 
 
 class TestFuzz:

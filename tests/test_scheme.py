@@ -72,6 +72,19 @@ class TestSignatureSet:
         code = scheme.SignatureSet(k=2, energy_budget=20.0, rho=1.0, rows=rows)
         assert code.signatures.tolist() == [[1 + 2j, 3 + 4j], [0j, 0j]]
 
+    def test_rows_cannot_change_under_the_closest_pair(self):
+        rows = np.array([[0.0, 0], [3, 0], [0, 5]])
+        code = scheme.SignatureSet(k=1, energy_budget=100.0, rho=1.0, rows=rows)
+        assert code.min_distance == 3.0  # the closest pair is now cached
+        with pytest.raises(ValueError, match="read-only"):
+            code.signatures[1, 0] = 9 + 9j
+        with pytest.raises(ValueError, match="read-only"):
+            code.rows[1, 0] = 9.0
+        rows[1] = [9, 9]  # the caller's array is not the code's
+        assert code.rows.tolist() == [[0, 0], [3, 0], [0, 5]]
+        assert code.min_distance == 3.0
+        assert code.energies().tolist() == [0, 9, 25]
+
     def test_equality_is_identity(self):
         # a generated __eq__ would compare the rows arrays: ambiguous for
         # two or more rows, and it would leave the class unhashable
