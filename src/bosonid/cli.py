@@ -5,7 +5,7 @@ Subcommands: bounds | pack | simulate | verify | heterodyne.  Every output
 table carries the artifact version and a hash of the effective configuration,
 and the random commands also their seed, so reruns with identical arguments
 are byte-identical.
-Exit codes: 0 success, 1 validation error, 2 oracle/acceptance failure.
+Exit codes: 0 success, 1 validation error (or a failed allocation), 2 oracle/acceptance failure.
 """
 
 from __future__ import annotations
@@ -372,7 +372,7 @@ def main(argv=None) -> int:
         # the interpreter flushes stdout again at exit: that write goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {_flags_at_fault(exc, args)}{exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -262,7 +262,7 @@ def closest_pair(points) -> tuple[float, int, int]:
             i, j = np.divmod(np.flatnonzero(s <= floor + slack), s.shape[1])
             i, j = i + lo, j + lo
             d2 = ((pts[j] - pts[i]) ** 2).sum(axis=1)  # `_distances`, before its root
-            first = np.lexsort((j, i, d2))[0]
+            first = int(np.argmin(d2))  # candidates come in (i, j) order: ties keep the lowest
             best = min(best, (float(d2[first]), int(i[first]), int(j[first])))
         lo = hi
     return best

@@ -79,9 +79,9 @@ def _check_k(k: int) -> None:
         raise RangeError(f"k must be >= 1, got {k}", "k")
 
 
-def _check_nonnegative(name: str, value: float, param: str = "") -> None:
+def _check_nonnegative(name: str, value: float) -> None:
     if not 0 <= value < math.inf:
-        raise RangeError(f"{name} must be finite and >= 0, got {value}", param or name)
+        raise RangeError(f"{name} must be finite and >= 0, got {value}", name)
 
 
 def _check_delta(delta: float) -> None:
@@ -91,26 +91,26 @@ def _check_delta(delta: float) -> None:
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """Photon-number threshold detector: accept iff total count <= threshold.
-
-    ``threshold`` is always ``k * (n_thermal + delta)`` < 2^53; use :meth:`make`.
+    """Photon-number threshold detector over k >= 1 modes: accept iff total
+    count <= threshold < 2^53.  :meth:`make` sets it to ``k * (n_thermal + delta)``.
     """
 
     k: int
     threshold: float
 
+    def __post_init__(self):
+        _check_k(self.k)
+        _check_threshold(self.threshold)
+
     @classmethod
     def make(cls, delta: float, k: int, channel: ChannelModel) -> "DetectorSpec":
         _check_delta(delta)
-        _check_k(k)
-        threshold = k * (channel.n_thermal + delta)
-        _check_threshold(threshold)
-        return cls(k=k, threshold=threshold)
+        return cls(k=k, threshold=k * (channel.n_thermal + delta))
 
 
 def _check_law(k: int, total_energy: float) -> None:
     _check_k(k)
-    _check_nonnegative("energy", total_energy, "total_energy")
+    _check_nonnegative("total_energy", total_energy)
 
 
 def _check_threshold(threshold: float) -> None:
@@ -310,7 +310,7 @@ def analytic_error_bounds(
     1024, and above this one at none.  At N = 0 no count exceeds the
     threshold, Lambda diverges and lambda1_log is -inf, the exact tail's log."""
     _check_delta(delta)
-    _check_nonnegative("pair energy", pair_energy, "pair_energy")
+    _check_nonnegative("pair_energy", pair_energy)
     N = channel.n_thermal
     # r - 1 in a form that keeps its precision where r rounds to 1 (large N)
     m = math.expm1(-math.log1p(N) / (N + delta))

@@ -166,18 +166,15 @@ def _read_signature_set(fh) -> SignatureSet:
         if not eq:
             raise ValueError(f"header token {tok!r} is not key=value")
         fields[key] = value
-    k = _header_field(fields, "k", int)
-    with warnings.catch_warnings():  # a header with no rows is an empty code
+    with warnings.catch_warnings():  # no rows is refused below, in one error line
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         rows = np.loadtxt(fh, ndmin=2)  # skips "#" comment lines
+    if rows.size == 0:
+        raise ValueError("the file has no signature rows")
     if "M" in fields and _header_field(fields, "M", int) != len(rows):
         raise ValueError(f"header field M={fields['M']} but the file has {len(rows)} rows")
-    if rows.size == 0:  # an empty code, 2k wide; SignatureSet refuses a k < 1
-        try:
-            rows = rows.reshape(0, 2 * max(k, 0))
-        except ValueError:  # no numpy array is 2k wide
-            raise ValueError(f"header field k={fields['k']} is too large") from None
-    return SignatureSet(k=k, energy_budget=_header_field(fields, "energy_budget", float),
+    return SignatureSet(k=_header_field(fields, "k", int),
+                        energy_budget=_header_field(fields, "energy_budget", float),
                         rho=_header_field(fields, "rho", float), rows=rows)
 
 

@@ -361,7 +361,7 @@ class TestFiniteInputs:
         "NO_K": "# signature-set energy_budget=4 rho=1\n0 0 2 0\n",
         "TOKEN_WITHOUT_EQ": "# signature-set k=1 energy_budget=4 rho=1 foo\n0 0\n",
         "K_NOT_INT": "# signature-set k=abc energy_budget=4 rho=1\n0 0\n",
-        "K_ZERO": "# signature-set k=0 energy_budget=4 rho=1\n",
+        "K_ZERO": "# signature-set k=0 energy_budget=4 rho=1\n0 0\n",
         "E_NAN": "# signature-set k=1 energy_budget=nan rho=1\n0 0\n1 0\n",
         "RHO_NEGATIVE": "# signature-set k=1 energy_budget=4 rho=-1\n0 0\n1 0\n",
         "M_WRONG": "# signature-set k=1 energy_budget=4 rho=1 M=7\n0 0\n1 0\n",
@@ -460,14 +460,13 @@ class TestFiniteInputs:
         assert all(path in captured.err for path in bad)  # a bad file is named
         assert named is None or named in captured.err
 
-    @pytest.mark.parametrize("k", ["100000000000000000000000000", "4611686018427387904"])
-    def test_empty_code_of_huge_k_names_the_field(self, tmp_path, capsys, k):
+    @pytest.mark.parametrize("k", ["2", "100000000000000000000000000"],
+                             ids=["k_2", "k_1e26"])
+    def test_code_without_rows_is_one_error_line(self, tmp_path, capsys, k):
         path = tmp_path / "code.txt"
         path.write_text(f"# signature-set k={k} energy_budget=1 rho=1\n")
         assert run(["simulate", "--code", str(path), "--trials", "10"]) == cli.EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ") and f"k={k}" in err
-        assert len(err.splitlines()) == 1
+        assert capsys.readouterr().err == f"error: {path}: the file has no signature rows\n"
 
     @pytest.mark.parametrize("argv,flag", [
         (["simulate", "--trials", "10", "--delta", "nan"], "--delta"),
@@ -624,6 +623,23 @@ class TestClosedStdout:
     def test_file_errors_stay_validation_errors(self, capsys, tmp_path, argv):
         assert run([arg.format(tmp=tmp_path) for arg in argv]) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestAllocationFailure:
+    def test_is_one_error_line(self):
+        # 4096 candidates of dimension 2k = 200000 ask for 6.1 GiB at once: a
+        # child with 2e9 bytes of address space fails that allocation
+        resource = pytest.importorskip("resource")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+        child = subprocess.run(
+            [sys.executable, "-m", "bosonid.cli", "pack", "--k", "100000", "--rho", "1"],
+            env=child_env(), capture_output=True, text=True, timeout=60, preexec_fn=limit)
+        assert child.returncode == cli.EXIT_VALIDATION
+        assert child.stderr.startswith("error: ") and "Traceback" not in child.stderr
+        assert len(child.stderr.splitlines()) == 1
 
 
 class TestVerify:

@@ -466,6 +466,12 @@ class TestFiniteInputs:
           for n in (-0.5, math.inf)],
         pytest.param(lambda: DetectorSpec.make(math.nan, 2, ChannelModel(1.0)), ("delta",),
                      id="delta-detector"),
+        # a detector built directly, not by make, meets the same rules
+        *[pytest.param(lambda a=args: DetectorSpec(*a), params, id=f"detector-{name}")
+          for name, args, params in [("k", (0, 4.0), ("k",)),
+                                     ("threshold-2^60", (4, 2.0**60), ("threshold",)),
+                                     ("threshold-nan", (4, math.nan), ("threshold",)),
+                                     ("threshold-inf", (4, math.inf), ("threshold",))]],
         pytest.param(lambda: ps.analytic_error_bounds(8, 1e306, 4.0, ChannelModel(1.0)),
                      ("delta",), id="delta-bounds"),
         # the heterodyne squared radius k (N + 1) (1 + delta) needs delta >= -1

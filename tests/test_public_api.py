@@ -208,3 +208,4 @@ def test_signature_file_reader_only_parses():
     `SignatureSet`: the file reader checks its format alone."""
     reader = inspect.getsource(importlib.import_module("bosonid.scheme")._read_signature_set)
     assert "must be" not in reader and "math.inf" not in reader and "energies" not in reader
+    assert "reshape" not in reader  # no copy of the 2k width rule

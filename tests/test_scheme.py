@@ -194,8 +194,8 @@ class TestAnalyticErrorBounds:
     @pytest.mark.parametrize("noise", [0.0, 1.0])
     @pytest.mark.parametrize("delta,pair_energy,name", [
         (0.0, 4.0, "delta"), (math.nan, 4.0, "delta"), (1e20, 4.0, "delta"),
-        (1.0, -1.0, "pair energy"), (1.0, math.inf, "pair energy"),
-        (1.0, math.nan, "pair energy")])
+        (1.0, -1.0, "pair_energy"), (1.0, math.inf, "pair_energy"),
+        (1.0, math.nan, "pair_energy")])
     def test_rejects_out_of_range(self, noise, delta, pair_energy, name):
         with pytest.raises(ValueError, match=name):
             ps.analytic_error_bounds(4, delta, pair_energy, ChannelModel(noise))
@@ -355,13 +355,6 @@ class TestSerialization:
             scheme.save_signature_set(again, scheme.load_signature_set(path))
             assert again.read_bytes() == new.read_bytes()
 
-    def test_header_without_rows_is_empty_code(self, tmp_path, recwarn):
-        path = tmp_path / "code.txt"
-        path.write_text("# signature-set k=2 energy_budget=4 rho=1 M=0 min_distance=inf\n")
-        code = scheme.load_signature_set(path)
-        assert code.signatures.shape == (0, 2) and code.signatures.dtype == complex
-        assert len(recwarn) == 0
-
     def test_negative_zero_keeps_its_sign(self, tmp_path):
         path, again = tmp_path / "code.txt", tmp_path / "again.txt"
         path.write_text("# signature-set k=1 energy_budget=4 rho=1 M=2 min_distance=2\n"
@@ -376,7 +369,7 @@ class TestSerialization:
         ("k=1 energy_budget=4 rho=1 foo", "0 0\n", "header token 'foo' is not key=value"),
         ("k=abc energy_budget=4 rho=1", "0 0\n", "k=abc is not an integer"),
         ("k=1.5 energy_budget=4 rho=1", "0 0\n", "k=1.5 is not an integer"),
-        ("k=0 energy_budget=4 rho=1", "", "k must be >= 1, got 0"),
+        ("k=0 energy_budget=4 rho=1", "0 0\n", "k must be >= 1, got 0"),
         ("k=1 energy_budget=four rho=1", "0 0\n", "energy_budget=four is not a number"),
         ("k=1 energy_budget=nan rho=1", "0 0\n", "E must be > 0 and k E finite, got E=nan"),
         ("k=1 energy_budget=0 rho=1", "0 0\n", "E must be > 0 and k E finite, got E=0.0"),
@@ -385,14 +378,15 @@ class TestSerialization:
         ("k=1 energy_budget=4 rho=1 M=two", "0 0\n", "M=two is not an integer"),
         ("k=1 energy_budget=4 rho=1 M=7", "0 0\n3 0\n", "M=7 but the file has 2 rows"),
         ("k=1 energy_budget=4 rho=1", "0 0\n3 0\n", "a row has energy 9 > k E = 4"),
-        # an empty code's rows are 2k wide, and numpy has no array that wide
+        # no command can use a code without signatures: refused whatever its k,
+        # before any array 2k wide is asked for
+        ("k=2 energy_budget=4 rho=1 M=0 min_distance=inf", "", "the file has no signature rows"),
         ("k=100000000000000000000000000 energy_budget=1 rho=1", "",
-         "header field k=100000000000000000000000000 is too large"),
-        ("k=4611686018427387904 energy_budget=1 rho=1", "",
-         "header field k=4611686018427387904 is too large"),
+         "the file has no signature rows"),
+        ("k=4611686018427387904 energy_budget=1 rho=1", "", "the file has no signature rows"),
     ], ids=["token_without_eq", "k_word", "k_fraction", "k_zero", "energy_word", "energy_nan",
             "energy_zero", "rho_negative", "rho_inf", "m_word", "m_wrong", "row_above_kE",
-            "k_1e26_empty", "k_2_62_empty"])
+            "no_rows", "k_1e26_empty", "k_2_62_empty"])
     def test_rejects_malformed_header(self, tmp_path, header, rows, message):
         path = tmp_path / "code.txt"
         path.write_text(f"# signature-set {header}\n{rows}")
