@@ -170,11 +170,12 @@ def _mc_row(name, est, **exact) -> dict:
 def cmd_simulate(args) -> int:
     channel = ChannelModel(args.noise)
     code, detector = _load_or_build_code(args, lambda k: DetectorSpec.make(args.delta, k, channel))
-    d2, i, j = code.closest_pair
+    d2 = code.closest_pair
     pairs = d2 if args.pair_strategy == "worst_pair" else montecarlo.sampled_pairs(code.rows)
     est = montecarlo.estimate_errors(pairs, channel, detector, args.trials, args.seed)
     exact1 = montecarlo.exact_lambda1(channel, detector)
-    exact2 = montecarlo.exact_lambda2(code.rows[j] - code.rows[i], channel, detector)
+    exact2 = math.exp(photonstats.log_tail_probability(code.k, d2, channel, detector.threshold,
+                                                       upper=False))
     bound1_log, bound2_log = photonstats.analytic_error_bounds(code.k, args.delta, d2, channel)
     rows = [_mc_row("lambda1", est["lambda1"], exact=exact1, bound_log=bound1_log),
             _mc_row("lambda2", est["lambda2"], exact=exact2, bound_log=bound2_log)]
@@ -186,8 +187,7 @@ def cmd_heterodyne(args) -> int:
     channel = ChannelModel(args.noise)
     code, spec = _load_or_build_code(
         args, lambda k: montecarlo.HeterodyneSpec.make(args.delta, k, channel))
-    sim = montecarlo.heterodyne_simulate(
-        code.k, code.closest_pair[0], spec, args.trials, args.seed)
+    sim = montecarlo.heterodyne_simulate(code.k, code.closest_pair, spec, args.trials, args.seed)
     ana = montecarlo.heterodyne_analytic(code.k, spec, code.min_distance)
     rows = [_mc_row("lambda1", sim["lambda1"], analytic=ana["lambda1"]),
             _mc_row("lambda2", sim["lambda2"], analytic=ana["lambda2"])]
@@ -208,26 +208,25 @@ def _verify_checks():
                                - photonstats.lambda_exponent(d, ch)))
     checks.append(("chernoff_equals_lambda", dev, 1e-9))
 
-    # The lower tails at k = 1 and 2 match partial sums of the Fock-space
-    # diagonal of one state and of its convolution with the next state's: at
-    # one N the law of the two modes' summed count depends only on their
-    # summed energy.
+    # exact_lambda2 at Delta = [alpha] and [alpha_i, alpha_j] matches partial
+    # sums of the Fock-space diagonal of one state and of its convolution with
+    # the next state's: at one N the law of the two modes' summed count
+    # depends only on their summed energy.
     dev = 0.0
     ch = ChannelModel(0.5)
     alphas = (1.0, 0.7 + 0.4j, 1.4j)
     diags = [np.diag(fockspace.displaced_thermal_density(a, ch, 60)).real for a in alphas]
     for i, alpha in enumerate(alphas):
         j = (i + 1) % len(alphas)
-        pair_energy = abs(alpha) ** 2 + abs(alphas[j]) ** 2
-        for k, pmf, energy in ((1, diags[i], abs(alpha) ** 2),
-                               (2, np.convolve(diags[i], diags[j]), pair_energy)):
+        for delta, pmf in (([alpha], diags[i]),
+                           ([alpha, alphas[j]], np.convolve(diags[i], diags[j]))):
             cdf = np.cumsum(pmf)
             for t in (0, 1, 6):
-                tail = photonstats.log_tail_probability(k, energy, ch, t, upper=False)
-                dev = max(dev, abs(math.exp(tail) - float(cdf[t])))
+                exact = montecarlo.exact_lambda2(delta, ch, DetectorSpec(len(delta), t))
+                dev = max(dev, abs(exact - float(cdf[t])))
     checks.append(("tail_matches_fock_diagonal", dev, 1e-12))
 
-    # <beta| S_N(alpha) |beta> = P(S_1 = 0) at energy |alpha - beta|^2: the
+    # <beta| S_N(alpha) |beta> = P(S_1 = 0) at Delta = [alpha - beta]: the
     # displacement covariance that leaves lambda2 a function of ||Delta||^2.
     dev = 0.0
     for alpha, beta, n in ((0.5, 1.5, 1.0), (1.0 + 0.5j, -0.2 + 0.1j, 0.5)):
@@ -235,8 +234,8 @@ def _verify_checks():
         rho = fockspace.displaced_thermal_density(alpha, ch, 60)
         vec = fockspace.coherent_state_vector(beta, 60)
         numeric = float((vec.conj() @ rho @ vec).real)
-        tail = photonstats.log_tail_probability(1, abs(alpha - beta) ** 2, ch, 0, upper=False)
-        dev = max(dev, abs(numeric - math.exp(tail)))
+        exact = montecarlo.exact_lambda2([alpha - beta], ch, DetectorSpec(1, 0))
+        dev = max(dev, abs(numeric - exact))
     checks.append(("overlap_matches_zero_count_tail", dev, 1e-12))
 
     # The converse counts signatures d0 apart, where the fidelity of two

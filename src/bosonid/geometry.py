@@ -5,7 +5,7 @@ Signatures live in the ball of radius sqrt(k E) in R^{2k} ~ C^k; a pairwise
 separation of 2 rho controls the false-accept exponent.  A packing is an
 (M, d) array of points, accepted greedily from uniform candidates until a
 rejection budget runs out.  One exact distance, `_distances`, decides every
-acceptance, and its square ranks the closest pair.
+acceptance, and its square is the closest pair's.
 
 A candidate is rejected as soon as one accepted point lies within the
 separation: a witness.  The packing finds witnesses cheaply and leaves every
@@ -213,18 +213,17 @@ def _augmented_cols(c: np.ndarray) -> np.ndarray:
     return cols
 
 
-def closest_pair(points) -> tuple[float, int, int]:
-    """(squared distance, i, j), i < j, of the closest pair of rows of a real
-    array; among equal distances the lowest indices win.  A complex array
-    raises ValueError: pass its real view of (re, im) pairs.
+def closest_pair(points) -> float:
+    """The least squared distance between two rows of a real array.  A complex
+    array raises ValueError: pass its real view of (re, im) pairs.
 
     A screen, then an exact refine.  Row blocks of the centered points are
     screened by |a|^2 + |b|^2 - 2 a.b (one matrix product per block, memory
     block x M).  Every pair whose screened value lies within a rigorous
     float-error slack of the running minimum is recomputed as the square of
-    `_distances`, the sum of (a_j - a_i)^2, and ranked by (distance, i, j),
-    so the result is the exact minimum of that sum, ties included, whatever
-    the screen's rounding; that of a packing at separation s is >= s^2.
+    `_distances`, the sum of (a_j - a_i)^2, so the result is the exact minimum
+    of that sum whatever the screen's rounding; that of a packing at
+    separation s is >= s^2.
 
     Each block has as many rows as keep its product within _SERIAL_PRODUCT
     multiply-adds, so OpenBLAS runs it on the calling thread.  A product
@@ -249,8 +248,7 @@ def closest_pair(points) -> tuple[float, int, int]:
     # order: rounding in the norms and the product, in the centering and in
     # the refine.  So the closest pair screens within twice that of the minimum.
     slack = _rounding_slack(x.shape[1], float(rows[:, -1].max()))
-    best = (math.inf, 0, 1)
-    floor = math.inf
+    best = floor = math.inf
     lo = 0
     while lo < m - 1:
         hi = min(m, lo + max(1, _SERIAL_PRODUCT // (rows.shape[1] * (m - lo))))
@@ -260,9 +258,7 @@ def closest_pair(points) -> tuple[float, int, int]:
         if low <= floor + slack:  # else no entry is within the slack: best stands
             floor = min(floor, low)
             i, j = np.divmod(np.flatnonzero(s <= floor + slack), s.shape[1])
-            i, j = i + lo, j + lo
-            d2 = ((pts[j] - pts[i]) ** 2).sum(axis=1)  # `_distances`, before its root
-            first = int(np.argmin(d2))  # candidates come in (i, j) order: ties keep the lowest
-            best = min(best, (float(d2[first]), int(i[first]), int(j[first])))
+            d2 = ((pts[j + lo] - pts[i + lo]) ** 2).sum(axis=1)  # `_distances`, before its root
+            best = min(best, float(d2.min()))
         lo = hi
     return best

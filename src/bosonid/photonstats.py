@@ -92,7 +92,8 @@ def _check_delta(delta: float) -> None:
 @dataclass(frozen=True)
 class DetectorSpec:
     """Photon-number threshold detector over k >= 1 modes: accept iff total
-    count <= threshold < 2^53.  :meth:`make` sets it to ``k * (n_thermal + delta)``.
+    count <= threshold, a count 0 <= threshold < 2^53.  :meth:`make` sets it to
+    ``k * (n_thermal + delta)``.
     """
 
     k: int
@@ -101,6 +102,7 @@ class DetectorSpec:
     def __post_init__(self):
         _check_k(self.k)
         _check_threshold(self.threshold)
+        _check_nonnegative("threshold", self.threshold)
 
     @classmethod
     def make(cls, delta: float, k: int, channel: ChannelModel) -> "DetectorSpec":
@@ -249,7 +251,7 @@ def log_tail_probability(
     """
     _check_law(k, total_energy)
     _check_threshold(threshold)
-    t, N = math.floor(threshold), channel.n_thermal
+    t, N = math.floor(max(threshold, -1)), channel.n_thermal
     lam = total_energy / (N + 1)
     if upper and lam > t + 1:  # P(S_k <= t) <= P(J <= t) < 1/2: its complement is precise
         return math.log1p(-math.exp(log_tail_probability(k, total_energy, channel, t, False)))

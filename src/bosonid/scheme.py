@@ -71,14 +71,14 @@ class SignatureSet:
         return self.rows.view(complex)
 
     @cached_property
-    def closest_pair(self) -> tuple[float, int, int]:
-        """(d^2, i, j) of the closest pair, found once on the real rows."""
+    def closest_pair(self) -> float:
+        """The least ||Delta||^2 over pairs of signatures, found once on the real rows."""
         return geometry.closest_pair(self.rows)
 
     @property
     def min_distance(self) -> float:
         """Distance of the closest pair; inf for fewer than 2 signatures."""
-        return math.sqrt(self.closest_pair[0]) if len(self) >= 2 else math.inf
+        return math.sqrt(self.closest_pair) if len(self) >= 2 else math.inf
 
     def __len__(self) -> int:
         return len(self.rows)

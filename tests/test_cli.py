@@ -294,12 +294,13 @@ class TestSimulate:
 
         spy(montecarlo, "estimate_errors", lambda pairs, *rest: pairs)
         spy(photonstats, "analytic_error_bounds", lambda k, delta, d2, channel: d2)
-        # exact_lambda2's energy: its lower tail, where exact_lambda1 takes the upper
-        spy(montecarlo, "log_tail_probability", lambda k, energy, *rest, upper: energy)
+        # the exact lambda2 cell's lower tail, which `simulate` reads as `bounds`
+        # does; exact_lambda1 reads its upper tail through `montecarlo`
+        spy(photonstats, "log_tail_probability", lambda k, energy, *rest, upper: energy)
         assert run(["simulate", "--code", str(tmp_path / "code.txt"), "--trials", "100",
                     "--out", str(tmp_path / "sim.csv")]) == 0
         assert seen == {"estimate_errors": [4.0], "analytic_error_bounds": [4.0],
-                        "log_tail_probability": [0.0, 4.0]}
+                        "log_tail_probability": [4.0]}
 
     @pytest.mark.parametrize("noise", [0.0, 5e-324, 1e-300, 1e-12, 1e5, 3e6])
     def test_exact_columns(self, tmp_path, noise):
@@ -562,9 +563,10 @@ def child_env(**overrides):
 
 
 class TestColdStart:
-    """Importing bosonid loads numpy alone: scipy.special loads where a tail or
-    a Fock matrix is computed, and no command loads scipy.optimize, not even
-    `verify`, whose Chernoff oracle is a golden-section search.  Importing the
+    """Importing bosonid, or any module of it, loads no scipy: scipy.special
+    loads where a tail or a Fock matrix is computed, and no command loads
+    scipy.optimize, not even `verify`, whose Chernoff oracle is a
+    golden-section search.  Importing the
     command line loads neither hashlib nor json (the artifact hash and the
     JSON writer import them) nor concurrent.futures (Monte Carlo does), which
     pulls in logging."""
@@ -598,6 +600,16 @@ class TestColdStart:
         loaded = self.modules("from bosonid import cli; cli.main(['verify'])")
         assert "scipy.special" in loaded
         assert not {m for m in loaded if m.startswith("scipy.optimize")}
+
+
+class TestReadme:
+    def test_library_example_runs(self):
+        # README's ```python block, in a fresh interpreter: no error, no warning
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        (example,) = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+        child = subprocess.run([sys.executable, "-c", example], env=child_env(),
+                               capture_output=True, text=True)
+        assert child.returncode == 0 and child.stderr == ""
 
 
 class TestClosedStdout:
@@ -653,7 +665,8 @@ class TestVerify:
 
     @staticmethod
     def spy_tails(monkeypatch):
-        """Run the checks with log_tail_probability recording each call's
+        """Run the checks with log_tail_probability, as `photonstats` and
+        `montecarlo` (for exact_lambda2) bind it, recording each call's
         (k, energy, N, threshold); return the checks by name and the calls."""
         calls = []
         tail = photonstats.log_tail_probability
@@ -662,7 +675,8 @@ class TestVerify:
             calls.append((k, energy, channel.n_thermal, threshold))
             return tail(k, energy, channel, threshold, upper)
 
-        monkeypatch.setattr(photonstats, "log_tail_probability", spy)
+        for module in (photonstats, montecarlo):
+            monkeypatch.setattr(module, "log_tail_probability", spy)
         return {name: (dev, tol) for name, dev, tol in cli._verify_checks()}, calls
 
     def test_tail_check_reaches_the_production_tail(self, monkeypatch):
@@ -678,7 +692,7 @@ class TestVerify:
         assert not {energy for k, energy, *_ in calls if k == 2} & {2 * e for e in singles}
 
     def test_checks_reach_the_converse_and_the_zero_count_tail(self, monkeypatch):
-        # the overlap check asks for P(S_1 = 0) at |alpha - beta|^2, an (energy,
+        # the overlap check asks for P(S_1 = 0) at Delta = [alpha - beta], an (energy,
         # N) the diagonal check (|alpha|^2 at every threshold) never uses; the
         # converse check reads d0 back from the bound that `bounds` prints
         converse_ks = []

@@ -45,15 +45,9 @@ def reference_greedy_packing(dim, radius, separation, rng, rejection_budget):
 
 
 def brute_closest_pair(arr):
-    """Double loop over i < j with a strict improvement rule: the lowest
-    indices win among equal squared distances."""
-    best = (math.inf, 0, 1)
-    for i in range(len(arr)):
-        for j in range(i + 1, len(arr)):
-            d2 = float(np.sum(np.abs(arr[j] - arr[i]) ** 2))
-            if d2 < best[0]:
-                best = (d2, i, j)
-    return best
+    """The least squared distance: over each row, its closest later partner's."""
+    return min(float(np.min(np.sum(np.abs(arr[i + 1 :] - arr[i]) ** 2, axis=1)))
+               for i in range(len(arr) - 1))
 
 
 def real_view(z):
@@ -100,7 +94,7 @@ class TestGreedyPacking:
     def test_invariants(self):
         pts = geo.greedy_packing(4, 1.0, 0.5, np.random.default_rng(3), rejection_budget=100_000)
         assert np.all(np.linalg.norm(pts, axis=1) <= 1.0)
-        assert geo.closest_pair(pts)[0] >= 0.5**2
+        assert geo.closest_pair(pts) >= 0.5**2
 
     @pytest.mark.parametrize("fields", [
         *[pytest.param({"radius": radius, "separation": separation}, id=f"{radius}-{separation}")
@@ -290,7 +284,7 @@ class TestWitnessScreen:
         z[np.arange(200), axis] = 0
         accepted = 10 * sep * z + rng.random(z.shape)
         accepted[np.arange(200), axis] = 0.0
-        assert geo.closest_pair(accepted)[0] > (4 * sep) ** 2
+        assert geo.closest_pair(accepted) > (4 * sep) ** 2
         inside, outside = accepted.copy(), accepted.copy()
         sign = np.where(np.arange(200) % 2, 1.0, -1.0)
         inside[np.arange(200), axis] = sign * np.nextafter(sep, 0)
@@ -368,13 +362,13 @@ class TestGoldenPackings:
 
 
 class TestMinPairwiseDistance:
-    """The minimum pairwise distance, as the squared length of `closest_pair`."""
+    """The minimum pairwise distance, as the root of `closest_pair`."""
 
     def test_identical_points(self):
-        assert geo.closest_pair(np.zeros((2, 3))) == (0.0, 0, 1)
+        assert geo.closest_pair(np.zeros((2, 3))) == 0.0
 
     def test_basis_pair(self):
-        assert geo.closest_pair(np.eye(2)) == (2.0, 0, 1)
+        assert geo.closest_pair(np.eye(2)) == 2.0
 
     def test_fewer_than_two_points_rejected(self):
         with pytest.raises(ValueError):
@@ -393,17 +387,12 @@ class TestMinPairwiseDistance:
             for i in range(len(arr))
             for j in range(i + 1, len(arr))
         )
-        assert math.sqrt(geo.closest_pair(arr)[0]) == pytest.approx(expected, rel=1e-12)
-
-    def test_closest_pair_lowest_index_tie_break(self):
-        # (0,1), (1,2) and (2,3) are all at distance 1
-        pts = np.array([[0.0], [1.0], [2.0], [3.0], [5.0]])
-        assert geo.closest_pair(pts) == (1.0, 0, 1)
+        assert math.sqrt(geo.closest_pair(arr)) == pytest.approx(expected, rel=1e-12)
 
     def test_closest_pair_complex_rows(self):
         # complex rows are measured through their real view of (re, im) pairs
         pts = np.array([[0.0, 0.0], [3.0j, 1.0], [1.0 + 1.0j, 0.0]])
-        assert geo.closest_pair(real_view(pts)) == (2.0, 0, 2)
+        assert geo.closest_pair(real_view(pts)) == 2.0
 
     def test_complex_array_rejected(self):
         with pytest.raises(ValueError, match="real rows"):
@@ -423,23 +412,12 @@ class TestClosestPairScreen:
         pts = real_view(np.array([[1.0 + 2.0j, -0.5j], [0.25, 3.0]]))
         assert geo.closest_pair(pts) == brute_closest_pair(pts)
 
-    @staticmethod
-    def row_minima(pts):
-        """The closest pair as the least (d2, i, j) over each row's closest
-        later partner, the lowest index first among ties."""
-        rows = []
-        for i in range(len(pts) - 1):
-            d2 = np.sum(np.abs(pts[i + 1 :] - pts[i]) ** 2, axis=1)
-            j = int(np.argmin(d2))
-            rows.append((float(d2[j]), i, i + 1 + j))
-        return min(rows)
-
     @pytest.mark.parametrize("offset", [0.0, 1.0e6])
     def test_lattice_ties_across_blocks(self, offset):
         # 600 lattice points, 7 blocks, hundreds of pairs tied at the spacing
         z = np.random.default_rng(1).integers(-3, 4, size=(2000, 6))
         pts = np.unique(z, axis=0)[:600] * 1.7 + offset
-        assert geo.closest_pair(pts) == self.row_minima(pts)
+        assert geo.closest_pair(pts) == brute_closest_pair(pts)
 
     def test_code_shaped_blocks(self, monkeypatch):
         # M = 2500 signatures of k = 4 modes, on a coarse lattice so that pairs
@@ -449,7 +427,7 @@ class TestClosestPairScreen:
         pts = grid.reshape(2500, 8)  # the real view of k = 4 signatures
         result, sizes = TestSerialProduct.products(monkeypatch, geo.closest_pair, pts)
         assert len(sizes) > 100
-        assert result == self.row_minima(pts)
+        assert result == brute_closest_pair(pts)
 
 
 class TestSerialProduct:

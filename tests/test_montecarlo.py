@@ -234,7 +234,7 @@ class TestEstimateLambda2:
         # summed over (re, im) as closest_pair sums it; |Delta|^2 of the
         # complex entries is 3.999999999999999 here
         sigs = np.array([[1.073 - 2.246j], [2.3530166780457646 - 0.7092640747595296j]])
-        d2, _, _ = geometry.closest_pair(sigs.view(float))
+        d2 = geometry.closest_pair(sigs.view(float))
         assert d2 == 4.0
         pairs = mc.sampled_pairs(sigs.view(float))
         assert pairs(np.random.default_rng(0), 10).tolist() == [d2] * 10

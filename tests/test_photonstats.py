@@ -99,6 +99,13 @@ class TestLaguerre:
         assert ps.log_tail_probability(1, energy, ch, -1, upper=False) == -math.inf
         assert ps.log_tail_probability(1, energy, ch, -1, upper=True) == 0.0
 
+    @pytest.mark.parametrize("energy,n_thermal", [(0.0, 1.0), (2.0, 0.5), (2.0, 0.0)])
+    def test_minus_inf_threshold_has_no_mass(self, energy, n_thermal):
+        # every threshold below 0 counts as -1, -inf too, whose floor is no integer
+        ch = ChannelModel(n_thermal)
+        assert ps.log_tail_probability(1, energy, ch, -math.inf, upper=False) == -math.inf
+        assert ps.log_tail_probability(1, energy, ch, -math.inf, upper=True) == 0.0
+
 
 class TestPmf:
     """The single-mode pmf, as differences of the closed-form tails."""
@@ -471,7 +478,9 @@ class TestFiniteInputs:
           for name, args, params in [("k", (0, 4.0), ("k",)),
                                      ("threshold-2^60", (4, 2.0**60), ("threshold",)),
                                      ("threshold-nan", (4, math.nan), ("threshold",)),
-                                     ("threshold-inf", (4, math.inf), ("threshold",))]],
+                                     ("threshold-inf", (4, math.inf), ("threshold",)),
+                                     ("threshold-negative", (4, -0.5), ("threshold",)),
+                                     ("threshold-minus-inf", (4, -math.inf), ("threshold",))]],
         pytest.param(lambda: ps.analytic_error_bounds(8, 1e306, 4.0, ChannelModel(1.0)),
                      ("delta",), id="delta-bounds"),
         # the heterodyne squared radius k (N + 1) (1 + delta) needs delta >= -1

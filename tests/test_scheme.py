@@ -47,7 +47,7 @@ class TestBuildCode:
         rows = code.signatures.view(float)
         brute = min(float(((rows[i + 1:] - rows[i]) ** 2).sum(axis=1).min())
                     for i in range(len(rows) - 1))
-        assert code.closest_pair[0] == brute
+        assert code.closest_pair == brute
 
 
 class TestSignatureSet:
@@ -108,13 +108,13 @@ class TestSignatureSet:
         assert geo._distances(rows[:1], rows[1]).tolist() == [2.0]
         code = scheme.SignatureSet(k=1, energy_budget=7.0, rho=1.0, rows=rows)
         assert code.min_distance == 2.0
-        assert code.closest_pair == (4.0, 0, 1)
+        assert code.closest_pair == 4.0
 
     def test_min_distance_is_closest_pair_length(self):
         code = scheme.SignatureSet(k=1, energy_budget=9.0, rho=0.5,
                                    rows=np.array([[0], [3j], [1 + 1j]]).view(float))
         assert code.min_distance == pytest.approx(math.sqrt(2))
-        assert code.closest_pair[1:] == (0, 2)
+        assert code.closest_pair == 2.0
 
 
 class TestAchievableUsersLog:
