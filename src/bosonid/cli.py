@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation error (or a failed allocation), 2 oracle/acc
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -315,6 +316,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process, built by the first `main`
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bosonid",

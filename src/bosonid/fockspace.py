@@ -70,6 +70,8 @@ def displacement_matrix(amplitude: complex, cutoff: int) -> np.ndarray:
     from scipy.special import eval_genlaguerre, gammaln, pdtrc
 
     n2, log_pow, phase = _power_split(amplitude, cutoff)
+    if amplitude == 0:  # the amplitude, not n2: |1e-170|^2 underflows to 0
+        return np.eye(cutoff, dtype=complex)
     deficit = float(pdtrc(cutoff - 1, n2))
     if deficit > _DISPLACEMENT_DEFICIT_LIMIT:
         raise ValueError(f"|alpha|^2 = {n2:g} too large for cutoff {cutoff}: "

@@ -748,6 +748,46 @@ class TestUsageErrors:
         assert capsys.readouterr().out == f"bosonid {cli.__version__}\n"
 
 
+class TestOneParser:
+    """`main` parses with one parser per process, built by its first call."""
+
+    def test_built_once(self, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        calls = [["verify"], ["bounds", "--k", "8", "--gamma", "1.1"], ["simulate", "--bogus"],
+                 ["pack", "--help"], ["--version"]]
+        assert [run(argv) for argv in calls] == [0, 0, 1, 0, 0]
+        assert len(built) == 1 + len(cli._COMMANDS)  # the top parser and one per subcommand
+
+    def test_carries_nothing_between_calls(self, capsys, tmp_path):
+        # each call's arguments are its own: B and verify's lines match a fresh interpreter's
+        code = str(four_point_code(tmp_path / "code.txt"))
+        b_argv = ["simulate", "--code", code, "--trials", "2000", "--out"]
+        assert run(["simulate", "--code", code, "--pair-strategy", "all_pairs_sampled",
+                    "--format", "json", "--trials", "2000", "--out", str(tmp_path / "A")]) == 0
+        assert run(["simulate", "--bogus"]) == cli.EXIT_VALIDATION
+        assert run(["simulate", "--help"]) == cli.EXIT_OK
+        assert run([*b_argv, str(tmp_path / "B")]) == 0
+        capsys.readouterr()
+        assert run(["verify"]) == 0
+        verify_out = capsys.readouterr().out
+
+        def fresh(argv):
+            return subprocess.run([sys.executable, "-m", "bosonid.cli", *argv], env=child_env(),
+                                  capture_output=True, check=True).stdout
+
+        fresh([*b_argv, str(tmp_path / "B_fresh")])
+        assert (tmp_path / "B").read_bytes() == (tmp_path / "B_fresh").read_bytes()
+        assert verify_out.encode() == fresh(["verify"])
+
+
 class TestReproducibility:
     def test_bounds_byte_identical(self, tmp_path):
         args = ["bounds", "--k", "8,16", "--gamma", "1.1"]

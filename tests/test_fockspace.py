@@ -29,9 +29,23 @@ class TestThermalDensity:
 
 
 class TestDisplacementMatrix:
-    def test_zero_displacement_is_identity(self):
+    def test_zero_displacement_is_identity(self, monkeypatch):
+        # D(0) = I is returned as is, so the thermal state needs no Laguerre value either
+        def refuse(*args):
+            raise AssertionError("eval_genlaguerre called at alpha = 0")
+
+        monkeypatch.setattr("scipy.special.eval_genlaguerre", refuse)
         for cutoff in (1, 12, 60):
             assert np.array_equal(fs.displacement_matrix(0, cutoff), np.eye(cutoff))
+            n = np.arange(cutoff)
+            for noise in (0.0, 1.0):  # exact in floats: 0^0 = 1, and powers of 1/2
+                mat = fs.displaced_thermal_density(0.0, ChannelModel(noise), cutoff)
+                assert np.array_equal(mat, np.diag(noise**n / (noise + 1) ** (n + 1)))
+
+    def test_tiny_amplitude_is_not_zero(self):
+        # |alpha|^2 = 1e-340 underflows to 0.0, but D(alpha) is not I: <1|D|0> = alpha
+        element = fs.displacement_matrix(1e-170, 5)[1, 0]
+        assert abs(element - 1e-170) <= 1e-12 * 1e-170
 
     def test_column_zero_is_coherent_state(self):
         for alpha, cutoff in ((1.0, 40), (3.0, 700)):
@@ -76,12 +90,16 @@ class TestDisplacementMatrix:
 HALF = np.diag([0.5, 0.5]).astype(complex)
 
 
+def displaced_thermal_at_n1(amplitude, cutoff):
+    return fs.displaced_thermal_density(amplitude, ChannelModel(1.0), cutoff)
+
+
 @pytest.mark.parametrize("call,args,match", [
     *[pytest.param(build, (amplitude, cutoff), None, id=f"{amplitude}-{cutoff}-{build.__name__}")
       # 1e200: |alpha|^2 beyond the largest float
       for amplitude, cutoff in [(math.nan, 10), (math.inf, 10), (complex(1.0, math.nan), 10),
-                                (1.0, 0), (1.0, -3), (1e200, 10)]
-      for build in (fs.coherent_state_vector, fs.displacement_matrix)],
+                                (1.0, 0), (1.0, -3), (1e200, 10), (0.0, 0), (0.0, -3)]
+      for build in (fs.coherent_state_vector, fs.displacement_matrix, displaced_thermal_at_n1)],
     # the numeric distances take density matrices of one cutoff
     pytest.param(fs.fidelity_numeric, (np.ones((2, 3)), HALF), "square", id="non_square"),
     pytest.param(fs.trace_distance_numeric, (HALF, np.array([[0.5, 0.5], [0, 0.5]])),
